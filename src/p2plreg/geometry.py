@@ -18,8 +18,6 @@ from numpy.typing import NDArray
 Mat3 = NDArray[np.float64]
 Vec3 = NDArray[np.float64]
 
-# Orthogonality/determinant tolerance for constructed rotations.
-ROTATION_TOL = 1e-9
 # Below this angle rodrigues returns the identity; avoids 0/0 in a / theta.
 SMALL_ANGLE = 1e-12
 
@@ -110,22 +108,6 @@ def log_rotation(r: Mat3) -> Vec3:
     return scale * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
 
 
-def rotation_defect(r: Mat3) -> float:
-    """Frobenius distance of R^T R from the identity."""
-    r = np.asarray(r, dtype=np.float64)
-    return float(np.linalg.norm(r.T @ r - np.eye(3)))
-
-
-def check_rotation(r: Mat3, tol: float = ROTATION_TOL) -> None:
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    if rotation_defect(r) > tol:
-        raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(float(np.linalg.det(r)) - 1.0) > tol:
-        raise ValueError("matrix determinant is not +1 within tolerance")
-
-
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation matrix plus translation vector, applied as R p + t."""
@@ -171,10 +153,6 @@ def apply_transform(t: RigidTransform, cloud):
     pos = cloud.positions @ t.rotation.T + t.translation
     nrm = None if cloud.normals is None else cloud.normals @ t.rotation.T
     return PointCloud(pos, nrm)
-
-
-def apply_to_points(t: RigidTransform, points: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.asarray(points, dtype=np.float64) @ t.rotation.T + t.translation
 
 
 def to_gvector(t: RigidTransform) -> NDArray[np.float64]:

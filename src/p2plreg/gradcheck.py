@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .gradient import GradientBundle, chain_loss
+from .gradient import GradientBundle, chain_blocks, chain_loss
 from .seeding import derived_rng
 from .solver import _accumulate_batch
 from .synth import draw_rigid, synth_shape
@@ -173,15 +173,6 @@ def fd_bundle(
     return FDBlocks(blocks["x"], blocks["y"], blocks["n"], blocks["zeta"])
 
 
-def _chain_fd(blocks: FDBlocks, v: NDArray[np.float64]):
-    return {
-        "x": np.einsum("k,nkj->nj", v, blocks.wrt_x),
-        "y": np.einsum("k,nkj->nj", v, blocks.wrt_y),
-        "n": np.einsum("k,nkj->nj", v, blocks.wrt_n),
-        "zeta": blocks.wrt_zeta @ v,
-    }
-
-
 def compare(
     analytic: GradientBundle,
     fd: FDBlocks,
@@ -194,18 +185,18 @@ def compare(
     per-input mean square as the relative normalizer.
     """
     v = np.asarray(loss_direction, dtype=np.float64).reshape(12)
-    chained = chain_loss(v, analytic)
-    a = {"x": chained.wrt_x, "y": chained.wrt_y, "n": chained.wrt_n, "zeta": chained.wrt_zeta}
-    f = _chain_fd(fd, v)
+    a = chain_loss(v, analytic)
+    f = chain_blocks(v, fd.wrt_x, fd.wrt_y, fd.wrt_n, fd.wrt_zeta)
 
     per_input: dict[str, tuple[float, float]] = {}
     sq_sum = 0.0
     ref_sum = 0.0
     count = 0
     for kind in INPUT_KINDS:
-        diff = a[kind] - f[kind]
+        ref_grad = getattr(f, f"wrt_{kind}")
+        diff = getattr(a, f"wrt_{kind}") - ref_grad
         sq = float(np.sum(diff * diff))
-        ref = float(np.sum(f[kind] * f[kind]))
+        ref = float(np.sum(ref_grad * ref_grad))
         m = diff.size
         mse = sq / m
         if ref > 0.0:

@@ -8,9 +8,17 @@ input u (target position, target normal, source position, reliability):
 
     d g* / d u  =  -(d^2 E_hat / d g^2)^{-1} (d^2 E_hat / d u d g)
 
-One 12x12 factorization is shared across all N right-hand sides, so the
-backward cost does not depend on how many accumulation rounds produced the
-transform.
+One 12x12 inverse is shared across all N pairs, so the backward cost does
+not depend on how many accumulation rounds produced the transform.
+
+``backward`` is one pass over one workspace (``build_workspace``) that
+``hessian``, ``penalty_lambda``, ``energy_gradient`` and ``cross_derivs``
+read too, so each formula exists once; ``cross_derivs`` is the Jacobian
+builder with the identity in place of -H^{-1}. The per-pair Jacobians come
+from a few (N, 12) x (12, 12) and (N, 4) x (4, 36) matrix products written
+into one allocation, a handful of passes over the 120 N output doubles. At
+N = 4096 that is about half the time of a 10-iteration forward solve (ratio
+0.54 in the benchmark's traced sweep on a 2-vCPU Xeon VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -74,17 +82,6 @@ def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[n
     return np.concatenate([top, n], axis=1)
 
 
-def coeff_jacobian_wrt_normal(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """(N, 12, 3) Jacobian of residual_coeffs with respect to the normal."""
-    x = np.asarray(x, dtype=np.float64)
-    n_pts = x.shape[0]
-    out = np.zeros((n_pts, 12, 3))
-    for s in range(3):
-        out[:, 3 * s : 3 * s + 3, s] = x
-        out[:, 9 + s, s] = 1.0
-    return out
-
-
 def rotation_row_matrix(r: NDArray[np.float64]) -> NDArray[np.float64]:
     """9x9 matrix with entry (3p+q, 3u+s) = R[p, s] (rows replicated)."""
     r = np.asarray(r, dtype=np.float64)
@@ -123,13 +120,15 @@ def penalty_curvature(r: NDArray[np.float64]) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class GradWorkspace:
-    """Per-pair quantities shared by the backward formulas."""
+    """Per-pair quantities shared by every energy-derivative formula."""
 
+    positions: NDArray[np.float64]  # (N, 3) source positions x_i
+    normals: NDArray[np.float64]  # (N, 3) target normals n_i
+    weights: NDArray[np.float64]  # (N,) reliabilities zeta_i
     coeffs: NDArray[np.float64]  # (N, 12) residual gradients in g
     residuals: NDArray[np.float64]  # (N,) plane residuals at g
     offsets: NDArray[np.float64]  # (N, 3) R x_i + t - y_i
     rotation: NDArray[np.float64]  # (3, 3)
-    translation: NDArray[np.float64]  # (3,)
     curvature: NDArray[np.float64]  # (9, 9) penalty curvature block
 
 
@@ -138,11 +137,18 @@ def build_workspace(
 ) -> GradWorkspace:
     gv = _as_gvector(g)
     rot = gv[:9].reshape(3, 3)
-    trans = gv[9:]
-    coeffs = residual_coeffs(source.positions, corr.normals)
-    offsets = source.positions @ rot.T + trans - corr.targets
-    residuals = np.einsum("ni,ni->n", offsets, corr.normals)
-    return GradWorkspace(coeffs, residuals, offsets, rot, trans, penalty_curvature(rot))
+    x = source.positions
+    n = corr.normals
+    offsets = x @ rot.T + gv[9:] - corr.targets
+    residuals = np.einsum("ni,ni->n", offsets, n)
+    return GradWorkspace(
+        x, n, corr.weights, residual_coeffs(x, n), residuals, offsets, rot, penalty_curvature(rot)
+    )
+
+
+def _data_gradient(ws: GradWorkspace) -> NDArray[np.float64]:
+    """Gradient of the plane energy sum_i zeta_i r_i^2 in g."""
+    return 2.0 * ((ws.weights * ws.residuals) @ ws.coeffs)
 
 
 def energy_gradient(
@@ -150,38 +156,40 @@ def energy_gradient(
 ) -> NDArray[np.float64]:
     """Gradient of the penalized energy in the 12 transform coordinates."""
     ws = build_workspace(corr, source, g)
-    grad = 2.0 * np.einsum("n,n,nk->k", corr.weights, ws.residuals, ws.coeffs)
-    if lam != 0.0:
-        grad = grad.copy()
-        grad[:9] += lam * penalty_gradient(ws.rotation)
+    grad = _data_gradient(ws)
+    grad[:9] += lam * penalty_gradient(ws.rotation)
     return grad
+
+
+def _fit_lambda(ws: GradWorkspace) -> float:
+    d_p = penalty_gradient(ws.rotation)
+    denom = float(d_p @ d_p)
+    if denom < LAMBDA_DENOM_FLOOR:
+        return 0.0
+    return abs(float(d_p @ _data_gradient(ws)[:9])) / denom
 
 
 def penalty_lambda(corr: CorrespondenceSet, source: PointCloud, g) -> float:
     """Least-squares penalty weight |dP . dE| / (dP . dP) on the rotation
     entries, zero when the rotation is numerically orthogonal (0/0 case)."""
-    ws = build_workspace(corr, source, g)
-    d_p = penalty_gradient(ws.rotation)
-    denom = float(d_p @ d_p)
-    if denom < LAMBDA_DENOM_FLOOR:
-        return 0.0
-    d_e = 2.0 * np.einsum("n,n,nk->k", corr.weights, ws.residuals, ws.coeffs[:, :9])
-    return abs(float(d_p @ d_e)) / denom
+    return _fit_lambda(build_workspace(corr, source, g))
 
 
-def _data_hessian(weights, coeffs) -> NDArray[np.float64]:
+def _data_hessian(ws: GradWorkspace) -> NDArray[np.float64]:
     # sqrt-weighted Gram product keeps the result symmetric bitwise
-    rd = coeffs * np.sqrt(weights)[:, None]
+    rd = ws.coeffs * np.sqrt(ws.weights)[:, None]
     return 2.0 * rd.T @ rd
+
+
+def _add_penalty(h: NDArray[np.float64], ws: GradWorkspace, lam: float) -> NDArray[np.float64]:
+    h[:9, :9] += 4.0 * lam * ws.curvature
+    return h
 
 
 def hessian(corr: CorrespondenceSet, source: PointCloud, g, lam: float) -> NDArray[np.float64]:
     """12x12 second derivative of the penalized energy at g."""
     ws = build_workspace(corr, source, g)
-    h = _data_hessian(corr.weights, ws.coeffs)
-    if lam != 0.0:
-        h[:9, :9] += 4.0 * lam * ws.curvature
-    return h
+    return _add_penalty(_data_hessian(ws), ws, lam)
 
 
 @dataclass(frozen=True)
@@ -194,28 +202,60 @@ class CrossDerivatives:
     wrt_zeta: NDArray[np.float64]  # (N, 12)
 
 
-def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> CrossDerivatives:
-    ws = build_workspace(corr, source, g)
-    zeta = corr.weights
-    d = ws.coeffs
-    r = ws.residuals
-    w = ws.offsets
-    n = corr.normals
-    x = source.positions
+def _add_outer(out: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.float64]) -> None:
+    """out[i] += a_i b_i^T for (N, 12) a and (N, 3) b, one column at a time
+    (faster than a (N, 12, 1) x (N, 1, 3) broadcast and no (N, 12, 3) temporary)."""
+    for s in range(3):
+        out[:, :, s] += a * b[:, s, None]
 
-    wrt_y = -2.0 * zeta[:, None, None] * d[:, :, None] * n[:, None, :]
-    wrt_n = 2.0 * zeta[:, None, None] * (
-        d[:, :, None] * w[:, None, :] + r[:, None, None] * coeff_jacobian_wrt_normal(x)
-    )
-    rot_n = n @ ws.rotation  # rows (R^T n_i)^T
-    pos_jac = np.zeros((len(corr), 12, 3))
-    for p in range(3):
-        pos_jac[:, 3 * p : 3 * p + 3, :] = n[:, p, None, None] * np.eye(3)
-    wrt_x = 2.0 * zeta[:, None, None] * (
-        d[:, :, None] * rot_n[:, None, :] + r[:, None, None] * pos_jac
-    )
-    wrt_zeta = 2.0 * r[:, None] * d
+
+def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> CrossDerivatives:
+    """p @ d(grad_g E)/du for every per-pair input u and a 12x12 matrix p.
+
+    With grad_g E = sum_i 2 zeta_i r_i d_i, the mixed derivatives are
+
+        y:    -2 zeta_i d_i n_i^T
+        n:     2 zeta_i (d_i w_i^T + r_i dd_i/dn_i)
+        x:     2 zeta_i (d_i (R^T n_i)^T + r_i dd_i/dx_i)
+        zeta:  2 r_i d_i
+
+    with w_i the offset. The coefficient Jacobians dd_i/dn_i and dd_i/dx_i
+    are sparse lifts of x_i and n_i, so p applied to them for all i is one
+    (N, 4) x (4, 36) and one (N, 3) x (3, 36) product, written straight into
+    the output arrays; the d_i terms are then accumulated in place.
+    """
+    n_pts = ws.residuals.shape[0]
+    # One allocation holds all four blocks. With glibc malloc, separate ~1 MB
+    # blocks freed together went back to the OS and were page-faulted in
+    # again on every call (~1200 minor faults per call at N=4096, about half
+    # the backward time); one block of the combined size stays in the heap.
+    store = np.empty(120 * n_pts)
+    wrt_y, wrt_n, wrt_x = store[: 108 * n_pts].reshape(3, n_pts, 12, 3)
+    wrt_zeta = store[108 * n_pts :].reshape(n_pts, 12)
+    pd = ws.coeffs @ p.T  # rows p d_i
+    np.multiply((2.0 * ws.residuals)[:, None], pd, out=wrt_zeta)
+    zeta2 = 2.0 * ws.weights
+    pd *= zeta2[:, None]
+    zr2 = zeta2 * ws.residuals
+
+    p_rot = p[:, :9].reshape(12, 3, 3)  # (k, a, b) -> p[k, 3a + b]
+    # (p dd_i/dn_i)[k, s] = sum_q p[k, 3s + q] x_q + p[k, 9 + s]
+    lift_x = np.concatenate([ws.positions, np.ones((n_pts, 1))], axis=1) * zr2[:, None]
+    to_n = np.concatenate([p_rot.transpose(2, 0, 1).reshape(3, 36), p[:, 9:].reshape(1, 36)])
+    np.matmul(lift_x, to_n, out=wrt_n.reshape(n_pts, 36))
+    _add_outer(wrt_n, pd, ws.offsets)
+    # (p dd_i/dx_i)[k, s] = sum_a p[k, 3a + s] n_a
+    to_x = p_rot.transpose(1, 0, 2).reshape(3, 36)
+    np.matmul(zr2[:, None] * ws.normals, to_x, out=wrt_x.reshape(n_pts, 36))
+    _add_outer(wrt_x, pd, ws.normals @ ws.rotation)
+
+    for s in range(3):
+        np.multiply(pd, -ws.normals[:, s, None], out=wrt_y[:, :, s])
     return CrossDerivatives(wrt_y, wrt_n, wrt_x, wrt_zeta)
+
+
+def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> CrossDerivatives:
+    return _mixed_blocks(build_workspace(corr, source, g), np.eye(12))
 
 
 @dataclass(frozen=True)
@@ -240,49 +280,21 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     minimizer map to be the one the solver realizes. The clip bounds keep
     the factorization accurate in double precision.
     """
-    gv = _as_gvector(g)
-    ws = build_workspace(corr, source, gv)
-    zeta = corr.weights
-    d = ws.coeffs
-    r = ws.residuals
-    n = corr.normals
-    x = source.positions
-
-    h_data = _data_hessian(zeta, d)
-    scale = float(np.trace(h_data)) / 12.0
+    ws = build_workspace(corr, source, g)
+    h = _data_hessian(ws)
+    scale = float(np.trace(h)) / 12.0
     if not np.isfinite(scale) or scale <= 0.0:
         raise SingularHessian("data curvature vanished; no usable pairs")
-    lam = penalty_lambda(corr, source, gv)
-    lam = float(np.clip(lam, LAMBDA_REL_FLOOR * scale, LAMBDA_REL_CAP * scale))
-
-    h = h_data
-    h[:9, :9] += 4.0 * lam * ws.curvature
-
-    rhs = np.concatenate([np.eye(12), d.T], axis=1)
+    lam = float(np.clip(_fit_lambda(ws), LAMBDA_REL_FLOOR * scale, LAMBDA_REL_CAP * scale))
+    _add_penalty(h, ws, lam)
     try:
-        sol = np.linalg.solve(h, rhs)
+        h_inv = np.linalg.inv(h)
     except np.linalg.LinAlgError as exc:
         raise SingularHessian(f"12x12 Hessian solve failed: {exc}") from None
-    h_inv = sol[:, :12]
-    hd = sol[:, 12:]  # (12, N) columns H^{-1} d_i
 
     # d g*/d u = -H^{-1} d(grad_g E)/d u for every input u.
-    d_g_d_y = 2.0 * zeta[:, None, None] * hd.T[:, :, None] * n[:, None, :]
-    d_g_d_zeta = -2.0 * r[:, None] * hd.T
-
-    h_inv_rot = h_inv[:, :9].reshape(12, 3, 3)
-    # Columns of H^{-1} applied to the normal-Jacobian of the coefficients.
-    hinv_coeff_n = np.einsum("ksq,iq->iks", h_inv_rot, x) + h_inv[:, 9:][None, :, :]
-    d_g_d_n = -2.0 * zeta[:, None, None] * (
-        hd.T[:, :, None] * ws.offsets[:, None, :] + r[:, None, None] * hinv_coeff_n
-    )
-
-    rot_n = n @ ws.rotation
-    hinv_coeff_x = np.einsum("kps,ip->iks", h_inv_rot, n)
-    d_g_d_x = -2.0 * zeta[:, None, None] * (
-        hd.T[:, :, None] * rot_n[:, None, :] + r[:, None, None] * hinv_coeff_x
-    )
-    return GradientBundle(d_g_d_x, d_g_d_y, d_g_d_n, d_g_d_zeta, lam, h)
+    jac = _mixed_blocks(ws, -h_inv)
+    return GradientBundle(jac.wrt_x, jac.wrt_y, jac.wrt_n, jac.wrt_zeta, lam, h)
 
 
 @dataclass(frozen=True)
@@ -295,14 +307,25 @@ class PointGradients:
     wrt_zeta: NDArray[np.float64]  # (N,)
 
 
+def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PointGradients:
+    """Chain a loss gradient in g through per-pair (N, 12, 3) and (N, 12)
+    Jacobian blocks."""
+    v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
+    # (N, 36) x (36, 3) product: entry ((k, j), j') of the right factor is
+    # v[k] when j == j', so row i contracts v with block i over k.
+    v_blocks = (v[:, None, None] * np.eye(3)).reshape(36, 3)
+    return PointGradients(
+        wrt_x=wrt_x.reshape(-1, 36) @ v_blocks,
+        wrt_y=wrt_y.reshape(-1, 36) @ v_blocks,
+        wrt_n=wrt_n.reshape(-1, 36) @ v_blocks,
+        wrt_zeta=wrt_zeta @ v,
+    )
+
+
 def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PointGradients:
     """Chain a loss gradient in g through every per-pair Jacobian."""
-    v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
-    return PointGradients(
-        wrt_x=np.einsum("k,nkj->nj", v, bundle.d_g_d_x),
-        wrt_y=np.einsum("k,nkj->nj", v, bundle.d_g_d_y),
-        wrt_n=np.einsum("k,nkj->nj", v, bundle.d_g_d_n),
-        wrt_zeta=bundle.d_g_d_zeta @ v,
+    return chain_blocks(
+        d_loss_d_g, bundle.d_g_d_x, bundle.d_g_d_y, bundle.d_g_d_n, bundle.d_g_d_zeta
     )
 
 

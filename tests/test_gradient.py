@@ -336,7 +336,62 @@ class TestBackward:
         assert compare(bundle, fd, dldg, 10).rel_mse <= 1e-4
 
 
+    @pytest.mark.parametrize("n_pts", [32, 1024])
+    def test_matches_explicit_solve_of_cross_derivatives(self, n_pts):
+        # Textbook form: d g*/d u = -H^{-1} d(grad_g E)/du, one solve per block.
+        corr, cloud, _ = make_instance(29, n_pts, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        bundle = backward(corr, cloud, g)
+        h = hessian(corr, cloud, g, bundle.lam)
+        blocks = cross_derivs(corr, cloud, g)
+        pairs = [
+            (bundle.d_g_d_y, -np.linalg.solve(h, blocks.wrt_y)),
+            (bundle.d_g_d_n, -np.linalg.solve(h, blocks.wrt_n)),
+            (bundle.d_g_d_x, -np.linalg.solve(h, blocks.wrt_x)),
+            (bundle.d_g_d_zeta, -np.linalg.solve(h, blocks.wrt_zeta.T).T),
+        ]
+        np.testing.assert_array_equal(bundle.hessian, h)
+        for got, expect in pairs:
+            np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-12 * np.abs(expect).max())
+
+    def test_peak_memory_within_twice_the_bundle(self):
+        import tracemalloc
+
+        corr, cloud, gt = make_instance(30, 4096, noise=1e-4)
+        g = to_gvector(gt)
+        backward(corr, cloud, g)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            bundle = backward(corr, cloud, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(
+            a.nbytes
+            for a in (bundle.d_g_d_x, bundle.d_g_d_y, bundle.d_g_d_n, bundle.d_g_d_zeta, bundle.hessian)
+        )
+        assert peak <= 2.0 * returned
+
+
 class TestChainLoss:
+    def test_matches_explicit_contraction(self):
+        corr, cloud, gt = make_instance(31, 64, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        bundle = backward(corr, cloud, g)
+        _, v = rigid_motion_loss(g, gt)
+        out = chain_loss(v, bundle)
+        for got, jac in (
+            (out.wrt_x, bundle.d_g_d_x),
+            (out.wrt_y, bundle.d_g_d_y),
+            (out.wrt_n, bundle.d_g_d_n),
+        ):
+            expect = np.einsum("k,nkj->nj", v, jac)
+            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
+        expect = np.einsum("k,nk->n", v, bundle.d_g_d_zeta)
+        np.testing.assert_allclose(
+            out.wrt_zeta, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max()
+        )
+
     def test_zero_direction_gives_zeros(self):
         corr, cloud, _ = make_instance(23, 16, noise=1e-3)
         bundle = backward(corr, cloud, register_p2pl(corr, cloud, n_iters=5).transform)
