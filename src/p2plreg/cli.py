@@ -167,7 +167,7 @@ def cmd_register(args: argparse.Namespace) -> int:
             moved = apply_transform(report.transform, source)
             corr = nn_correspond(moved, target)
             t0 = time.perf_counter()
-            backward(corr, moved, report.transform)
+            backward(corr, source, report.transform)
             bwd_ms = (time.perf_counter() - t0) * 1e3
         except (SingularSystem, np.linalg.LinAlgError, ValueError) as exc:
             return index, None, type(exc).__name__, pair

@@ -11,6 +11,7 @@ each other out.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,19 @@ logger = logging.getLogger(__name__)
 SCORE_CLAMP = 80.0
 # Top-two eigenvalue gap below which a pointed direction is ill-defined.
 DEGENERATE_TENSOR_GAP = 1e-9
+# Exponents below this give subnormal floats. Such weights are flushed to
+# exactly 0: they sit below the rounding of any sum they enter, and
+# subnormal operands make the BLAS products ~5x slower.
+LOG_TINY = math.log(np.finfo(np.float64).tiny)
+# Entries per row block of match_matrix: 256 KB of float64, so a block and
+# its scratch stay in a per-core L2 cache.
+_BLOCK_ENTRIES = 32768
+# soft_pointers averages 3 position columns and the 6 unique entries
+# n_a n_b of each normal tensor; _TENSOR_COLS maps all 9 entries (a, b) to
+# their column.
+_TENSOR_A = np.array([0, 1, 2, 0, 0, 1])
+_TENSOR_B = np.array([0, 1, 2, 1, 2, 2])
+_TENSOR_COLS = 3 + np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
 @dataclass(frozen=True)
@@ -111,14 +125,58 @@ def match_matrix(
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     moved = source.positions @ t.rotation.T + t.translation
-    diff = moved[:, None, :] - target.positions[None, :, :]
-    return -beta * np.einsum("ijk,ijk->ij", diff, diff) + alpha
+    y = target.positions
+    # Squared distances accumulate one coordinate at a time, a block of rows
+    # at a time so that the passes over a block stay in cache. The
+    # |a|^2 + |b|^2 - 2ab expansion would be one GEMM but loses the exact
+    # zero at coincident points. Adding (x^2 + z^2) + y^2 is the order
+    # numpy's einsum uses for the broadcast (N, M, 3) formula, so the two
+    # agree bitwise there.
+    u = np.empty((len(moved), len(y)))
+    rows = max(1, _BLOCK_ENTRIES // len(y))
+    sq = np.empty((min(rows, len(moved)), len(y)))
+    for r in range(0, len(moved), rows):
+        x, blk = moved[r : r + rows], u[r : r + rows]
+        tmp = sq[: len(blk)]
+        np.subtract.outer(x[:, 0], y[:, 0], out=blk)
+        blk *= blk
+        for k in (2, 1):
+            np.subtract.outer(x[:, k], y[:, k], out=tmp)
+            tmp *= tmp
+            blk += tmp
+        blk *= -beta
+        blk += alpha
+    return u
+
+
+def _masked_exp(x: NDArray[np.float64], keep: NDArray[np.bool_]) -> None:
+    """In place: x = exp(x) where keep, else 0.
+
+    Entries outside keep are set to 0 before np.exp, which is ~10x slower
+    on inputs below about -708; the clamp first keeps -inf entries from
+    turning into NaN.
+    """
+    np.maximum(x, LOG_TINY, out=x)
+    x *= keep
+    np.exp(x, out=x)
+    x *= keep
 
 
 def row_softmax(u: NDArray[np.float64]) -> NDArray[np.float64]:
-    shifted = u - u.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax whose entries are each exactly 0 or >= finfo.tiny.
+
+    Entries the plain formula would make subnormal are flushed to 0; every
+    other entry equals the plain formula's.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    c = u - u.max(axis=1, keepdims=True)
+    keep = c >= LOG_TINY
+    _masked_exp(c, keep)
+    c /= c.sum(axis=1, keepdims=True)
+    # Division by row sums in [1, M] can still push entries below tiny.
+    np.greater_equal(c, np.finfo(np.float64).tiny, out=keep)
+    c *= keep
+    return c
 
 
 def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> CorrespondenceSet:
@@ -136,9 +194,14 @@ def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> Correspond
     if not np.all(np.isfinite(u)):
         raise ValueError("score matrix must be finite")
 
-    c = row_softmax(u)
-    y = c @ target.positions
-    tensors = np.einsum("ij,ja,jb->iab", c, normals, normals)
+    # One GEMM gives the averaged positions and the 6 unique entries of
+    # each averaged normal tensor.
+    cols = np.empty((len(target), 9))
+    cols[:, :3] = target.positions
+    cols[:, 3:] = normals[:, _TENSOR_A] * normals[:, _TENSOR_B]
+    avg = row_softmax(u) @ cols
+    y = avg[:, :3]
+    tensors = avg[:, _TENSOR_COLS]
     n, _, gap = eig3.principal_direction(tensors)
     degenerate = gap <= DEGENERATE_TENSOR_GAP
     if np.any(degenerate):
@@ -192,11 +255,15 @@ def gumbel_hard_weights(
 def reliability_weights(scores: NDArray[np.float64]) -> NDArray[np.float64]:
     """Row sums of exponentiated scores, clamped at SCORE_CLAMP.
 
-    Rows that underflow to zero are kept (and logged); downstream weighted
-    solves treat them as zero-confidence pairs.
+    Terms that would be subnormal are flushed to 0. Rows that underflow to
+    zero are kept (and logged); downstream weighted solves treat them as
+    zero-confidence pairs.
     """
-    u = np.minimum(np.asarray(scores, dtype=np.float64), SCORE_CLAMP)
-    zeta = np.exp(u).sum(axis=1)
+    u = np.asarray(scores, dtype=np.float64)
+    keep = u >= LOG_TINY
+    e = np.minimum(u, SCORE_CLAMP)
+    _masked_exp(e, keep)
+    zeta = e.sum(axis=1)
     dead = zeta == 0.0
     if np.any(dead):
         logger.warning("reliability_weights: %d rows underflowed to zero", int(dead.sum()))

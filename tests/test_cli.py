@@ -128,6 +128,29 @@ class TestRegister:
         assert main(["register", "--in", str(dataset), "--weights", str(w),
                      "--out", str(out)]) == 0
 
+    def test_backward_taken_at_loaded_source(self, dataset, tmp_path, monkeypatch):
+        from p2plreg import cli
+
+        calls = []
+        real_backward = cli.backward
+
+        def recording_backward(corr, source, g):
+            calls.append((source.positions.copy(), g))
+            return real_backward(corr, source, g)
+
+        monkeypatch.setattr(cli, "backward", recording_backward)
+        out = tmp_path / "regb"
+        assert main(["register", "--in", str(dataset), "--method", "p2pl",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 2
+        for index in range(2):
+            loaded = fileio.load(dataset / f"pair_{index:04d}" / "source.ply").positions
+            hits = [g for pos, g in calls if np.array_equal(pos, loaded)]
+            assert len(hits) == 1, "backward must see the untransformed source"
+            saved = fileio.load_transform(out / f"pair_{index:04d}_transform.txt")
+            np.testing.assert_allclose(hits[0].rotation, saved.rotation, atol=1e-12)
+            np.testing.assert_allclose(hits[0].translation, saved.translation, atol=1e-12)
+
     def test_plane_failure_row_and_strict_exit(self, tmp_path):
         from p2plreg.cloud import PointCloud
 

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from p2plreg import eig3
 from p2plreg.cloud import PointCloud
 from p2plreg.correspond import (
     CorrespondenceSet,
@@ -23,12 +25,32 @@ from p2plreg.correspond import (
 from p2plreg.geometry import RigidTransform, random_rotation
 
 
+TINY = np.finfo(np.float64).tiny
+
+
 def _cloud(seed, n):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, 3))
     nrm = rng.standard_normal((n, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     return PointCloud(pts, nrm)
+
+
+def _plain_softmax(u):
+    e = np.exp(u - u.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture(scope="module")
+def deep_scores():
+    """Scores reaching far below -745, so the plain softmax has exact zeros,
+    subnormal entries and normal ones in every row."""
+    rng = np.random.default_rng(26)
+    u = rng.uniform(-1000.0, 0.0, size=(40, 300))
+    plain = _plain_softmax(u)
+    assert u.min() < -745.0
+    assert np.all(np.any((plain > 0.0) & (plain < TINY), axis=1))
+    return u
 
 
 class TestNearestNeighbor:
@@ -129,6 +151,48 @@ class TestSoftPointers:
         assert corr.degenerate is not None and corr.degenerate[0]
 
 
+class TestSoftKernelOracles:
+    """The soft kernel against the plain broadcast/einsum formulas."""
+
+    def test_row_softmax_flushes_only_subnormals(self, deep_scores):
+        plain = _plain_softmax(deep_scores)
+        c = row_softmax(deep_scores)
+        normal = plain >= TINY
+        np.testing.assert_array_equal(c[normal], plain[normal])
+        assert np.all(c[~normal] == 0.0)
+
+    def test_soft_pointers_match_einsum(self, deep_scores, monkeypatch):
+        target = _cloud(27, deep_scores.shape[1])
+        seen = []
+        real = eig3.principal_direction
+        monkeypatch.setattr(eig3, "principal_direction", lambda t: seen.append(t) or real(t))
+        corr = soft_pointers(deep_scores, target)
+        c = row_softmax(deep_scores)
+        nrm = target.normals
+        np.testing.assert_allclose(corr.targets, c @ target.positions, rtol=1e-13)
+        expect = np.einsum("ij,ja,jb->iab", c, nrm, nrm)
+        np.testing.assert_allclose(seen[0], expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("n, m", [(100, 1000), (70, 3), (1, 40000)])
+    def test_match_matrix_matches_broadcast(self, n, m):
+        source, target = _cloud(28, n), _cloud(29, m)
+        t = RigidTransform(random_rotation(np.random.default_rng(30)), np.array([0.1, -0.2, 0.3]))
+        u = match_matrix(source, target, t, alpha=0.7, beta=40.0)
+        moved = source.positions @ t.rotation.T + t.translation
+        diff = moved[:, None, :] - target.positions[None, :, :]
+        expect = -40.0 * np.einsum("ijk,ijk->ij", diff, diff) + 0.7
+        np.testing.assert_allclose(u, expect, rtol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 80)),
+                  elements=st.floats(-1e4, 100.0), fill=st.nothing()))
+    @example(np.array([[0.0, -720.0, -800.0]]))
+    def test_row_softmax_has_no_subnormals(self, u):
+        c = row_softmax(u)
+        assert np.all((c == 0.0) | (c >= TINY))
+        np.testing.assert_allclose(c.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
 class TestMatchMatrix:
     def test_aligned_diagonal_is_row_max(self):
         cloud = _cloud(12, 25)
@@ -215,6 +279,15 @@ class TestReliability:
         for i in range(50):
             expect = math.fsum(math.exp(v) for v in u[i])
             assert zeta[i] == pytest.approx(expect, rel=1e-12)
+
+    def test_subnormal_terms_flush_to_zero(self, caplog):
+        u = np.full((2, 3), -720.0)  # exp(-720) is subnormal
+        u[0, 0] = 0.0
+        with caplog.at_level("WARNING", logger="p2plreg.correspond"):
+            zeta = reliability_weights(u)
+        assert zeta[0] == 1.0
+        assert zeta[1] == 0.0
+        assert "1 rows underflowed" in caplog.text
 
     def test_clamp_keeps_finite(self):
         zeta = reliability_weights(np.full((1, 3), 1e9))
