@@ -63,6 +63,8 @@ class CorrespondenceSet:
         z = np.ascontiguousarray(self.weights, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != 3 or n.shape != y.shape or z.shape != (y.shape[0],):
             raise ValueError("inconsistent correspondence array shapes")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(n)) and np.all(np.isfinite(z))):
+            raise ValueError("correspondence arrays must be finite")
         if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > 1e-9):
             raise ValueError("pointed normals must be unit length")
         if np.any(z < 0.0):
@@ -239,13 +241,9 @@ def gumbel_hard_weights(
     if zero_noise:
         q = np.zeros_like(u)
     else:
-        q = np.empty_like(u)
-        for i in range(u.shape[0]):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-            draw = rng.random(u.shape[1])
-            # Clamp away from 0 and 1 so the double log stays finite.
-            draw = np.clip(draw, 1e-12, 1.0 - 1e-12)
-            q[i] = -np.log(-np.log(draw))
+        # Clamp away from 0 and 1 so the double log stays finite.
+        draw = np.clip(np.random.default_rng(seed).random(u.shape), 1e-12, 1.0 - 1e-12)
+        q = -np.log(-np.log(draw))
     pick = np.argmax(u + q, axis=1)
     out = np.zeros_like(u)
     out[np.arange(u.shape[0]), pick] = 1.0

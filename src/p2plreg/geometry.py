@@ -47,12 +47,7 @@ def rodrigues(axis_angle) -> Mat3:
     Exact formula I + sin(theta) K + (1 - cos(theta)) K^2 on the unit-axis
     cross matrix K. Angles below SMALL_ANGLE return the identity.
     """
-    a = _vec3(axis_angle, "axis_angle")
-    theta = float(np.linalg.norm(a))
-    if theta < SMALL_ANGLE:
-        return np.eye(3)
-    k = skew(a / theta)
-    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+    return rodrigues_batch(_vec3(axis_angle, "axis_angle")[None])[0]
 
 
 def rodrigues_batch(axis_angles: NDArray[np.float64]) -> NDArray[np.float64]:

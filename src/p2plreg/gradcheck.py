@@ -22,6 +22,8 @@ from .solver import _accumulate_batch
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
+# Scratch elements (batch x pairs x 6) per batched job of the oracle.
+CHUNK_ELEMS = 300_000
 
 
 @dataclass(frozen=True)
@@ -59,22 +61,41 @@ class GradErrorReport:
     n_iters: int = 0
 
 
-def _solve_batch_g(x, y, n, zeta, n_iters: int) -> NDArray[np.float64]:
-    rot, trans, _, _, _ = _accumulate_batch(x, y, n, zeta, n_iters)
-    b = rot.shape[0]
-    return np.concatenate([rot.reshape(b, 9), trans], axis=1)
+def _central_diffs(
+    corr: CorrespondenceSet,
+    source: PointCloud,
+    kinds: NDArray[np.intp],
+    pairs: NDArray[np.intp],
+    comps: NDArray[np.intp],
+    cfg: FDConfig,
+    project_normals: bool = False,
+) -> NDArray[np.float64]:
+    """Central differences of the solved 12-vector, one row per input.
 
-
-def _batch_arrays(corr: CorrespondenceSet, source: PointCloud, b: int):
-    def rep(a):
-        return np.repeat(a[None], b, axis=0)
-
-    return (
-        rep(source.positions),
-        rep(corr.targets),
-        rep(corr.normals),
-        rep(corr.weights),
-    )
+    Row r perturbs coordinate ``comps[r]`` of pair ``pairs[r]``'s input
+    ``INPUT_KINDS[kinds[r]]`` by +h and -h. The 2 len(kinds) perturbed
+    solves run as batched jobs of at most CHUNK_ELEMS scratch elements.
+    Returns (len(kinds), 12).
+    """
+    h = cfg.step
+    base = (source.positions, corr.targets, corr.normals, corr.weights)
+    per_job = max(1, CHUNK_ELEMS // (6 * max(len(corr), 1)))
+    out = np.empty((len(kinds), 12))
+    for start in range(0, len(kinds), per_job):
+        sl = slice(start, start + per_job)
+        b = 2 * len(kinds[sl])
+        batch = [np.repeat(a[None], b, axis=0) for a in base]
+        for k, arr in enumerate(batch):
+            # Item 2 r of the batch holds row r's +h copy, item 2 r + 1 its -h copy.
+            r = np.flatnonzero(kinds[sl] == k)[:, None]
+            idx = (r, [0, 1], pairs[sl][r]) + ((comps[sl][r],) if arr.ndim == 3 else ())
+            arr.reshape(b // 2, 2, *arr.shape[1:])[idx] += [h, -h]
+        if project_normals:
+            batch[2] /= np.linalg.norm(batch[2], axis=2, keepdims=True)
+        rot, trans, _, _, _ = _accumulate_batch(*batch, cfg.n_iters_forward)
+        g = np.concatenate([rot.reshape(b, 9), trans], axis=1)
+        out[sl] = (g[0::2] - g[1::2]) / (2.0 * h)
+    return out
 
 
 def fd_jacobian(
@@ -95,82 +116,29 @@ def fd_jacobian(
     """
     if which not in INPUT_KINDS:
         raise ValueError(f"which must be one of {INPUT_KINDS}")
-    h = cfg.step
     width = 1 if which == "zeta" else 3
-    x, y, n, zeta = _batch_arrays(corr, source, 2 * width)
-    for c in range(width):
-        if which == "x":
-            x[2 * c, index, c] += h
-            x[2 * c + 1, index, c] -= h
-        elif which == "y":
-            y[2 * c, index, c] += h
-            y[2 * c + 1, index, c] -= h
-        elif which == "n":
-            n[2 * c, index, c] += h
-            n[2 * c + 1, index, c] -= h
-        else:
-            zeta[2 * c, index] += h
-            zeta[2 * c + 1, index] -= h
-    if which == "n" and project_normals:
-        n /= np.linalg.norm(n, axis=2, keepdims=True)
-    g = _solve_batch_g(x, y, n, zeta, cfg.n_iters_forward)
-    return (g[0::2] - g[1::2]).T / (2.0 * h)
+    kinds = np.full(width, INPUT_KINDS.index(which))
+    pairs = np.full(width, index)
+    project = project_normals and which == "n"
+    return _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg, project).T
 
 
-def fd_bundle(
-    corr: CorrespondenceSet,
-    source: PointCloud,
-    cfg: FDConfig,
-    *,
-    chunk_elems: int = 300_000,
-) -> FDBlocks:
+def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> FDBlocks:
     """Oracle Jacobians for all pairs and all inputs at once.
 
-    Needs 2 (9 N + N) perturbed solves; they run as one batched job,
-    chunked so intermediate arrays stay within ``chunk_elems`` elements.
+    Needs 2 (9 N + N) perturbed solves, ordered by kind, pair and
+    coordinate; they run as one chunked batched job.
     """
     n_pairs = len(corr)
-    h = cfg.step
-    specs: list[tuple[str, int, int]] = []
-    for kind in INPUT_KINDS:
-        width = 1 if kind == "zeta" else 3
-        for i in range(n_pairs):
-            for c in range(width):
-                specs.append((kind, i, c))
-
-    total = 2 * len(specs)
-    chunk = max(2, 2 * max(1, chunk_elems // (6 * max(n_pairs, 1))))
-    g_all = np.empty((total, 12))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        x, y, n, zeta = _batch_arrays(corr, source, stop - start)
-        for row in range(start, stop):
-            kind, i, c = specs[row // 2]
-            sign = 1.0 if row % 2 == 0 else -1.0
-            b = row - start
-            if kind == "x":
-                x[b, i, c] += sign * h
-            elif kind == "y":
-                y[b, i, c] += sign * h
-            elif kind == "n":
-                n[b, i, c] += sign * h
-            else:
-                zeta[b, i] += sign * h
-        g_all[start:stop] = _solve_batch_g(x, y, n, zeta, cfg.n_iters_forward)
-
-    diffs = (g_all[0::2] - g_all[1::2]) / (2.0 * h)  # (len(specs), 12)
-    blocks = {
-        "x": np.zeros((n_pairs, 12, 3)),
-        "y": np.zeros((n_pairs, 12, 3)),
-        "n": np.zeros((n_pairs, 12, 3)),
-        "zeta": np.zeros((n_pairs, 12)),
-    }
-    for row, (kind, i, c) in enumerate(specs):
-        if kind == "zeta":
-            blocks[kind][i] = diffs[row]
-        else:
-            blocks[kind][i, :, c] = diffs[row]
-    return FDBlocks(blocks["x"], blocks["y"], blocks["n"], blocks["zeta"])
+    pair = np.arange(n_pairs)
+    kinds = np.repeat(np.arange(len(INPUT_KINDS)), [3 * n_pairs] * 3 + [n_pairs])
+    pairs = np.concatenate([np.repeat(pair, 3)] * 3 + [pair])
+    comps = np.concatenate([np.tile(np.arange(3), 3 * n_pairs), np.zeros(n_pairs, np.intp)])
+    diffs = _central_diffs(corr, source, kinds, pairs, comps, cfg)
+    # Rows (kind, pair, coordinate) -> blocks (kind, pair, 12, coordinate).
+    xyz = diffs[: 9 * n_pairs].reshape(3, n_pairs, 3, 12).transpose(0, 1, 3, 2)
+    xyz = np.ascontiguousarray(xyz)
+    return FDBlocks(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
 
 
 def compare(

@@ -25,7 +25,6 @@ from .geometry import (
     apply_transform,
     compose,
     log_rotation,
-    rodrigues,
     rodrigues_batch,
 )
 
@@ -79,12 +78,17 @@ def _check_sizes(corr: CorrespondenceSet, source: PointCloud) -> None:
         )
 
 
+def _plane_energy(x, y, n, zeta):
+    """sum zeta_i ((x_i - y_i) . n_i)^2 over the point axis of (..., N, 3) inputs."""
+    res = np.einsum("...ni,...ni->...n", x - y, n)
+    return np.sum(zeta * res * res, axis=-1)
+
+
 def energy(corr: CorrespondenceSet, source: PointCloud, t: RigidTransform) -> float:
     """Weighted point-to-plane energy sum zeta_i ((R x_i + t - y_i) . n_i)^2."""
     _check_sizes(corr, source)
     moved = source.positions @ t.rotation.T + t.translation
-    res = np.einsum("ni,ni->n", moved - corr.targets, corr.normals)
-    return float(np.sum(corr.weights * res * res))
+    return float(_plane_energy(moved, corr.targets, corr.normals, corr.weights))
 
 
 def _system_batch(x, y, n, zeta, out_v=None):
@@ -156,12 +160,19 @@ def _factor_batch(a: NDArray[np.float64], iteration: int | None):
     return chol, condition
 
 
+def _solve_batch(a, b, damping: float, iteration: int | None):
+    """Solutions (B, 6) of the damped systems (a + damping I) s = b, plus
+    the condition flag of ``_factor_batch``."""
+    if damping:
+        a = a + damping * np.eye(6)
+    _, condition = _factor_batch(a, iteration)
+    return np.linalg.solve(a, b[..., None])[..., 0], condition
+
+
 def solve_step(sys: LinearizedSystem, damping: float = 0.0) -> RigidTransform:
     """Solve the linearized system and re-map through the rotation formula."""
-    a = sys.a_matrix + damping * np.eye(6) if damping else sys.a_matrix
-    _factor_batch(a[None], None)
-    sol = np.linalg.solve(a, sys.b_vector)
-    return RigidTransform(rodrigues(sol[:3]), sol[3:])
+    sol, _ = _solve_batch(sys.a_matrix[None], sys.b_vector[None], damping, None)
+    return RigidTransform(rodrigues_batch(sol[:, :3])[0], sol[0, 3:])
 
 
 def _accumulate_batch(
@@ -190,18 +201,13 @@ def _accumulate_batch(
     trace = None
     if want_trace:
         trace = np.empty((b_dim, n_iters + 1))
-        res = np.einsum("bni,bni->bn", x - y, n)
-        trace[:, 0] = np.sum(zeta * res * res, axis=1)
+        trace[:, 0] = _plane_energy(x, y, n, zeta)
 
-    damp_eye = damping * np.eye(6) if damping else None
     scratch = np.empty((b_dim, x.shape[1], 6))
     for k in range(n_iters):
         a_mat, b_vec = _system_batch(x, y, n, zeta, out_v=scratch)
-        if damp_eye is not None:
-            a_mat = a_mat + damp_eye
-        _, cond_k = _factor_batch(a_mat, k)
+        sol, cond_k = _solve_batch(a_mat, b_vec, damping, k)
         condition = condition or cond_k
-        sol = np.linalg.solve(a_mat, b_vec[..., None])[..., 0]
         step_rot = rodrigues_batch(sol[:, :3])
         step_trans = sol[:, 3:]
 
@@ -212,8 +218,7 @@ def _accumulate_batch(
         step = np.linalg.norm(sol[:, :3], axis=1) + np.linalg.norm(step_trans, axis=1)
         converged |= step < STEP_TOL
         if want_trace:
-            res = np.einsum("bni,bni->bn", x - y, n)
-            trace[:, k + 1] = np.sum(zeta * res * res, axis=1)
+            trace[:, k + 1] = _plane_energy(x, y, n, zeta)
 
     return rot, trans, trace, converged, condition
 
@@ -313,8 +318,7 @@ def icp(
 
     def objective(moved: PointCloud, corr: CorrespondenceSet) -> float:
         if method == "p2pl":
-            res = np.einsum("ni,ni->n", moved.positions - corr.targets, corr.normals)
-            return float(np.sum(corr.weights * res * res))
+            return float(_plane_energy(moved.positions, corr.targets, corr.normals, corr.weights))
         diff = moved.positions - corr.targets
         return float(np.sum(corr.weights * np.einsum("ni,ni->n", diff, diff)))
 

@@ -347,6 +347,18 @@ class TestCorrespondenceSet:
         with pytest.raises(ValueError):
             CorrespondenceSet(np.zeros((1, 3)), n, np.zeros(1))
 
+    @pytest.mark.parametrize("which", ["targets", "normals", "weights"])
+    def test_rejects_nan(self, which):
+        # NaN slips past the unit-norm and sign checks, so it needs its own.
+        arrays = {
+            "targets": np.zeros((2, 3)),
+            "normals": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+            "weights": np.ones(2),
+        }
+        arrays[which][1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            CorrespondenceSet(**arrays)
+
 
 def test_scores_csv_round_trip(tmp_path):
     u = np.array([[1.5, -2.0, 3.0], [0.0, 0.25, -1.75]])

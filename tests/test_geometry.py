@@ -17,6 +17,7 @@ from p2plreg.geometry import (
     random_rotation,
     rodrigues,
     rodrigues_batch,
+    SMALL_ANGLE,
     skew,
     to_gvector,
 )
@@ -83,6 +84,14 @@ class TestRodrigues:
         batch = rodrigues_batch(aa)
         for i in range(aa.shape[0]):
             np.testing.assert_allclose(batch[i], rodrigues(aa[i]), atol=1e-14)
+
+    def test_scalar_is_batch_kernel_bitwise(self):
+        rng = np.random.default_rng(11)
+        axis = _unit(rng)
+        angles = [SMALL_ANGLE, 0.999 * SMALL_ANGLE, math.pi, 1e-6, 1.0]
+        aa = [t * axis for t in angles] + list(rng.standard_normal((200, 3)))
+        for a in aa:
+            np.testing.assert_array_equal(rodrigues(a), rodrigues_batch(a[None])[0])
 
 
 def _unit(rng):

@@ -42,6 +42,19 @@ class TestFdJacobian:
                 fd_jacobian(corr, cloud, "zeta", i, cfg)[:, 0], blocks.wrt_zeta[i], atol=1e-12
             )
 
+    def test_bundle_is_per_pair_jacobians_across_chunks(self):
+        # At N = 250 the oracle runs several batched jobs and job boundaries
+        # fall inside the x and y kinds; every block must still be the
+        # one-pair oracle's, bitwise.
+        corr, cloud, _ = make_instance(12, 250, noise=1e-3)
+        cfg = FDConfig(n_iters_forward=1)
+        blocks = fd_bundle(corr, cloud, cfg)
+        for which in ("x", "y", "n", "zeta"):
+            got = getattr(blocks, f"wrt_{which}")
+            for i in range(len(corr)):
+                fd = fd_jacobian(corr, cloud, which, i, cfg)
+                np.testing.assert_array_equal(fd[:, 0] if which == "zeta" else fd, got[i])
+
     def test_step_halving_is_second_order(self):
         # Differences between successive step sizes shrink by ~4x per halving.
         corr, cloud, _ = make_instance(3, 12, noise=5e-3, rot_max_deg=45.0)

@@ -172,6 +172,17 @@ class TestSolveStep:
         t = solve_step(assemble(corr, PointCloud(pts)), damping=1e-6)
         assert np.isfinite(t.translation).all()
 
+    @pytest.mark.parametrize("damping", [0.0, 1e-3])
+    def test_is_one_accumulation_round(self, damping):
+        # solve_step is the B=1, one-iteration case of the batched kernel.
+        for seed in range(4):
+            cloud = synth_shape("blob", 128, seed=seed)
+            corr = exact_correspond(cloud, draw_rigid(derived_rng(seed, "gt"), 30.0, 0.3))
+            step = solve_step(assemble(corr, cloud), damping)
+            rep = register_p2pl(corr, cloud, n_iters=1, damping=damping)
+            np.testing.assert_array_equal(step.rotation, rep.transform.rotation)
+            np.testing.assert_array_equal(step.translation, rep.transform.translation)
+
 
 class TestRegisterP2pl:
     def test_identity_converges_immediately(self):
