@@ -10,6 +10,7 @@ are identical for any thread count and output rows keep item order.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -58,16 +59,10 @@ def _echo_config(out: Path, args: argparse.Namespace) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(FLOAT % v)
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([FLOAT % v if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +165,7 @@ def cmd_register(args: argparse.Namespace) -> int:
             backward(corr, source, report.transform)
             bwd_ms = (time.perf_counter() - t0) * 1e3
         except (SingularSystem, np.linalg.LinAlgError, ValueError) as exc:
-            return index, None, type(exc).__name__, pair
+            return index, None, f"{type(exc).__name__}: {exc}", pair
         fileio.save_transform(out / f"pair_{index:04d}_transform.txt", report.transform)
         return index, (report, fwd_ms, bwd_ms), "", pair
 

@@ -79,27 +79,31 @@ class CorrespondenceSet:
         return int(self.targets.shape[0])
 
 
-def unit_weights(n: int) -> NDArray[np.float64]:
-    return np.ones(n)
-
-
 def nn_correspond(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
     """Euclidean nearest-neighbor correspondences with unit reliabilities.
 
     Exact ties resolve to the lowest target index.
     """
     normals = target.require_normals()
-    tree = cKDTree(target.positions)
-    if len(target) == 1:
+    m = len(target)
+    if m == 1:
         idx = np.zeros(len(source), dtype=np.intp)
     else:
-        d, idx = tree.query(source.positions, k=2)
-        idx = np.asarray(idx)
-        tie = d[:, 0] == d[:, 1]
-        idx0 = idx[:, 0].copy()
-        idx0[tie] = np.minimum(idx[tie, 0], idx[tie, 1])
-        idx = idx0
-    return CorrespondenceSet(target.positions[idx], normals[idx], unit_weights(len(source)))
+        tree = cKDTree(target.positions)
+        d, nbr = tree.query(source.positions, k=2)
+        idx = nbr[:, 0].copy()
+        # Rows whose two nearest distances tie are queried again with a
+        # doubling k until the last neighbor returned is strictly farther,
+        # so every target at the nearest distance has been seen.
+        rows = np.flatnonzero(d[:, 0] == d[:, 1])
+        k = 2
+        while rows.size:
+            k = min(2 * k, m)
+            d, nbr = tree.query(source.positions[rows], k=k)
+            tied = d == d[:, :1]
+            idx[rows] = np.where(tied, nbr, m).min(axis=1)
+            rows = rows[tied[:, -1]] if k < m else rows[:0]
+    return CorrespondenceSet(target.positions[idx], normals[idx], np.ones(len(source)))
 
 
 def exact_correspond(source: PointCloud, gt: RigidTransform, weights=None) -> CorrespondenceSet:
@@ -108,7 +112,7 @@ def exact_correspond(source: PointCloud, gt: RigidTransform, weights=None) -> Co
     from .geometry import apply_transform
 
     moved = apply_transform(gt, source)
-    w = unit_weights(len(source)) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.ones(len(source)) if weights is None else np.asarray(weights, dtype=np.float64)
     return CorrespondenceSet(moved.positions, moved.require_normals(), w)
 
 
@@ -208,8 +212,7 @@ def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> Correspond
     degenerate = gap <= DEGENERATE_TENSOR_GAP
     if np.any(degenerate):
         logger.warning("soft_pointers: %d degenerate normal tensors", int(degenerate.sum()))
-    n = n / np.linalg.norm(n, axis=1, keepdims=True)
-    return CorrespondenceSet(y, n, unit_weights(u.shape[0]), degenerate=degenerate)
+    return CorrespondenceSet(y, n, np.ones(u.shape[0]), degenerate=degenerate)
 
 
 def naive_vector_pointers(scores: NDArray[np.float64], target: PointCloud):

@@ -1,10 +1,10 @@
-"""Closed-form eigensolver for batches of symmetric 3x3 matrices.
+"""Eigen-directions of batches of symmetric 3x3 matrices.
 
-Eigenvalues come from the trigonometric solution of the characteristic
-polynomial followed by one Newton polish step, which keeps results
-deterministic across platforms at the 1e-8 level. Eigenvectors are built
-from cross products of the rows of (S - lambda I), with a fixed sign rule
-(largest-magnitude component positive).
+Thin layer over ``np.linalg.eigh`` (LAPACK's symmetric solver): eigenvalues
+are returned in descending order and eigenvectors carry a fixed sign rule,
+largest-magnitude component positive. For a repeated eigenvalue the vector
+is whichever unit vector of the eigenspace LAPACK returns, which is
+deterministic for a given matrix.
 """
 
 from __future__ import annotations
@@ -13,133 +13,21 @@ import numpy as np
 from numpy.typing import NDArray
 
 
-def eigenvalues_sym3(s: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Eigenvalues of (..., 3, 3) symmetric matrices, descending order."""
-    s = np.asarray(s, dtype=np.float64)
-    a00, a11, a22 = s[..., 0, 0], s[..., 1, 1], s[..., 2, 2]
-    a01, a02, a12 = s[..., 0, 1], s[..., 0, 2], s[..., 1, 2]
-
-    p1 = a01**2 + a02**2 + a12**2
-    q = (a00 + a11 + a22) / 3.0
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-
-    # det((S - q I) / p) / 2, guarded against p == 0 (scalar matrices).
-    safe_p = np.where(p > 0.0, p, 1.0)
-    b00, b11, b22 = (a00 - q) / safe_p, (a11 - q) / safe_p, (a22 - q) / safe_p
-    b01, b02, b12 = a01 / safe_p, a02 / safe_p, a12 / safe_p
-    det_b = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-
-    lam0 = q + 2.0 * p * np.cos(phi)
-    lam2 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam1 = 3.0 * q - lam0 - lam2
-
-    # The trigonometric roots lose sqrt(eps) accuracy near repeated
-    # eigenvalues. Polish the best-isolated extreme root with one Newton
-    # step, then recover the other two from the invariant sums, which stays
-    # exact for tied pairs.
-    i1 = a00 + a11 + a22
-    i2 = a00 * a11 - a01**2 + a00 * a22 - a02**2 + a11 * a22 - a12**2
-
-    take_top = (lam0 - lam1) >= (lam1 - lam2)
-    mu = np.where(take_top, lam0, lam2)
-    mu = _newton_step(mu, s, i1, i2)
-
-    rest_sum = i1 - mu
-    rest_prod = i2 - mu * rest_sum
-    half = 0.5 * rest_sum
-    disc = np.sqrt(np.maximum(half * half - rest_prod, 0.0))
-    hi = half + disc
-    lo = half - disc
-
-    out = np.empty(s.shape[:-2] + (3,))
-    out[..., 0] = np.where(take_top, mu, hi)
-    out[..., 1] = np.where(take_top, hi, lo)
-    out[..., 2] = np.where(take_top, lo, mu)
-    return np.sort(out, axis=-1)[..., ::-1]
-
-
-def _newton_step(lam, s, i1, i2):
-    """One Newton iteration on det(S - lambda I) = 0 for a simple root."""
-    i3 = (
-        s[..., 0, 0] * (s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] ** 2)
-        - s[..., 0, 1] * (s[..., 0, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 0, 2])
-        + s[..., 0, 2] * (s[..., 0, 1] * s[..., 1, 2] - s[..., 1, 1] * s[..., 0, 2])
-    )
-    chi = -(lam**3) + i1 * lam**2 - i2 * lam + i3
-    dchi = -3.0 * lam**2 + 2.0 * i1 * lam - i2
-    scale = np.maximum(np.abs(lam), 1e-30)
-    ok = np.abs(dchi) > 1e-12 * scale**2
-    return lam - np.where(ok, chi / np.where(ok, dchi, 1.0), 0.0)
-
-
-def eigenvector_sym3(s: NDArray[np.float64], lam: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Unit eigenvector for each matrix and eigenvalue pair.
-
-    ``s`` is (..., 3, 3) and ``lam`` (...,). Falls back to a deterministic
-    orthogonal-complement construction when the eigenvalue is (numerically)
-    repeated, so degenerate inputs still return a fixed vector.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    a = s - lam[..., None, None] * np.eye(3)
-    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    cands = np.stack(
-        [np.cross(r0, r1), np.cross(r0, r2), np.cross(r1, r2)], axis=-2
-    )  # (..., 3, 3) candidate eigenvectors
-    norms = np.linalg.norm(cands, axis=-1)
-    best = np.argmax(norms, axis=-1)
-    v = np.take_along_axis(cands, best[..., None, None], axis=-2)[..., 0, :]
-    vnorm = np.linalg.norm(v, axis=-1)
-
-    # Repeated eigenvalue: all row cross products vanish. Use any unit
-    # vector in the null space of the strongest remaining row.
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-    bad = vnorm <= 1e-12 * scale
-    if np.any(bad):
-        v = v.copy()
-        rows = a[bad]
-        row_norms = np.linalg.norm(rows, axis=-1)
-        strongest = np.take_along_axis(
-            rows, np.argmax(row_norms, axis=-1)[:, None, None], axis=-2
-        )[:, 0, :]
-        fallback = np.zeros_like(strongest)
-        degenerate_row = np.linalg.norm(strongest, axis=-1) <= 1e-12 * scale[bad]
-        # Fully scalar matrix: eigenspace is everything, pick e0.
-        fallback[degenerate_row] = np.array([1.0, 0.0, 0.0])
-        pick = strongest[~degenerate_row]
-        if pick.size:
-            # Unit vector orthogonal to the strongest row: cross with the
-            # least-aligned basis vector.
-            least = np.argmin(np.abs(pick), axis=-1)
-            basis = np.eye(3)[least]
-            orth = np.cross(pick, basis)
-            orth = orth / np.linalg.norm(orth, axis=-1, keepdims=True)
-            fallback[~degenerate_row] = orth
-        v[bad] = fallback
-        vnorm = np.linalg.norm(v, axis=-1)
-
-    v = v / vnorm[..., None]
-    # Fixed sign: largest-magnitude component positive.
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)[..., 0]
-    return v * np.where(lead < 0.0, -1.0, 1.0)[..., None]
+def _fix_sign(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Flip each (..., 3) vector so its largest-magnitude component is positive."""
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return v * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def principal_direction(s: NDArray[np.float64]):
-    """Largest eigenvalue direction plus a top-two eigenvalue gap."""
-    lams = eigenvalues_sym3(s)
-    v = eigenvector_sym3(s, lams[..., 0])
-    gap = lams[..., 0] - lams[..., 1]
-    return v, lams, gap
+    """Largest eigenvalue direction, eigenvalues (descending) and the
+    top-two eigenvalue gap."""
+    lams, vecs = np.linalg.eigh(np.asarray(s, dtype=np.float64))
+    lams = lams[..., ::-1]
+    return _fix_sign(vecs[..., :, -1]), lams, lams[..., 0] - lams[..., 1]
 
 
 def smallest_direction(s: NDArray[np.float64]):
     """Smallest eigenvalue direction plus all eigenvalues (descending)."""
-    lams = eigenvalues_sym3(s)
-    v = eigenvector_sym3(s, lams[..., 2])
-    return v, lams
+    lams, vecs = np.linalg.eigh(np.asarray(s, dtype=np.float64))
+    return _fix_sign(vecs[..., :, 0]), lams[..., ::-1]

@@ -241,7 +241,6 @@ def estimate_normals(
         outward = cloud.positions - cloud.positions.mean(axis=0)
         signs = np.where(np.sum(normals * outward, axis=1) < 0.0, -1.0, 1.0)
     normals = normals * signs[:, None]
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
     result = cloud.with_normals(normals)
     if return_flags:

@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process through main()."""
 
+import csv
 import json
 import math
 
@@ -165,12 +166,37 @@ class TestRegister:
         out = tmp_path / "regp"
         assert main(["register", "--in", str(tmp_path / "planes"), "--method", "p2pl",
                      "--out", str(out)]) == 0
-        rows = (out / "metrics.csv").read_text().strip().splitlines()
-        assert rows[1].endswith("SingularSystem")
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][-1].startswith("SingularSystem: singular 6x6 system")
 
         out2 = tmp_path / "regp2"
         assert main(["register", "--in", str(tmp_path / "planes"), "--method", "p2pl",
                      "--strict", "--out", str(out2)]) == 2
+
+    def test_estimate_normals_thread_invariant(self, dataset, tmp_path, monkeypatch):
+        outs = []
+        for threads in ("1", "4", "2"):
+            monkeypatch.setenv("P2PL_THREADS", threads)
+            out = tmp_path / f"regt{threads}"
+            assert main(["register", "--in", str(dataset), "--method", "p2pl",
+                         "--estimate-normals", "12", "--out", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.glob("pair_*_transform.txt"))})
+        assert len(outs[0]) == 2
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_metrics_csv_quotes_cells_with_commas(self, tmp_path):
+        from p2plreg.cli import _write_csv
+
+        header = ["case_id", "chamfer", "error"]
+        rows = [[0, 0.25, ""], [1, "", "ValueError: rotation must be 3x3, got (3, 3)"]]
+        path = tmp_path / "m.csv"
+        _write_csv(path, header, rows)
+        with open(path, newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back == [header, ["0", "0.25", ""], ["1", "", rows[1][2]]]
+        # Rows without special characters stay plain comma-joined lines.
+        assert path.read_text().splitlines()[:2] == ["case_id,chamfer,error", "0,0.25,"]
 
     def test_missing_input_dir_fails(self, tmp_path):
         assert main(["register", "--in", str(tmp_path / "nope"),

@@ -87,6 +87,20 @@ class TestNearestNeighbor:
         corr = nn_correspond(source, target)
         np.testing.assert_array_equal(corr.targets[0], target.positions[0])
 
+    @pytest.mark.parametrize("offsets", ["all_half", "mixed"])
+    def test_many_way_ties_match_exhaustive_scan(self, offsets):
+        # Shuffled integer grid; a source at a half-integer in every axis is
+        # equidistant from 8 grid points, in fewer axes from 4, 2 or 1.
+        rng = np.random.default_rng(31)
+        grid = np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        grid = grid[rng.permutation(len(grid))]
+        target = PointCloud(grid, np.tile([0.0, 0.0, 1.0], (len(grid), 1)))
+        half = 0.5 if offsets == "all_half" else 0.5 * rng.integers(0, 2, (200, 3))
+        source = PointCloud(rng.integers(0, 8, (200, 3)) + half)
+        corr = nn_correspond(source, target)
+        d2 = np.sum((source.positions[:, None, :] - grid[None, :, :]) ** 2, axis=2)
+        np.testing.assert_array_equal(corr.targets, grid[np.argmin(d2, axis=1)])
+
     def test_single_target(self):
         target = PointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([[0.0, 0.0, 1.0]]))
         corr = nn_correspond(_cloud(6, 5), target)
