@@ -141,13 +141,15 @@ def cmd_register(args: argparse.Namespace) -> int:
         index, pair_dir = item
         pair = _load_pair(pair_dir)
         source, target = pair.source, pair.target
-        if args.estimate_normals:
-            k = args.estimate_normals
-            flip = not args.consistent_normals
-            source = estimate_normals(source, k, derived_seed(index, "src"), random_flip=flip)
-            target = estimate_normals(target, k, derived_seed(index, "tgt"), random_flip=flip)
-            pair = RegistrationPair(source, target, pair.gt, pair.clean_source, pair.clean_target)
         try:
+            if args.estimate_normals:
+                k = args.estimate_normals
+                flip = not args.consistent_normals
+                source = estimate_normals(source, k, derived_seed(index, "src"), random_flip=flip)
+                target = estimate_normals(target, k, derived_seed(index, "tgt"), random_flip=flip)
+                pair = RegistrationPair(
+                    source, target, pair.gt, pair.clean_source, pair.clean_target
+                )
             t0 = time.perf_counter()
             report = icp(
                 source,

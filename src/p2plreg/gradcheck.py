@@ -2,8 +2,10 @@
 
 The oracle re-runs the forward accumulation on centrally perturbed copies
 of each input coordinate and differences the resulting transform vectors.
-It shares the solver's batched kernel, so a perturbed solve follows
-exactly the same arithmetic as the solve under test, while the derivative
+A copy differs from the problem in one pair, so its 12x12 moments are the
+problem's moments with that pair's term swapped out and the perturbed term
+swapped in, a rank-two update; the copies then run through the solver's
+batched kernel, whose rounds never touch the points. The derivative
 estimate itself never touches the analytic backward formulas.
 """
 
@@ -16,13 +18,13 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .gradient import GradientBundle, chain_blocks, chain_loss
+from .gradient import GradientBundle, chain_blocks, chain_loss, residual_coeffs
 from .seeding import derived_rng
-from .solver import _accumulate_batch
+from .solver import _accumulate_batch, _moments
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
-# Scratch elements (batch x pairs x 6) per batched job of the oracle.
+# Moment elements (perturbed copies x 144) per batched job of the oracle.
 CHUNK_ELEMS = 300_000
 
 
@@ -61,6 +63,47 @@ class GradErrorReport:
     n_iters: int = 0
 
 
+def _perturbed_moments(
+    moments,
+    arrays,
+    kinds: NDArray[np.intp],
+    pairs: NDArray[np.intp],
+    comps: NDArray[np.intp],
+    h: float,
+    project_normals: bool = False,
+):
+    """Moments (m, q0) of the 2 len(kinds) centrally perturbed copies.
+
+    ``moments`` is ``_moments`` of the unperturbed ``arrays`` (x, y,
+    n, zeta). Copy 2 r adds +h to coordinate ``comps[r]`` of pair
+    ``pairs[r]``'s input ``INPUT_KINDS[kinds[r]]``, copy 2 r + 1 adds -h.
+    Each copy changes one pair, so its moments are the base ones with that
+    pair's term swapped for the perturbed one, a rank-two update; all copies
+    keep the base centroid. ``project_normals`` renormalizes the perturbed
+    normal.
+    """
+    mu, u, s, m, q0 = moments
+    pert = [np.repeat(a[pairs], 2, axis=0) for a in arrays]
+    for k, arr in enumerate(pert):
+        r = np.flatnonzero(kinds == k)[:, None]
+        idx = (r, [0, 1]) + ((comps[r],) if arr.ndim == 2 else ())
+        arr.reshape(len(kinds), 2, *arr.shape[1:])[idx] += [h, -h]
+    x, y, n, zeta = pert
+    if project_normals:
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+    root = np.sqrt(zeta)
+    new_u = residual_coeffs(x - mu, root[:, None] * n)
+    new_s = root * np.einsum("ni,ni->n", x - y, n)
+    old_u = np.repeat(u[pairs], 2, axis=0)
+    old_s = np.repeat(s[pairs], 2)
+    m_out = new_u[:, :, None] * new_u[:, None, :]
+    m_out -= old_u[:, :, None] * old_u[:, None, :]
+    m_out += m
+    q_out = new_s[:, None] * new_u - old_s[:, None] * old_u
+    q_out += q0
+    return m_out, q_out
+
+
 def _central_diffs(
     corr: CorrespondenceSet,
     source: PointCloud,
@@ -73,26 +116,26 @@ def _central_diffs(
     """Central differences of the solved 12-vector, one row per input.
 
     Row r perturbs coordinate ``comps[r]`` of pair ``pairs[r]``'s input
-    ``INPUT_KINDS[kinds[r]]`` by +h and -h. The 2 len(kinds) perturbed
-    solves run as batched jobs of at most CHUNK_ELEMS scratch elements.
-    Returns (len(kinds), 12).
+    ``INPUT_KINDS[kinds[r]]`` by +h and -h. The moments are formed once;
+    the 2 len(kinds) perturbed solves are rank-two updates of them and run
+    as batched jobs of at most CHUNK_ELEMS moment elements. Returns
+    (len(kinds), 12).
     """
     h = cfg.step
-    base = (source.positions, corr.targets, corr.normals, corr.weights)
-    per_job = max(1, CHUNK_ELEMS // (6 * max(len(corr), 1)))
+    arrays = (source.positions, corr.targets, corr.normals, corr.weights)
+    moments = _moments(*arrays)
+    mu = moments[0]
+    per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
     out = np.empty((len(kinds), 12))
     for start in range(0, len(kinds), per_job):
         sl = slice(start, start + per_job)
-        b = 2 * len(kinds[sl])
-        batch = [np.repeat(a[None], b, axis=0) for a in base]
-        for k, arr in enumerate(batch):
-            # Item 2 r of the batch holds row r's +h copy, item 2 r + 1 its -h copy.
-            r = np.flatnonzero(kinds[sl] == k)[:, None]
-            idx = (r, [0, 1], pairs[sl][r]) + ((comps[sl][r],) if arr.ndim == 3 else ())
-            arr.reshape(b // 2, 2, *arr.shape[1:])[idx] += [h, -h]
-        if project_normals:
-            batch[2] /= np.linalg.norm(batch[2], axis=2, keepdims=True)
-        rot, trans, _, _, _ = _accumulate_batch(*batch, cfg.n_iters_forward)
+        m, q0 = _perturbed_moments(
+            moments, arrays, kinds[sl], pairs[sl], comps[sl], h, project_normals
+        )
+        b = m.shape[0]
+        rot, trans, _, _, _ = _accumulate_batch(
+            m, q0, np.broadcast_to(mu, (b, 3)), cfg.n_iters_forward
+        )
         g = np.concatenate([rot.reshape(b, 9), trans], axis=1)
         out[sl] = (g[0::2] - g[1::2]) / (2.0 * h)
     return out

@@ -17,8 +17,9 @@ read too, so each formula exists once; ``cross_derivs`` is the Jacobian
 builder with the identity in place of -H^{-1}. The per-pair Jacobians come
 from a few (N, 12) x (12, 12) and (N, 4) x (4, 36) matrix products written
 into one allocation, a handful of passes over the 120 N output doubles. At
-N = 4096 that is about half the time of a 10-iteration forward solve (ratio
-0.54 in the benchmark's traced sweep on a 2-vCPU Xeon VM, one BLAS thread).
+N = 4096 that takes 3.5 ms in the benchmark's traced sweep (2-vCPU VM, one
+BLAS thread), 1.3 times a 10-iteration forward solve, whose rounds cost
+O(1) once the forward has formed its 12x12 moments.
 """
 
 from __future__ import annotations

@@ -6,9 +6,13 @@ through the exact rotation formula, and accumulates steps into the running
 transform. Correspondences stay fixed for the whole accumulation; the
 classic ICP wrapper re-derives them between accumulations.
 
-Everything funnels through one batched kernel so that solving B perturbed
-copies of a problem (as the finite-difference oracle does) follows exactly
-the same arithmetic as a single solve.
+The plane residuals are linear in the 12 transform entries, so one pass
+over the points forms their 12x12 moments (``_moments``) and every round
+after that builds its 6x6 system from the moments alone
+(``_system_from_moments``) before one damped 6x6 solve (``_solve_batch``):
+a round costs O(1) in the number of pairs. The kernel is batched over
+independent problems; the finite-difference oracle feeds it B perturbed
+copies whose moments are rank-two updates of the base ones.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .geometry import (
     log_rotation,
     rodrigues_batch,
 )
+from .gradient import residual_coeffs
 
 # Accumulation steps below this magnitude count as converged.
 STEP_TOL = 1e-10
@@ -91,27 +96,64 @@ def energy(corr: CorrespondenceSet, source: PointCloud, t: RigidTransform) -> fl
     return float(_plane_energy(moved, corr.targets, corr.normals, corr.weights))
 
 
-def _system_batch(x, y, n, zeta, out_v=None):
-    """A and b of the linearized system for (B, N, 3) inputs.
+def _moments(x, y, n, zeta):
+    """Moments of the plane residuals of (N, 3) inputs and (N,) weights.
 
-    ``out_v`` optionally supplies a reusable (B, N, 6) scratch buffer; the
-    sqrt-weighted rows make the Gram product symmetric bitwise.
+    The residuals are linear in the transform vector g = (row-major R, t_c)
+    of the source centered at its weighted centroid mu: r_i = d_i . (g - g0)
+    + r0_i, with d_i = ``residual_coeffs(x_i - mu, n_i)``, g0 = (I, mu) the
+    identity and r0_i = (x_i - y_i) . n_i taken in point form, so an aligned
+    problem has exact zero residuals. Returns (mu, u, s, m, q0) with the
+    weighted rows u_i = sqrt(zeta_i) d_i (the coefficients of the weighted
+    normal, as d is linear in n) and s_i = sqrt(zeta_i) r0_i, the 12x12
+    m = u^T u = sum zeta_i d_i d_i^T, a Gram product and so symmetric
+    bitwise, and q0 = u^T s = sum zeta_i r0_i d_i.
     """
-    b_dim, n_dim = x.shape[:2]
-    v = out_v if out_v is not None else np.empty((b_dim, n_dim, 6))
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
-    np.subtract(x1 * n2, x2 * n1, out=v[..., 0])
-    np.subtract(x2 * n0, x0 * n2, out=v[..., 1])
-    np.subtract(x0 * n1, x1 * n0, out=v[..., 2])
-    v[..., 3:] = n
     root = np.sqrt(zeta)
-    v *= root[..., None]
-    vt = v.transpose(0, 2, 1)
-    a = vt @ v
-    res = (y[..., 0] - x0) * n0 + (y[..., 1] - x1) * n1 + (y[..., 2] - x2) * n2
-    b = (vt @ ((root * res)[..., None]))[..., 0]
-    return a, b
+    mu = (zeta @ x) / zeta.sum()
+    u = residual_coeffs(x - mu, root[:, None] * n)
+    s = root * np.einsum("ni,ni->n", x - y, n)
+    return mu, u, s, u.T @ u, s @ u
+
+
+# Row 3 p + j is the Levi-Civita symbol eps[p, j, :]: for any 3-vector v,
+# (_LEVI_CIVITA @ v)[3 p + j] = d (a x v)_p / d a_j.
+_LEVI_CIVITA = np.zeros((9, 3))
+_LEVI_CIVITA[[1, 5, 6], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[2, 3, 7], [1, 2, 0]] = -1.0
+
+
+def _deflated(rot, trans, mu):
+    """g - g0 of (rot, trans) as R - I and t_c - mu = t + (R - I) mu."""
+    dr = rot - np.eye(3)
+    return dr, trans + (dr @ mu[..., None])[..., 0]
+
+
+def _system_from_moments(m, q0, mu, rot, trans):
+    """6x6 systems (B, 6, 6), (B, 6) of the linearized step at (rot, trans).
+
+    The step is R' = exp([a]) R, t' = exp([a]) t + delta; its 12x6 Jacobian
+    J maps (a, delta) to the change of g = (R, t_c), t_c = t + R mu, so the
+    system is A = sym(J^T m J), b = -J^T (m (g - g0) + q0), the same normal
+    equations as the per-point [p_i x n_i; n_i] rows at p_i = R x_i + t.
+    Also returns the deflated g - g0, (B, 12).
+    """
+    b_dim = rot.shape[0]
+    dr, dt = _deflated(rot, trans, mu)
+    # Columns 0-5 hold J, column 6 holds g - g0; rows 3p+k are R[p, k] for
+    # p < 3 and t_c[k] for p = 3.
+    jg = np.zeros((b_dim, 4, 3, 7))
+    jg[:, :3, :, :3] = (_LEVI_CIVITA @ rot).reshape(b_dim, 3, 3, 3).swapaxes(2, 3)
+    jg[:, 3, :, :3] = (_LEVI_CIVITA @ (dt + mu)[..., None]).reshape(b_dim, 3, 3)
+    jg[:, 3, :, 3:6] = np.eye(3)
+    jg[:, :3, :, 6] = dr
+    jg[:, 3, :, 6] = dt
+    jg = jg.reshape(b_dim, 12, 7)
+    mjg = m @ jg
+    mjg[..., 6] += q0
+    ab = jg[..., :6].swapaxes(1, 2) @ mjg
+    a = ab[..., :6]
+    return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
 
 
 def assemble(corr: CorrespondenceSet, source: PointCloud) -> LinearizedSystem:
@@ -120,12 +162,9 @@ def assemble(corr: CorrespondenceSet, source: PointCloud) -> LinearizedSystem:
     Callers accumulate by transforming the source before re-assembling.
     """
     _check_sizes(corr, source)
-    a, b = _system_batch(
-        source.positions[None],
-        corr.targets[None],
-        corr.normals[None],
-        corr.weights[None],
-    )
+    mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    identity = (np.eye(3)[None], np.zeros((1, 3)))
+    a, b, _ = _system_from_moments(m[None], q0[None], mu[None], *identity)
     return LinearizedSystem(a[0], b[0])
 
 
@@ -176,36 +215,33 @@ def solve_step(sys: LinearizedSystem, damping: float = 0.0) -> RigidTransform:
 
 
 def _accumulate_batch(
-    x0: NDArray[np.float64],
-    y: NDArray[np.float64],
-    n: NDArray[np.float64],
-    zeta: NDArray[np.float64],
+    m: NDArray[np.float64],
+    q0: NDArray[np.float64],
+    mu: NDArray[np.float64],
     n_iters: int,
     damping: float = 0.0,
     want_trace: bool = False,
 ):
-    """Iterative accumulation over a batch of independent problems.
+    """Iterative accumulation over a batch of independent problems, from moments.
 
-    Inputs are (B, N, 3) positions/targets/normals and (B, N) weights.
-    Returns (rotations (B, 3, 3), translations (B, 3), traces (B, n_iters+1)
-    or None, converged (B,), condition_warning bool). Runs exactly
-    ``n_iters`` iterations; convergence is informational.
+    Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
+    ``_moments``; no round touches the points. Returns (rotations
+    (B, 3, 3), translations (B, 3), g - g0 before every round and after the
+    last (B, n_iters+1, 12) or None, converged (B,), condition_warning
+    bool). Runs exactly ``n_iters`` iterations; convergence is
+    informational.
     """
-    b_dim = x0.shape[0]
+    b_dim = m.shape[0]
     rot = np.broadcast_to(np.eye(3), (b_dim, 3, 3)).copy()
     trans = np.zeros((b_dim, 3))
     converged = np.zeros(b_dim, dtype=bool)
     condition = False
-    x = x0
+    deltas = np.empty((b_dim, n_iters + 1, 12)) if want_trace else None
 
-    trace = None
-    if want_trace:
-        trace = np.empty((b_dim, n_iters + 1))
-        trace[:, 0] = _plane_energy(x, y, n, zeta)
-
-    scratch = np.empty((b_dim, x.shape[1], 6))
     for k in range(n_iters):
-        a_mat, b_vec = _system_batch(x, y, n, zeta, out_v=scratch)
+        a_mat, b_vec, delta = _system_from_moments(m, q0, mu, rot, trans)
+        if want_trace:
+            deltas[:, k] = delta
         sol, cond_k = _solve_batch(a_mat, b_vec, damping, k)
         condition = condition or cond_k
         step_rot = rodrigues_batch(sol[:, :3])
@@ -213,14 +249,15 @@ def _accumulate_batch(
 
         rot = step_rot @ rot
         trans = (step_rot @ trans[..., None])[..., 0] + step_trans
-        x = x0 @ rot.transpose(0, 2, 1) + trans[:, None, :]
 
         step = np.linalg.norm(sol[:, :3], axis=1) + np.linalg.norm(step_trans, axis=1)
         converged |= step < STEP_TOL
-        if want_trace:
-            trace[:, k + 1] = _plane_energy(x, y, n, zeta)
+    if want_trace:
+        dr, dt = _deflated(rot, trans, mu)
+        deltas[:, n_iters, :9] = dr.reshape(b_dim, 9)
+        deltas[:, n_iters, 9:] = dt
 
-    return rot, trans, trace, converged, condition
+    return rot, trans, deltas, converged, condition
 
 
 def register_p2pl(
@@ -234,23 +271,23 @@ def register_p2pl(
     Runs exactly ``n_iters`` assemble/solve/compose rounds on the fixed
     correspondences; ten rounds are enough for the energies this module
     produces, and a fixed count keeps the input-to-transform map smooth for
-    the finite-difference oracle.
+    the finite-difference oracle. The moments are formed once, so each
+    round costs O(1) in the number of pairs.
     """
     _check_sizes(corr, source)
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    rot, trans, trace, converged, condition = _accumulate_batch(
-        source.positions[None],
-        corr.targets[None],
-        corr.normals[None],
-        corr.weights[None],
-        n_iters,
-        damping,
-        want_trace=True,
+    mu, u, s, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    rot, trans, deltas, converged, condition = _accumulate_batch(
+        m[None], q0[None], mu[None], n_iters, damping, want_trace=True
     )
+    # Row k holds sqrt(zeta_i) r_i before round k, r_i = d_i . (g - g0) + r0_i.
+    res = deltas[0] @ u.T
+    res += s
+    trace = np.einsum("kn,kn->k", res, res)
     return SolveReport(
         transform=RigidTransform(rot[0], trans[0]),
-        energy_trace=[float(e) for e in trace[0]],
+        energy_trace=[float(e) for e in trace],
         iterations=n_iters,
         converged=bool(converged[0]),
         condition_warning=condition,

@@ -174,6 +174,20 @@ class TestRegister:
         assert main(["register", "--in", str(tmp_path / "planes"), "--method", "p2pl",
                      "--strict", "--out", str(out2)]) == 2
 
+    def test_small_cloud_normal_estimation_is_a_failure_row(self, tmp_path):
+        # k above the cloud size fails that pair, not the whole job.
+        data = tmp_path / "small"
+        assert main(["synth", "--pairs", "1", "--seed", "4", "--n-points", "64",
+                     "--n-partial", "48", "--out", str(data)]) == 0
+        out = tmp_path / "regk"
+        args = ["register", "--in", str(data), "--estimate-normals", "100"]
+        assert main(args + ["--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        assert rows[1][-1] == "ValueError: k must be smaller than the cloud size"
+        assert main(args + ["--strict", "--out", str(tmp_path / "regk2")]) == 2
+
     def test_estimate_normals_thread_invariant(self, dataset, tmp_path, monkeypatch):
         outs = []
         for threads in ("1", "4", "2"):

@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from p2plreg.correspond import exact_correspond
-from p2plreg.gradcheck import FDConfig, compare, fd_bundle, fd_jacobian, make_instance
+from p2plreg.gradcheck import (
+    INPUT_KINDS,
+    FDConfig,
+    _perturbed_moments,
+    compare,
+    fd_bundle,
+    fd_jacobian,
+    make_instance,
+)
 from p2plreg.geometry import to_gvector
-from p2plreg.gradient import backward, rigid_motion_loss
-from p2plreg.solver import register_p2pl
+from p2plreg.gradient import backward, residual_coeffs, rigid_motion_loss
+from p2plreg.solver import _accumulate_batch, _moments, register_p2pl
 from p2plreg.synth import draw_rigid, synth_shape
 from p2plreg.seeding import derived_rng
 
@@ -54,6 +64,79 @@ class TestFdJacobian:
             for i in range(len(corr)):
                 fd = fd_jacobian(corr, cloud, which, i, cfg)
                 np.testing.assert_array_equal(fd[:, 0] if which == "zeta" else fd, got[i])
+
+    def test_rank_two_moments_match_reformed_moments(self):
+        # Each perturbed copy's (m, q0) is the base moments with one pair's
+        # term swapped; re-forming them from the perturbed arrays around the
+        # base centroid must agree.
+        corr, cloud, _ = make_instance(10, 40, noise=1e-3)
+        arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
+        moments = _moments(*arrays)
+        h = 1e-5
+        kinds = np.repeat(np.arange(4), 3)
+        pairs = np.array([0, 17, 39] * 4)
+        comps = np.array([0, 1, 2] * 3 + [0, 0, 0])
+        m, q0 = _perturbed_moments(moments, arrays, kinds, pairs, comps, h)
+        for row, (kind, pair, comp) in enumerate(zip(kinds, pairs, comps)):
+            for copy, sign in ((2 * row, h), (2 * row + 1, -h)):
+                x, y, n, zeta = (a.copy() for a in arrays)
+                target = (x, y, n, zeta)[kind]
+                if target.ndim == 2:
+                    target[pair, comp] += sign
+                else:
+                    target[pair] += sign
+                root = np.sqrt(zeta)
+                u = root[:, None] * residual_coeffs(x - moments[0], n)
+                s = root * np.einsum("ni,ni->n", x - y, n)
+                msg = INPUT_KINDS[kind]
+                np.testing.assert_allclose(m[copy], u.T @ u, rtol=1e-12, err_msg=msg)
+                np.testing.assert_allclose(q0[copy], u.T @ s, rtol=1e-12, err_msg=msg)
+
+    def test_bundle_matches_from_scratch_resolves(self):
+        # Oracle built without rank-two updates: every perturbed copy forms
+        # its own moments, centroid included, and is solved alone.
+        corr, cloud, _ = make_instance(11, 12, noise=1e-3)
+        cfg = FDConfig(n_iters_forward=10)
+        blocks = fd_bundle(corr, cloud, cfg)
+        h = cfg.step
+        arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
+
+        def solve(kind, pair, comp, sign):
+            pert = [a.copy() for a in arrays]
+            if pert[kind].ndim == 2:
+                pert[kind][pair, comp] += sign
+            else:
+                pert[kind][pair] += sign
+            mu, _, _, m, q0 = _moments(*pert)
+            rot, trans, _, _, _ = _accumulate_batch(m[None], q0[None], mu[None], 10)
+            return np.concatenate([rot[0].ravel(), trans[0]])
+
+        bounds = {"x": 1e-8, "y": 1e-8, "n": 1e-6, "zeta": 1e-5}
+        for kind, which in enumerate(INPUT_KINDS):
+            got = getattr(blocks, f"wrt_{which}")
+            want = np.empty_like(got)
+            for pair in range(len(corr)):
+                for comp in range(3 if got.ndim == 3 else 1):
+                    col = (solve(kind, pair, comp, h) - solve(kind, pair, comp, -h)) / (2 * h)
+                    if got.ndim == 3:
+                        want[pair, :, comp] = col
+                    else:
+                        want[pair] = col
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= bounds[which], (which, err)
+
+    def test_bundle_memory_stays_chunked(self):
+        # At N = 1024 the oracle needs 20480 perturbed copies; batched jobs
+        # of CHUNK_ELEMS moment elements keep the peak below the 20.05 MB the
+        # per-point oracle (which copied every pair per copy) needed.
+        corr, cloud, _ = make_instance(0, 1024, noise=1e-4)
+        tracemalloc.start()
+        try:
+            fd_bundle(corr, cloud, FDConfig(n_iters_forward=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= 20.0
 
     def test_step_halving_is_second_order(self):
         # Differences between successive step sizes shrink by ~4x per halving.

@@ -31,6 +31,25 @@ def _identity():
     return RigidTransform.identity()
 
 
+def _per_point_register(corr, source, n_iters):
+    """Reference accumulation: every round rebuilds the 6x6 system point by
+    point from the moved source, rows [p_i x n_i; n_i] at p_i = R x_i + t."""
+    rot, trans = np.eye(3), np.zeros(3)
+    for _ in range(n_iters):
+        a = np.zeros((6, 6))
+        b = np.zeros(6)
+        for x, y, n, z in zip(source.positions, corr.targets, corr.normals, corr.weights):
+            p = rot @ x + trans
+            v = np.concatenate([np.cross(p, n), n])
+            a += z * np.outer(v, v)
+            b += z * v * ((y - p) @ n)
+        sol = np.linalg.solve(a, b)
+        step = rodrigues(sol[:3])
+        rot = step @ rot
+        trans = step @ trans + sol[3:]
+    return rot, trans
+
+
 class TestEnergy:
     def test_aligned_is_zero(self):
         cloud = synth_shape("blob", 64, seed=1)
@@ -243,6 +262,36 @@ class TestRegisterP2pl:
             r = register_p2pl(corr, cloud, n_iters=10).transform.rotation
             assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-9
             assert abs(np.linalg.det(r) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (3e2, -6e2, 1.5e2)])
+    def test_matches_per_point_reference(self, offset):
+        # The moment kernel forms its 12x12 moments once; the reference
+        # re-assembles from the moved points every round. Far from the
+        # origin the first rounds overshoot, so compare converged solves.
+        from p2plreg.gradcheck import make_instance
+
+        offset = np.asarray(offset)
+        scale = max(1.0, float(np.linalg.norm(offset)))
+        for seed in range(4):
+            corr, cloud, _ = make_instance(seed, 96, noise=1e-3)
+            cloud = PointCloud(cloud.positions + offset, cloud.normals)
+            corr = CorrespondenceSet(corr.targets + offset, corr.normals, corr.weights)
+            got = register_p2pl(corr, cloud, n_iters=10).transform
+            rot, trans = _per_point_register(corr, cloud, 10)
+            assert np.max(np.abs(got.rotation - rot)) <= 1e-12
+            assert np.max(np.abs(got.translation - trans)) <= 1e-12 * scale
+
+    def test_energy_trace_is_point_form_energy(self):
+        # The trace comes from deflated residuals; it must be the plane
+        # energy of the moved source after every round.
+        from p2plreg.gradcheck import make_instance
+
+        corr, cloud, _ = make_instance(5, 200, noise=1e-3)
+        rep = register_p2pl(corr, cloud, n_iters=4)
+        for k in range(5):
+            t = register_p2pl(corr, cloud, n_iters=k).transform if k else _identity()
+            want = energy(corr, cloud, t)
+            assert rep.energy_trace[k] == pytest.approx(want, rel=1e-9)
 
     def test_singular_error_carries_iteration(self):
         rng = np.random.default_rng(14)
