@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .gradient import GradientBundle, chain_blocks, chain_loss, residual_coeffs
+from .gradient import GradientBundle, chain_blocks, residual_coeffs
 from .seeding import derived_rng
 from .solver import _accumulate_batch, _moments
 from .synth import draw_rigid, synth_shape
@@ -193,10 +193,14 @@ def compare(
     """Chained-gradient errors of the analytic bundle against the oracle.
 
     Errors are measured on per-point loss gradients, with the oracle's
-    per-input mean square as the relative normalizer.
+    per-input mean square as the relative normalizer. Both sides chain their
+    per-pair Jacobian blocks through the same contraction, so the analytic
+    ``d_g_d_*`` fields are what is compared.
     """
     v = np.asarray(loss_direction, dtype=np.float64).reshape(12)
-    a = chain_loss(v, analytic)
+    a = chain_blocks(
+        v, analytic.d_g_d_x, analytic.d_g_d_y, analytic.d_g_d_n, analytic.d_g_d_zeta
+    )
     f = chain_blocks(v, fd.wrt_x, fd.wrt_y, fd.wrt_n, fd.wrt_zeta)
 
     per_input: dict[str, tuple[float, float]] = {}

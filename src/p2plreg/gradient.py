@@ -11,15 +11,30 @@ input u (target position, target normal, source position, reliability):
 One 12x12 inverse is shared across all N pairs, so the backward cost does
 not depend on how many accumulation rounds produced the transform.
 
-``backward`` is one pass over one workspace (``build_workspace``) that
+``backward`` builds one workspace (``build_workspace``), which
 ``hessian``, ``penalty_lambda``, ``energy_gradient`` and ``cross_derivs``
-read too, so each formula exists once; ``cross_derivs`` is the Jacobian
-builder with the identity in place of -H^{-1}. The per-pair Jacobians come
-from a few (N, 12) x (12, 12) and (N, 4) x (4, 36) matrix products written
-into one allocation, a handful of passes over the 120 N output doubles. At
-N = 4096 that takes 3.5 ms in the benchmark's traced sweep (2-vCPU VM, one
-BLAS thread), 1.3 times a 10-iteration forward solve, whose rounds cost
-O(1) once the forward has formed its 12x12 moments.
+read too, so each formula exists once. It then forms the penalized 12x12
+Hessian H and its explicit inverse, and stops there: O(N) work for the
+workspace and the Hessian's Gram product. Every per-pair derivative is a
+product p @ d(grad_g E)/du from one builder, ``_mixed_blocks``, for a
+(k, 12) matrix p:
+
+- ``cross_derivs`` uses p = I;
+- the bundle's ``d_g_d_*`` Jacobians use p = -H^{-1}, formed on first read,
+  120 N doubles;
+- ``chain_loss`` is the vector-Jacobian product, the one row
+  p = -v^T H^{-1}, 10 N doubles.
+
+The row uses the explicit inverse, not a solve with H. The penalized H has
+a condition number near 1e9, so a solve differs from the inverse that the
+materialized blocks use by up to 2.5e-8 relative, while v^T H^{-1}
+reproduces their contraction to about 2e-15.
+
+In the benchmark's traced diff-step run (N = 4096, 2-vCPU VM, one BLAS
+thread) backward + chain_loss take 1.6 ms, against 4.0 ms with the
+bundle materialized on every call: 0.6-0.7 times a 10-iteration forward
+solve, whose rounds cost O(1) once it has formed its 12x12 moments, and
+1.0-1.4 times at N = 16384.
 """
 
 from __future__ import annotations
@@ -211,7 +226,7 @@ def _add_outer(out: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.f
 
 
 def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> CrossDerivatives:
-    """p @ d(grad_g E)/du for every per-pair input u and a 12x12 matrix p.
+    """p @ d(grad_g E)/du for every per-pair input u and a (k, 12) matrix p.
 
     With grad_g E = sum_i 2 zeta_i r_i d_i, the mixed derivatives are
 
@@ -222,32 +237,36 @@ def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> CrossDerivatives
 
     with w_i the offset. The coefficient Jacobians dd_i/dn_i and dd_i/dx_i
     are sparse lifts of x_i and n_i, so p applied to them for all i is one
-    (N, 4) x (4, 36) and one (N, 3) x (3, 36) product, written straight into
-    the output arrays; the d_i terms are then accumulated in place.
+    (N, 4) x (4, 3k) and one (N, 3) x (3, 3k) product, written straight into
+    the output arrays; the d_i terms are then accumulated in place. Blocks
+    are (N, k, 3) and (N, k).
     """
     n_pts = ws.residuals.shape[0]
+    k = p.shape[0]
     # One allocation holds all four blocks. With glibc malloc, separate ~1 MB
     # blocks freed together went back to the OS and were page-faulted in
     # again on every call (~1200 minor faults per call at N=4096, about half
     # the backward time); one block of the combined size stays in the heap.
-    store = np.empty(120 * n_pts)
-    wrt_y, wrt_n, wrt_x = store[: 108 * n_pts].reshape(3, n_pts, 12, 3)
-    wrt_zeta = store[108 * n_pts :].reshape(n_pts, 12)
+    store = np.empty(10 * k * n_pts)
+    wrt_y, wrt_n, wrt_x = store[: 9 * k * n_pts].reshape(3, n_pts, k, 3)
+    wrt_zeta = store[9 * k * n_pts :].reshape(n_pts, k)
     pd = ws.coeffs @ p.T  # rows p d_i
     np.multiply((2.0 * ws.residuals)[:, None], pd, out=wrt_zeta)
     zeta2 = 2.0 * ws.weights
     pd *= zeta2[:, None]
     zr2 = zeta2 * ws.residuals
 
-    p_rot = p[:, :9].reshape(12, 3, 3)  # (k, a, b) -> p[k, 3a + b]
+    p_rot = p[:, :9].reshape(k, 3, 3)  # (k, a, b) -> p[k, 3a + b]
     # (p dd_i/dn_i)[k, s] = sum_q p[k, 3s + q] x_q + p[k, 9 + s]
     lift_x = np.concatenate([ws.positions, np.ones((n_pts, 1))], axis=1) * zr2[:, None]
-    to_n = np.concatenate([p_rot.transpose(2, 0, 1).reshape(3, 36), p[:, 9:].reshape(1, 36)])
-    np.matmul(lift_x, to_n, out=wrt_n.reshape(n_pts, 36))
+    to_n = np.concatenate(
+        [p_rot.transpose(2, 0, 1).reshape(3, 3 * k), p[:, 9:].reshape(1, 3 * k)]
+    )
+    np.matmul(lift_x, to_n, out=wrt_n.reshape(n_pts, 3 * k))
     _add_outer(wrt_n, pd, ws.offsets)
     # (p dd_i/dx_i)[k, s] = sum_a p[k, 3a + s] n_a
-    to_x = p_rot.transpose(1, 0, 2).reshape(3, 36)
-    np.matmul(zr2[:, None] * ws.normals, to_x, out=wrt_x.reshape(n_pts, 36))
+    to_x = p_rot.transpose(1, 0, 2).reshape(3, 3 * k)
+    np.matmul(zr2[:, None] * ws.normals, to_x, out=wrt_x.reshape(n_pts, 3 * k))
     _add_outer(wrt_x, pd, ws.normals @ ws.rotation)
 
     for s in range(3):
@@ -259,27 +278,69 @@ def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> CrossDerivat
     return _mixed_blocks(build_workspace(corr, source, g), np.eye(12))
 
 
+class _FormedOnRead:
+    """Data descriptor for the per-pair Jacobian fields of ``GradientBundle``.
+
+    ``backward`` leaves the four fields unset (the dataclass default None).
+    The first read of any of them forms all four with one
+    ``_mixed_blocks(workspace, -h_inv)`` call and keeps them on the bundle;
+    a value passed to the constructor, as ``dataclasses.replace`` does, is
+    kept as given. Two threads reading an unformed bundle at once may both
+    form the blocks; they form the same values, and a field once set is
+    never replaced.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the dataclass default: formed on first read
+        if obj.__dict__[self.name] is None:
+            jac = _mixed_blocks(obj.workspace, -obj.h_inv)
+            formed = (("d_g_d_x", jac.wrt_x), ("d_g_d_y", jac.wrt_y),
+                      ("d_g_d_n", jac.wrt_n), ("d_g_d_zeta", jac.wrt_zeta))
+            for name, blocks in formed:
+                if obj.__dict__[name] is None:
+                    obj.__dict__[name] = blocks
+        return obj.__dict__[self.name]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class GradientBundle:
-    """Jacobians of the solved transform vector for every per-pair input."""
+    """Jacobians of the solved transform vector for every per-pair input,
+    held as their factors.
 
-    d_g_d_x: NDArray[np.float64]  # (N, 12, 3)
-    d_g_d_y: NDArray[np.float64]  # (N, 12, 3)
-    d_g_d_n: NDArray[np.float64]  # (N, 12, 3)
-    d_g_d_zeta: NDArray[np.float64]  # (N, 12)
+    Eager: the workspace, the penalized Hessian H, its explicit inverse and
+    the penalty weight, O(N) + 12x12 work. Formed on read: the (N, 12, 3)
+    and (N, 12) ``d_g_d_*`` blocks, d g*/d u = -H^{-1} d(grad_g E)/du, all
+    four on the first read of any one. ``chain_loss`` reads only the
+    factors.
+    """
+
+    workspace: GradWorkspace
+    h_inv: NDArray[np.float64]  # (12, 12) explicit inverse of hessian
     lam: float
     hessian: NDArray[np.float64]  # (12, 12)
+    d_g_d_x: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
+    d_g_d_y: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
+    d_g_d_n: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
+    d_g_d_zeta: NDArray[np.float64] = _FormedOnRead()  # (N, 12)
 
 
 def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
-    """Assemble all per-pair Jacobians of the solved transform.
+    """Factor the Jacobians of the solved transform for every per-pair input.
 
     The penalty weight from the least-squares fit is clipped into a band
     relative to the data curvature: the fit degenerates to 0/0 at the
     (numerically orthogonal) rotations the forward solver produces, while
     the constraint directions still need a stiff penalty block for the
     minimizer map to be the one the solver realizes. The clip bounds keep
-    the factorization accurate in double precision.
+    the factorization accurate in double precision. The per-pair Jacobians
+    are formed only when a ``d_g_d_*`` field is read.
     """
     ws = build_workspace(corr, source, g)
     h = _data_hessian(ws)
@@ -292,10 +353,7 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
         h_inv = np.linalg.inv(h)
     except np.linalg.LinAlgError as exc:
         raise SingularHessian(f"12x12 Hessian solve failed: {exc}") from None
-
-    # d g*/d u = -H^{-1} d(grad_g E)/d u for every input u.
-    jac = _mixed_blocks(ws, -h_inv)
-    return GradientBundle(jac.wrt_x, jac.wrt_y, jac.wrt_n, jac.wrt_zeta, lam, h)
+    return GradientBundle(ws, h_inv, lam, h)
 
 
 @dataclass(frozen=True)
@@ -324,10 +382,15 @@ def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PointGradients:
 
 
 def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PointGradients:
-    """Chain a loss gradient in g through every per-pair Jacobian."""
-    return chain_blocks(
-        d_loss_d_g, bundle.d_g_d_x, bundle.d_g_d_y, bundle.d_g_d_n, bundle.d_g_d_zeta
-    )
+    """Chain a loss gradient v in g down to every per-pair input.
+
+    A vector-Jacobian product through the bundle's factors: the one row
+    -v^T H^{-1} goes through the mixed-derivative builder, so no per-pair
+    Jacobian is formed and the ``d_g_d_*`` fields are not read.
+    """
+    v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
+    row = _mixed_blocks(bundle.workspace, -(v @ bundle.h_inv)[None])
+    return PointGradients(row.wrt_x[:, 0], row.wrt_y[:, 0], row.wrt_n[:, 0], row.wrt_zeta[:, 0])
 
 
 def rigid_motion_loss(g, gt: RigidTransform):

@@ -74,6 +74,8 @@ class SolveReport:
     iterations: int = 0
     converged: bool = False
     condition_warning: bool = False
+    # ICP's matches at the returned transform; None from register_p2pl.
+    correspondences: CorrespondenceSet | None = None
 
 
 def _check_sizes(corr: CorrespondenceSet, source: PointCloud) -> None:
@@ -330,7 +332,8 @@ def icp(
     "p2pl" (iterative accumulation with ``inner_iters`` rounds). Stops
     after ``max_outer`` rounds or when the update step drops below the
     convergence threshold. ``source_weights`` optionally fixes per-source
-    reliabilities used by every round's estimator.
+    reliabilities used by every round's estimator. The report carries the
+    correspondences matched at the returned transform.
     """
     if method not in ("p2p", "p2pl"):
         raise ValueError("method must be 'p2p' or 'p2pl'")
@@ -390,4 +393,5 @@ def icp(
         iterations=iterations,
         converged=converged,
         condition_warning=condition,
+        correspondences=corr,
     )

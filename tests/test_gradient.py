@@ -373,7 +373,106 @@ class TestBackward:
         assert peak <= 2.0 * returned
 
 
+class TestLazyJacobians:
+    def test_first_read_forms_all_four_blocks_once(self, monkeypatch):
+        from p2plreg import gradient
+
+        calls = []
+        real = gradient._mixed_blocks
+
+        def counting(ws, p):
+            calls.append(p.shape)
+            return real(ws, p)
+
+        monkeypatch.setattr(gradient, "_mixed_blocks", counting)
+        corr, cloud, _ = make_instance(32, 48, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        for first in ("d_g_d_x", "d_g_d_y", "d_g_d_n", "d_g_d_zeta"):
+            bundle = backward(corr, cloud, g)
+            assert calls == []
+            getattr(bundle, first)
+            assert calls == [(12, 12)]
+            expect = real(build_workspace(corr, cloud, g), -bundle.h_inv)
+            for got, want in (
+                (bundle.d_g_d_x, expect.wrt_x),
+                (bundle.d_g_d_y, expect.wrt_y),
+                (bundle.d_g_d_n, expect.wrt_n),
+                (bundle.d_g_d_zeta, expect.wrt_zeta),
+            ):
+                np.testing.assert_array_equal(got, want)
+            assert calls == [(12, 12)]
+            calls.clear()
+
+    def test_chain_loss_reads_no_jacobian(self, monkeypatch):
+        from p2plreg import gradient
+
+        calls = []
+        real = gradient._mixed_blocks
+        monkeypatch.setattr(
+            gradient, "_mixed_blocks", lambda ws, p: calls.append(p.shape) or real(ws, p)
+        )
+        corr, cloud, gt = make_instance(33, 32, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        _, v = rigid_motion_loss(g, gt)
+        chain_loss(v, backward(corr, cloud, g))
+        assert calls == [(1, 12)]
+
+    def test_compare_sees_scaled_position_block(self):
+        import dataclasses
+
+        from p2plreg.gradcheck import FDConfig, compare, fd_bundle
+
+        corr, cloud, gt = make_instance(34, 24, noise=1e-4)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        bundle = backward(corr, cloud, g)
+        fd = fd_bundle(corr, cloud, FDConfig(n_iters_forward=10))
+        _, v = rigid_motion_loss(g, gt)
+        scaled = dataclasses.replace(bundle, d_g_d_x=1.1 * bundle.d_g_d_x)
+        honest = compare(bundle, fd, v, 10)
+        corrupted = compare(scaled, fd, v, 10)
+        assert corrupted.rel_mse > honest.rel_mse
+        assert corrupted.per_input["x"][1] > honest.per_input["x"][1]
+        assert corrupted.per_input["y"] == honest.per_input["y"]
+
+
 class TestChainLoss:
+    @pytest.mark.parametrize("seed", [35, 36, 37])
+    @pytest.mark.parametrize("n_pts", [64, 4096])
+    def test_vjp_matches_einsum_over_materialized_blocks(self, n_pts, seed):
+        corr, cloud, gt = make_instance(seed, n_pts, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        bundle = backward(corr, cloud, g)
+        _, v = rigid_motion_loss(g, gt)
+        out = chain_loss(v, bundle)
+        for got, jac in (
+            (out.wrt_x, bundle.d_g_d_x),
+            (out.wrt_y, bundle.d_g_d_y),
+            (out.wrt_n, bundle.d_g_d_n),
+        ):
+            expect = np.einsum("k,nkj->nj", v, jac)
+            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
+        expect = np.einsum("k,nk->n", v, bundle.d_g_d_zeta)
+        np.testing.assert_allclose(
+            out.wrt_zeta, expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max()
+        )
+
+    def test_peak_memory_below_half_the_jacobians(self):
+        import tracemalloc
+
+        n_pts = 4096
+        corr, cloud, gt = make_instance(30, n_pts, noise=1e-4)
+        g = to_gvector(gt)
+        v = np.ones(12)
+        chain_loss(v, backward(corr, cloud, g))  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            chain_loss(v, backward(corr, cloud, g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The four per-pair Jacobians hold 120 N doubles.
+        assert peak <= 0.5 * 120 * n_pts * 8
+
     def test_matches_explicit_contraction(self):
         corr, cloud, gt = make_instance(31, 64, noise=1e-3)
         g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)

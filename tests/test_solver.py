@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from p2plreg.cloud import PointCloud
-from p2plreg.correspond import CorrespondenceSet, exact_correspond
+from p2plreg.correspond import CorrespondenceSet, exact_correspond, nn_correspond
 from p2plreg.geometry import (
     RigidTransform,
     apply_transform,
@@ -381,6 +381,32 @@ class TestIcp:
             )
             wins += e_pl < e_pp
         assert wins >= 0.7 * cases
+
+    @pytest.mark.parametrize("method", ["p2pl", "p2p"])
+    def test_returns_final_correspondences(self, method):
+        base = synth_shape("blob", 1024, seed=22)
+        cfg = SynthConfig(seed=22, n_sample=256, n_partial=192, rot_max_deg=30.0,
+                          trans_max=0.2, compose_count=1)
+        pair = make_cpu_pair([base], cfg)
+        rep = icp(pair.source, pair.target, method=method, max_outer=4)
+        expect = nn_correspond(apply_transform(rep.transform, pair.source), pair.target)
+        for field in ("targets", "normals", "weights"):
+            np.testing.assert_array_equal(
+                getattr(rep.correspondences, field), getattr(expect, field)
+            )
+
+    def test_final_correspondences_carry_source_weights(self):
+        cloud = synth_shape("blob", 128, seed=23)
+        target = apply_transform(draw_rigid(derived_rng(23, "gt"), 10.0, 0.05), cloud)
+        w = derived_rng(23, "w").uniform(0.5, 1.5, 128)
+        rep = icp(cloud, target, max_outer=3, source_weights=w)
+        expect = nn_correspond(apply_transform(rep.transform, cloud), target)
+        np.testing.assert_array_equal(rep.correspondences.targets, expect.targets)
+        np.testing.assert_array_equal(rep.correspondences.weights, w)
+
+    def test_register_p2pl_reports_no_correspondences(self):
+        corr = exact_correspond(synth_shape("blob", 32, seed=24), _identity())
+        assert register_p2pl(corr, synth_shape("blob", 32, seed=24)).correspondences is None
 
     def test_plane_target_surfaces_singular(self):
         rng = np.random.default_rng(20)
