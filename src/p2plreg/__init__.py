@@ -3,8 +3,8 @@
 The forward path solves the classic linearized point-to-plane system and
 accumulates small transforms; the backward path differentiates the solved
 transform with respect to every per-pair input through the minimality
-condition of the (orthogonality-penalized) energy, so gradient cost does
-not grow with the number of accumulation rounds.
+condition of the energy in the forward's own 6-dof step chart, so gradient
+cost does not grow with the number of accumulation rounds.
 """
 
 from .cloud import PointCloud, RegistrationPair
@@ -38,7 +38,6 @@ from .gradient import (
     cross_derivs,
     hessian,
     penalty,
-    penalty_lambda,
     rigid_motion_loss,
 )
 from .metrics import MetricReport, batch_stats, chamfer, rotation_errors
@@ -103,7 +102,6 @@ __all__ = [
     "register_procrustes",
     "icp",
     "penalty",
-    "penalty_lambda",
     "hessian",
     "cross_derivs",
     "backward",

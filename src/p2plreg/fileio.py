@@ -90,13 +90,14 @@ def _load_ply(path: Path) -> PointCloud:
         elif tokens[0] == "element":
             if len(tokens) != 3:
                 raise ParseError("malformed element declaration", i)
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                raise ParseError(f"{tokens[1]} count is not an integer", i) from None
             in_vertex_element = tokens[1] == "vertex"
             if in_vertex_element:
-                try:
-                    n_vertex = int(tokens[2])
-                except ValueError:
-                    raise ParseError("vertex count is not an integer", i) from None
-            elif int(tokens[2]) != 0:
+                n_vertex = count
+            elif count != 0:
                 raise ParseError(f"unsupported non-empty element '{tokens[1]}'", i)
         elif tokens[0] == "property":
             if in_vertex_element:
@@ -149,18 +150,24 @@ def _save_xyzn(path: Path, cloud: PointCloud) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _load_xyzn(path: Path) -> PointCloud:
+def _numeric_rows(path, width: int) -> list[list[float]]:
+    """Rows of ``width`` floats from a text file, skipping blank lines."""
     rows = []
-    for i, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
         values = raw.split()
-        if len(values) != 6:
-            raise ParseError(f"expected 6 values per line, found {len(values)}", i)
+        if len(values) != width:
+            raise ParseError(f"expected {width} values per line, found {len(values)}", i)
         try:
             rows.append([float(v) for v in values])
         except ValueError:
             raise ParseError("non-numeric value", i) from None
+    return rows
+
+
+def _load_xyzn(path: Path) -> PointCloud:
+    rows = _numeric_rows(path, 6)
     if not rows:
         raise ParseError("empty cloud file", 1)
     data = np.asarray(rows, dtype=np.float64)
@@ -175,14 +182,7 @@ def save_transform(path, t: RigidTransform) -> None:
 
 
 def load_transform(path) -> RigidTransform:
-    rows = []
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        values = raw.split()
-        if len(values) != 4:
-            raise ParseError(f"expected 4 values per line, found {len(values)}", i)
-        rows.append([float(v) for v in values])
+    rows = _numeric_rows(path, 4)
     if len(rows) != 3:
         raise ParseError(f"expected 3 rows, found {len(rows)}", len(rows) + 1)
     m = np.asarray(rows, dtype=np.float64)

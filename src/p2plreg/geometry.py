@@ -115,6 +115,8 @@ class RigidTransform:
         t = _vec3(self.translation, "translation")
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("rotation must be finite")
         if not np.all(np.isfinite(t)):
             raise ValueError("translation must be finite")
         object.__setattr__(self, "rotation", r)
@@ -160,6 +162,43 @@ def from_gvector(g) -> RigidTransform:
     if g.shape != (12,):
         raise ValueError(f"transform vector must have length 12, got {g.shape}")
     return RigidTransform(g[:9].reshape(3, 3), g[9:])
+
+
+def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per-pair 12-vectors d with d . g == (R x + t) . n for any g.
+
+    Equal to the elementwise product of the two lifts in ``gradient``; rows
+    are the gradients of the plane residuals in transform coordinates.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    top = (n[:, :, None] * x[:, None, :]).reshape(x.shape[0], 9)
+    return np.concatenate([top, n], axis=1)
+
+
+# Row 3 p + j is the Levi-Civita symbol eps[p, j, :]: for any 3-vector v,
+# (_LEVI_CIVITA @ v)[3 p + j] = d (a x v)_p / d a_j.
+_LEVI_CIVITA = np.zeros((9, 3))
+_LEVI_CIVITA[[1, 5, 6], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[2, 3, 7], [1, 2, 0]] = -1.0
+
+
+def step_jacobian(rot, trans) -> NDArray[np.float64]:
+    """(..., 12, 6) Jacobian of the 12-vector along the solver's step chart.
+
+    The chart is R' = exp([a]) R, t' = exp([a]) t + delta. At (a, delta) = 0
+    column j < 3 is the change ([e_j] R, e_j x t) and column 3 + j is
+    (0, e_j). Takes (..., 3, 3) rotations and (..., 3) translations.
+    """
+    rot = np.asarray(rot, dtype=np.float64)
+    trans = np.asarray(trans, dtype=np.float64)
+    lead = rot.shape[:-2]
+    # Rows 3 p + k are R[p, k] for p < 3 and t[k] for p = 3.
+    jac = np.zeros(lead + (4, 3, 6))
+    jac[..., :3, :, :3] = (_LEVI_CIVITA @ rot).reshape(lead + (3, 3, 3)).swapaxes(-1, -2)
+    jac[..., 3, :, :3] = (trans @ _LEVI_CIVITA.T).reshape(lead + (3, 3))
+    jac[..., 3, :, 3:] = np.eye(3)
+    return jac.reshape(lead + (12, 6))
 
 
 def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> Mat3:

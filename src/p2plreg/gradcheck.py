@@ -18,7 +18,8 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .gradient import GradientBundle, chain_blocks, residual_coeffs
+from .geometry import residual_coeffs
+from .gradient import GradientBundle, chain_blocks
 from .seeding import derived_rng
 from .solver import _accumulate_batch, _moments
 from .synth import draw_rigid, synth_shape

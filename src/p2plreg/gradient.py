@@ -1,40 +1,40 @@
 """Closed-form Jacobians of the solved transform with respect to inputs.
 
-The solved transform is treated as the minimizer of the plane energy over
-the 12 entries of (rotation, translation), with a quadratic orthogonality
-penalty completing the curvature across the rotation-constraint directions.
-Differentiating the minimality condition then gives, for every per-pair
-input u (target position, target normal, source position, reliability):
+The forward solver steps in a 6-dof chart around its running transform,
+R' = exp([a]) R and t' = exp([a]) t + delta. The backward differentiates
+the minimality condition of the plane energy in that same chart: with J the
+12x6 Jacobian of the chart at the solved g (``geometry.step_jacobian``) and
+H = J^T H_data J the 6x6 Gauss-Newton Hessian, every per-pair input u
+(target position, target normal, source position, reliability) gives
 
-    d g* / d u  =  -(d^2 E_hat / d g^2)^{-1} (d^2 E_hat / d u d g)
+    d g* / d u  =  -J H^{-1} J^T (d^2 E / d u d g)
 
-One 12x12 inverse is shared across all N pairs, so the backward cost does
-not depend on how many accumulation rounds produced the transform.
+One 6x6 inverse is shared across all N pairs, so the backward cost does
+not depend on how many accumulation rounds produced the transform. H is
+checked by the forward's own pivot rule (``solver._factor_batch``), so the
+two passes share one chart and one singularity criterion.
 
 ``backward`` builds one workspace (``build_workspace``), which
-``hessian``, ``penalty_lambda``, ``energy_gradient`` and ``cross_derivs``
-read too, so each formula exists once. It then forms the penalized 12x12
-Hessian H and its explicit inverse, and stops there: O(N) work for the
-workspace and the Hessian's Gram product. Every per-pair derivative is a
-product p @ d(grad_g E)/du from one builder, ``_mixed_blocks``, for a
-(k, 12) matrix p:
+``hessian``, ``energy_gradient`` and ``cross_derivs`` read too, so each
+formula exists once. It then forms H and the lifted inverse
+J H^{-1} J^T, and stops there: O(N) work for the workspace and the data
+Hessian's Gram product. Every per-pair derivative is a product
+p @ d(grad_g E)/du from one builder, ``_mixed_blocks``, for a (k, 12)
+matrix p:
 
 - ``cross_derivs`` uses p = I;
-- the bundle's ``d_g_d_*`` Jacobians use p = -H^{-1}, formed on first read,
-  120 N doubles;
+- the bundle's ``d_g_d_*`` Jacobians use p = -J H^{-1} J^T, formed on first
+  read, 120 N doubles;
 - ``chain_loss`` is the vector-Jacobian product, the one row
-  p = -v^T H^{-1}, 10 N doubles.
+  p = -v^T J H^{-1} J^T, 10 N doubles.
 
-The row uses the explicit inverse, not a solve with H. The penalized H has
-a condition number near 1e9, so a solve differs from the inverse that the
-materialized blocks use by up to 2.5e-8 relative, while v^T H^{-1}
-reproduces their contraction to about 2e-15.
+The row uses the explicit lifted inverse, not a solve with H, so the VJP
+and the materialized blocks apply the same matrix and agree to rounding.
 
-In the benchmark's traced diff-step run (N = 4096, 2-vCPU VM, one BLAS
-thread) backward + chain_loss take 1.6 ms, against 4.0 ms with the
-bundle materialized on every call: 0.6-0.7 times a 10-iteration forward
-solve, whose rounds cost O(1) once it has formed its 12x12 moments, and
-1.0-1.4 times at N = 16384.
+The orthogonality penalty (``penalty``, its gradient and curvature, and the
+``lam`` argument of ``hessian`` and ``energy_gradient``) defines a 12x12
+penalized energy whose stiff-penalty limit is the chart form above; it is
+kept as an oracle for tests and is not used by ``backward``.
 """
 
 from __future__ import annotations
@@ -46,22 +46,17 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .geometry import RigidTransform, to_gvector
-
-# Penalty-gradient norms below this are treated as exactly orthogonal.
-LAMBDA_DENOM_FLOOR = 1e-24
-# Penalty weight band used by backward(), relative to the mean data
-# curvature: large enough to pin the constraint directions, small enough
-# to keep the 12x12 solve well conditioned in double precision.
-LAMBDA_REL_FLOOR = 1e6
-LAMBDA_REL_CAP = 1e8
+from .geometry import RigidTransform, residual_coeffs, step_jacobian, to_gvector
+from .solver import SingularSystem, _factor_batch
 
 
 class SingularHessian(np.linalg.LinAlgError):
-    """Penalized energy Hessian is not invertible (degenerate geometry).
+    """The 6x6 chart Hessian of the plane energy is singular.
 
-    Callers can retry after solving with damping to regularize the forward
-    geometry.
+    Raised under the forward solver's own pivot rule (``_factor_batch``):
+    the geometry leaves a step direction unconstrained, for example planar
+    points whose normals are all parallel. Callers can retry after solving
+    with damping to regularize the forward geometry.
     """
 
 
@@ -71,6 +66,8 @@ def _as_gvector(g) -> NDArray[np.float64]:
     arr = np.asarray(g, dtype=np.float64).reshape(-1)
     if arr.shape != (12,):
         raise ValueError("expected a RigidTransform or a 12-vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("transform vector must be finite")
     return arr
 
 
@@ -84,18 +81,6 @@ def normal_lift(n: NDArray[np.float64]) -> NDArray[np.float64]:
     """(N, 12) vectors (n0,n0,n0, n1,n1,n1, n2,n2,n2, n) pairing normals with g."""
     n = np.asarray(n, dtype=np.float64)
     return np.concatenate([np.repeat(n, 3, axis=1), n], axis=1)
-
-
-def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Per-pair 12-vectors d with d . g == (R x + t) . n for any g.
-
-    Equal to the elementwise product of the two lifts; rows are the
-    gradients of the plane residuals in transform coordinates.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    top = (n[:, :, None] * x[:, None, :]).reshape(x.shape[0], 9)
-    return np.concatenate([top, n], axis=1)
 
 
 def rotation_row_matrix(r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -145,7 +130,6 @@ class GradWorkspace:
     residuals: NDArray[np.float64]  # (N,) plane residuals at g
     offsets: NDArray[np.float64]  # (N, 3) R x_i + t - y_i
     rotation: NDArray[np.float64]  # (3, 3)
-    curvature: NDArray[np.float64]  # (9, 9) penalty curvature block
 
 
 def build_workspace(
@@ -157,9 +141,7 @@ def build_workspace(
     n = corr.normals
     offsets = x @ rot.T + gv[9:] - corr.targets
     residuals = np.einsum("ni,ni->n", offsets, n)
-    return GradWorkspace(
-        x, n, corr.weights, residual_coeffs(x, n), residuals, offsets, rot, penalty_curvature(rot)
-    )
+    return GradWorkspace(x, n, corr.weights, residual_coeffs(x, n), residuals, offsets, rot)
 
 
 def _data_gradient(ws: GradWorkspace) -> NDArray[np.float64]:
@@ -177,35 +159,18 @@ def energy_gradient(
     return grad
 
 
-def _fit_lambda(ws: GradWorkspace) -> float:
-    d_p = penalty_gradient(ws.rotation)
-    denom = float(d_p @ d_p)
-    if denom < LAMBDA_DENOM_FLOOR:
-        return 0.0
-    return abs(float(d_p @ _data_gradient(ws)[:9])) / denom
-
-
-def penalty_lambda(corr: CorrespondenceSet, source: PointCloud, g) -> float:
-    """Least-squares penalty weight |dP . dE| / (dP . dP) on the rotation
-    entries, zero when the rotation is numerically orthogonal (0/0 case)."""
-    return _fit_lambda(build_workspace(corr, source, g))
-
-
 def _data_hessian(ws: GradWorkspace) -> NDArray[np.float64]:
     # sqrt-weighted Gram product keeps the result symmetric bitwise
     rd = ws.coeffs * np.sqrt(ws.weights)[:, None]
     return 2.0 * rd.T @ rd
 
 
-def _add_penalty(h: NDArray[np.float64], ws: GradWorkspace, lam: float) -> NDArray[np.float64]:
-    h[:9, :9] += 4.0 * lam * ws.curvature
-    return h
-
-
 def hessian(corr: CorrespondenceSet, source: PointCloud, g, lam: float) -> NDArray[np.float64]:
     """12x12 second derivative of the penalized energy at g."""
     ws = build_workspace(corr, source, g)
-    return _add_penalty(_data_hessian(ws), ws, lam)
+    h = _data_hessian(ws)
+    h[:9, :9] += 4.0 * lam * penalty_curvature(ws.rotation)
+    return h
 
 
 @dataclass(frozen=True)
@@ -314,17 +279,17 @@ class GradientBundle:
     """Jacobians of the solved transform vector for every per-pair input,
     held as their factors.
 
-    Eager: the workspace, the penalized Hessian H, its explicit inverse and
-    the penalty weight, O(N) + 12x12 work. Formed on read: the (N, 12, 3)
-    and (N, 12) ``d_g_d_*`` blocks, d g*/d u = -H^{-1} d(grad_g E)/du, all
-    four on the first read of any one. ``chain_loss`` reads only the
-    factors.
+    Eager: the workspace, the 6x6 chart Hessian H = J^T H_data J, the lifted
+    inverse J H^{-1} J^T and the solver's condition flag for H, O(N) + 12x12
+    work. Formed on read: the (N, 12, 3) and (N, 12) ``d_g_d_*`` blocks,
+    d g*/d u = -J H^{-1} J^T d(grad_g E)/du, all four on the first read of
+    any one. ``chain_loss`` reads only the factors.
     """
 
     workspace: GradWorkspace
-    h_inv: NDArray[np.float64]  # (12, 12) explicit inverse of hessian
-    lam: float
-    hessian: NDArray[np.float64]  # (12, 12)
+    h_inv: NDArray[np.float64]  # (12, 12) J H^{-1} J^T
+    hessian: NDArray[np.float64]  # (6, 6) chart Hessian H
+    condition_warning: bool  # pivot ratio of H above solver.CONDITION_LIMIT
     d_g_d_x: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
     d_g_d_y: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
     d_g_d_n: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
@@ -334,26 +299,25 @@ class GradientBundle:
 def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     """Factor the Jacobians of the solved transform for every per-pair input.
 
-    The penalty weight from the least-squares fit is clipped into a band
-    relative to the data curvature: the fit degenerates to 0/0 at the
-    (numerically orthogonal) rotations the forward solver produces, while
-    the constraint directions still need a stiff penalty block for the
-    minimizer map to be the one the solver realizes. The clip bounds keep
-    the factorization accurate in double precision. The per-pair Jacobians
-    are formed only when a ``d_g_d_*`` field is read.
+    Differentiates the minimality condition in the forward's own step chart
+    (``step_jacobian``, 12x6 J at g): H = J^T H_data J is the Gauss-Newton
+    Hessian of the plane energy in the six step coordinates, and the bundle
+    keeps J H^{-1} J^T. H is checked by the pivot rule the forward applies
+    to its own 6x6 systems. The per-pair Jacobians are formed only when a
+    ``d_g_d_*`` field is read.
     """
-    ws = build_workspace(corr, source, g)
-    h = _data_hessian(ws)
-    scale = float(np.trace(h)) / 12.0
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise SingularHessian("data curvature vanished; no usable pairs")
-    lam = float(np.clip(_fit_lambda(ws), LAMBDA_REL_FLOOR * scale, LAMBDA_REL_CAP * scale))
-    _add_penalty(h, ws, lam)
+    gv = _as_gvector(g)
+    ws = build_workspace(corr, source, gv)
+    jac = step_jacobian(ws.rotation, gv[9:])
+    h = jac.T @ _data_hessian(ws) @ jac
     try:
-        h_inv = np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian(f"12x12 Hessian solve failed: {exc}") from None
-    return GradientBundle(ws, h_inv, lam, h)
+        _, condition = _factor_batch(h[None], None)
+    except SingularSystem as exc:
+        raise SingularHessian(f"chart Hessian: {exc}") from None
+    # The explicit inverse, not a solve: chain_loss and the materialized
+    # blocks then apply the same matrix and agree to rounding.
+    h_inv = jac @ np.linalg.inv(h) @ jac.T
+    return GradientBundle(ws, h_inv, h, condition)
 
 
 @dataclass(frozen=True)

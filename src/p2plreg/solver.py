@@ -29,9 +29,10 @@ from .geometry import (
     apply_transform,
     compose,
     log_rotation,
+    residual_coeffs,
     rodrigues_batch,
+    step_jacobian,
 )
-from .gradient import residual_coeffs
 
 # Accumulation steps below this magnitude count as converged.
 STEP_TOL = 1e-10
@@ -118,13 +119,6 @@ def _moments(x, y, n, zeta):
     return mu, u, s, u.T @ u, s @ u
 
 
-# Row 3 p + j is the Levi-Civita symbol eps[p, j, :]: for any 3-vector v,
-# (_LEVI_CIVITA @ v)[3 p + j] = d (a x v)_p / d a_j.
-_LEVI_CIVITA = np.zeros((9, 3))
-_LEVI_CIVITA[[1, 5, 6], [2, 0, 1]] = 1.0
-_LEVI_CIVITA[[2, 3, 7], [1, 2, 0]] = -1.0
-
-
 def _deflated(rot, trans, mu):
     """g - g0 of (rot, trans) as R - I and t_c - mu = t + (R - I) mu."""
     dr = rot - np.eye(3)
@@ -134,23 +128,20 @@ def _deflated(rot, trans, mu):
 def _system_from_moments(m, q0, mu, rot, trans):
     """6x6 systems (B, 6, 6), (B, 6) of the linearized step at (rot, trans).
 
-    The step is R' = exp([a]) R, t' = exp([a]) t + delta; its 12x6 Jacobian
-    J maps (a, delta) to the change of g = (R, t_c), t_c = t + R mu, so the
-    system is A = sym(J^T m J), b = -J^T (m (g - g0) + q0), the same normal
-    equations as the per-point [p_i x n_i; n_i] rows at p_i = R x_i + t.
-    Also returns the deflated g - g0, (B, 12).
+    The step is R' = exp([a]) R, t' = exp([a]) t + delta, which moves the
+    centred t_c = t + R mu the same way, so the chart's 12x6 Jacobian J is
+    ``step_jacobian(R, t_c)`` and the system is A = sym(J^T m J),
+    b = -J^T (m (g - g0) + q0), the same normal equations as the per-point
+    [p_i x n_i; n_i] rows at p_i = R x_i + t. Also returns the deflated
+    g - g0, (B, 12).
     """
     b_dim = rot.shape[0]
     dr, dt = _deflated(rot, trans, mu)
-    # Columns 0-5 hold J, column 6 holds g - g0; rows 3p+k are R[p, k] for
-    # p < 3 and t_c[k] for p = 3.
-    jg = np.zeros((b_dim, 4, 3, 7))
-    jg[:, :3, :, :3] = (_LEVI_CIVITA @ rot).reshape(b_dim, 3, 3, 3).swapaxes(2, 3)
-    jg[:, 3, :, :3] = (_LEVI_CIVITA @ (dt + mu)[..., None]).reshape(b_dim, 3, 3)
-    jg[:, 3, :, 3:6] = np.eye(3)
-    jg[:, :3, :, 6] = dr
-    jg[:, 3, :, 6] = dt
-    jg = jg.reshape(b_dim, 12, 7)
+    # Columns 0-5 hold J, column 6 holds g - g0.
+    jg = np.empty((b_dim, 12, 7))
+    jg[..., :6] = step_jacobian(rot, dt + mu)
+    jg[:, :9, 6] = dr.reshape(b_dim, 9)
+    jg[:, 9:, 6] = dt
     mjg = m @ jg
     mjg[..., 6] += q0
     ab = jg[..., :6].swapaxes(1, 2) @ mjg

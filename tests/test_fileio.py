@@ -65,6 +65,17 @@ class TestPly:
             fileio.load(path)
         assert err.value.line == 8
 
+    def test_non_integer_element_count_reports_line(self, tmp_path):
+        path = tmp_path / "bad3.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face abc\nend_header\n0 0 0\n"
+        )
+        with pytest.raises(ParseError, match="face") as err:
+            fileio.load(path)
+        assert err.value.line == 7
+
     def test_missing_magic(self, tmp_path):
         path = tmp_path / "notply.ply"
         path.write_text("plyx\n")
@@ -121,6 +132,19 @@ class TestTransformFile:
         path = tmp_path / "gt.txt"
         path.write_text("1 0 0\n0 1 0 0\n0 0 1 0\n")
         with pytest.raises(ParseError):
+            fileio.load_transform(path)
+
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("1 0 0 0\n0 1 x 0\n0 0 1 0\n")
+        with pytest.raises(ParseError) as err:
+            fileio.load_transform(path)
+        assert err.value.line == 2
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("nan 0 0 0\n0 1 0 0\n0 0 1 0\n")
+        with pytest.raises(ValueError, match="finite"):
             fileio.load_transform(path)
 
 

@@ -19,6 +19,7 @@ from p2plreg.geometry import (
     rodrigues_batch,
     SMALL_ANGLE,
     skew,
+    step_jacobian,
     to_gvector,
 )
 
@@ -219,6 +220,41 @@ class TestGVector:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             from_gvector(np.zeros(11))
+
+    def test_rejects_non_finite_rotation(self):
+        with pytest.raises(ValueError, match="rotation must be finite"):
+            RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+        rot = np.eye(3)
+        rot[1, 2] = np.inf
+        with pytest.raises(ValueError, match="rotation must be finite"):
+            from_gvector(np.concatenate([rot.reshape(9), np.zeros(3)]))
+
+
+class TestStepJacobian:
+    def test_matches_fd_of_the_step_chart(self):
+        rng = np.random.default_rng(54)
+        rot, trans = random_rotation(rng), 5.0 * rng.standard_normal(3)
+
+        def stepped(s):
+            q = rodrigues(s[:3])
+            return np.concatenate([(q @ rot).reshape(9), q @ trans + s[3:]])
+
+        jac = step_jacobian(rot, trans)
+        h = 1e-6
+        for j in range(6):
+            e = np.zeros(6)
+            e[j] = h
+            fd = (stepped(e) - stepped(-e)) / (2 * h)
+            np.testing.assert_allclose(jac[:, j], fd, atol=1e-8)
+
+    def test_batch_rows_match_single_calls(self):
+        rng = np.random.default_rng(55)
+        rots = np.stack([random_rotation(rng) for _ in range(4)])
+        trans = rng.standard_normal((4, 3))
+        batch = step_jacobian(rots, trans)
+        assert batch.shape == (4, 12, 6)
+        for b in range(4):
+            np.testing.assert_array_equal(batch[b], step_jacobian(rots[b], trans[b]))
 
 
 @settings(max_examples=60, deadline=None)

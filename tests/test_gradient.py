@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from p2plreg.cloud import PointCloud
-from p2plreg.correspond import CorrespondenceSet, exact_correspond
-from p2plreg.geometry import RigidTransform, random_rotation, to_gvector
+from p2plreg.correspond import CorrespondenceSet
+from p2plreg.geometry import RigidTransform, random_rotation, step_jacobian, to_gvector
 from p2plreg.gradcheck import make_instance
 from p2plreg.gradient import (
     SingularHessian,
@@ -19,13 +19,12 @@ from p2plreg.gradient import (
     penalty,
     penalty_curvature,
     penalty_gradient,
-    penalty_lambda,
     position_lift,
     residual_coeffs,
     rigid_motion_loss,
 )
 from p2plreg.solver import energy, register_p2pl
-from p2plreg.synth import draw_rigid, synth_shape
+from p2plreg.synth import draw_rigid
 from p2plreg.seeding import derived_rng
 
 
@@ -59,8 +58,7 @@ class TestWorkspace:
 
     def test_curvature_symmetric(self):
         rng = np.random.default_rng(3)
-        corr, cloud, _ = make_instance(3, 8)
-        m = build_workspace(corr, cloud, to_gvector(RigidTransform.identity())).curvature
+        m = penalty_curvature(np.eye(3))
         np.testing.assert_array_equal(m, m.T)
         m2 = penalty_curvature(rng.standard_normal((3, 3)))
         np.testing.assert_allclose(m2, m2.T, atol=1e-12)
@@ -137,36 +135,6 @@ class TestEnergyGradient:
             gm[k] -= h
             fd = (e_of(gp) - e_of(gm)) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-class TestPenaltyLambda:
-    def test_orthogonal_zero_residual_clamps_to_zero(self):
-        cloud = synth_shape("blob", 64, seed=10)
-        gt = draw_rigid(derived_rng(10, "gt"), 30.0, 0.3)
-        corr = exact_correspond(cloud, gt)
-        rep = register_p2pl(corr, cloud, n_iters=10)
-        assert penalty_lambda(corr, cloud, to_gvector(rep.transform)) == 0.0
-
-    def test_perturbed_rotation_finite_nonnegative(self):
-        corr, cloud, gt = make_instance(11, 48, noise=1e-3)
-        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
-        g[:9] += 1e-6 * derived_rng(11, "perturb").standard_normal(9)
-        lam = penalty_lambda(corr, cloud, g)
-        assert np.isfinite(lam) and lam >= 0.0
-
-    def test_matches_least_squares_oracle(self):
-        corr, cloud, gt = make_instance(12, 48, noise=1e-3)
-        rng = derived_rng(12, "perturb")
-        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
-        g[:9] += 1e-5 * rng.standard_normal(9)
-        lam = penalty_lambda(corr, cloud, g)
-
-        ws = build_workspace(corr, cloud, g)
-        d_e = 2.0 * np.einsum("n,n,nk->k", corr.weights, ws.residuals, ws.coeffs[:, :9])
-        d_p = penalty_gradient(ws.rotation)
-        # 1-D least squares: argmin over s of |d_e + s d_p|^2.
-        s_fit = -float(d_p @ d_e) / float(d_p @ d_p)
-        assert lam == pytest.approx(abs(s_fit), rel=1e-12)
 
 
 class TestHessian:
@@ -291,8 +259,11 @@ class TestBackward:
         bundle = backward(corr, cloud, g)
         assert bundle.d_g_d_x.shape == (32, 12, 3)
         assert bundle.d_g_d_zeta.shape == (32, 12)
-        assert bundle.lam >= 0.0
-        assert np.linalg.norm(bundle.hessian - bundle.hessian.T) <= 1e-10
+        assert bundle.hessian.shape == (6, 6)
+        np.testing.assert_allclose(
+            bundle.hessian, bundle.hessian.T, rtol=0, atol=1e-13 * np.abs(bundle.hessian).max()
+        )
+        assert bundle.condition_warning is False
         assert np.all(np.isfinite(bundle.d_g_d_n))
 
     def test_matches_fd_oracle_at_ten_iterations(self):
@@ -316,6 +287,52 @@ class TestBackward:
         with pytest.raises(SingularHessian):
             backward(corr, PointCloud(pts), to_gvector(RigidTransform.identity()))
 
+    def test_non_finite_transform_vector_rejected(self):
+        corr, cloud, gt = make_instance(22, 16, noise=1e-3)
+        g = to_gvector(gt)
+        g[4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            backward(corr, cloud, g)
+
+    @pytest.mark.parametrize("seed", [38, 39])
+    @pytest.mark.parametrize("n_pts", [64, 1024])
+    def test_is_the_stiff_penalty_limit(self, n_pts, seed):
+        # The penalized 12x12 form at a penalty weight 1e6 times the mean
+        # data curvature tends to J (J^T H_data J)^{-1} J^T as the weight grows.
+        corr, cloud, _ = make_instance(seed, n_pts, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        bundle = backward(corr, cloud, g)
+        lam = 1e6 * float(np.trace(hessian(corr, cloud, g, 0.0))) / 12.0
+        h = hessian(corr, cloud, g, lam)
+        blocks = cross_derivs(corr, cloud, g)
+        for got, expect in (
+            (bundle.d_g_d_y, -np.linalg.solve(h, blocks.wrt_y)),
+            (bundle.d_g_d_n, -np.linalg.solve(h, blocks.wrt_n)),
+            (bundle.d_g_d_x, -np.linalg.solve(h, blocks.wrt_x)),
+            (bundle.d_g_d_zeta, -np.linalg.solve(h, blocks.wrt_zeta.T).T),
+        ):
+            assert np.abs(got - expect).max() <= 2e-6 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fd_oracle_far_from_origin(self, seed):
+        # A scene offset makes the world-origin step chart ill-conditioned
+        # (pivot ratio ~1e13): the condition flag says so, and the chained
+        # gradients must still match the oracle.
+        from p2plreg.gradcheck import FDConfig, compare, fd_bundle
+
+        for offset, flagged in (((0.0, 0.0, 0.0), False), ((3e2, -6e2, 1.5e2), True)):
+            c = np.asarray(offset)
+            corr, cloud, gt = make_instance(seed, 64, noise=1e-4)
+            cloud = PointCloud(cloud.positions + c, cloud.normals)
+            corr = CorrespondenceSet(corr.targets + c, corr.normals, corr.weights)
+            gt = RigidTransform(gt.rotation, gt.translation + c - gt.rotation @ c)
+            g = to_gvector(register_p2pl(corr, cloud, n_iters=30).transform)
+            bundle = backward(corr, cloud, g)
+            assert bundle.condition_warning is flagged
+            fd = fd_bundle(corr, cloud, FDConfig(n_iters_forward=30))
+            _, dldg = rigid_motion_loss(g, gt)
+            assert compare(bundle, fd, dldg, 30).rel_mse <= 1e-4
+
     def test_jacobians_consistent_under_conjugation(self):
         # Rotating every input by Q rotates the solution as (Q R Q^T, Q t);
         # the chained gradients of the rotated problem must again match the
@@ -338,17 +355,24 @@ class TestBackward:
 
     @pytest.mark.parametrize("n_pts", [32, 1024])
     def test_matches_explicit_solve_of_cross_derivatives(self, n_pts):
-        # Textbook form: d g*/d u = -H^{-1} d(grad_g E)/du, one solve per block.
+        # Textbook form in the step chart: d g*/d u = -J H^{-1} J^T
+        # d(grad_g E)/du with H = J^T H_data J, one solve per block.
         corr, cloud, _ = make_instance(29, n_pts, noise=1e-3)
-        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        t = register_p2pl(corr, cloud, n_iters=10).transform
+        g = to_gvector(t)
         bundle = backward(corr, cloud, g)
-        h = hessian(corr, cloud, g, bundle.lam)
+        jac = step_jacobian(t.rotation, t.translation)
+        h = jac.T @ hessian(corr, cloud, g, 0.0) @ jac
         blocks = cross_derivs(corr, cloud, g)
+
+        def solved(b):
+            return -jac @ np.linalg.solve(h, jac.T @ b)
+
         pairs = [
-            (bundle.d_g_d_y, -np.linalg.solve(h, blocks.wrt_y)),
-            (bundle.d_g_d_n, -np.linalg.solve(h, blocks.wrt_n)),
-            (bundle.d_g_d_x, -np.linalg.solve(h, blocks.wrt_x)),
-            (bundle.d_g_d_zeta, -np.linalg.solve(h, blocks.wrt_zeta.T).T),
+            (bundle.d_g_d_y, solved(blocks.wrt_y)),
+            (bundle.d_g_d_n, solved(blocks.wrt_n)),
+            (bundle.d_g_d_x, solved(blocks.wrt_x)),
+            (bundle.d_g_d_zeta, solved(blocks.wrt_zeta.T).T),
         ]
         np.testing.assert_array_equal(bundle.hessian, h)
         for got, expect in pairs:
