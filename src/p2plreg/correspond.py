@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from . import eig3
 from .cloud import PointCloud
@@ -33,9 +34,6 @@ DEGENERATE_TENSOR_GAP = 1e-9
 # exactly 0: they sit below the rounding of any sum they enter, and
 # subnormal operands make the BLAS products ~5x slower.
 LOG_TINY = math.log(np.finfo(np.float64).tiny)
-# Entries per row block of match_matrix: 256 KB of float64, so a block and
-# its scratch stay in a per-core L2 cache.
-_BLOCK_ENTRIES = 32768
 # soft_pointers averages 3 position columns and the 6 unique entries
 # n_a n_b of each normal tensor; _TENSOR_COLS maps all 9 entries (a, b) to
 # their column.
@@ -132,26 +130,15 @@ def match_matrix(
         raise ValueError("beta must be positive")
     moved = source.positions @ t.rotation.T + t.translation
     y = target.positions
-    # Squared distances accumulate one coordinate at a time, a block of rows
-    # at a time so that the passes over a block stay in cache. The
-    # |a|^2 + |b|^2 - 2ab expansion would be one GEMM but loses the exact
-    # zero at coincident points. Adding (x^2 + z^2) + y^2 is the order
-    # numpy's einsum uses for the broadcast (N, M, 3) formula, so the two
-    # agree bitwise there.
-    u = np.empty((len(moved), len(y)))
-    rows = max(1, _BLOCK_ENTRIES // len(y))
-    sq = np.empty((min(rows, len(moved)), len(y)))
-    for r in range(0, len(moved), rows):
-        x, blk = moved[r : r + rows], u[r : r + rows]
-        tmp = sq[: len(blk)]
-        np.subtract.outer(x[:, 0], y[:, 0], out=blk)
-        blk *= blk
-        for k in (2, 1):
-            np.subtract.outer(x[:, k], y[:, k], out=tmp)
-            tmp *= tmp
-            blk += tmp
-        blk *= -beta
-        blk += alpha
+    # One cdist call forms the squared distances coordinate by coordinate,
+    # which keeps the exact zero at coincident points that the
+    # |a|^2 + |b|^2 - 2ab GEMM expansion loses. cdist sums columns left to
+    # right, so the order (0, 2, 1) adds (x^2 + z^2) + y^2, the order numpy's
+    # einsum uses for the broadcast (N, M, 3) formula; the two agree bitwise.
+    cols = [0, 2, 1]
+    u = cdist(moved[:, cols], y[:, cols], "sqeuclidean")
+    u *= -beta
+    u += alpha
     return u
 
 
@@ -277,8 +264,8 @@ def topk_keypoints(feature_norms, k: int, *, order: str = "asc") -> NDArray[np.i
     Stable: equal values keep their original relative order.
     """
     norms = np.asarray(feature_norms, dtype=np.float64).reshape(-1)
-    if k > norms.shape[0]:
-        raise ValueError("k must not exceed the number of features")
+    if not 0 <= k <= norms.shape[0]:
+        raise ValueError("k must lie between 0 and the number of features")
     if order not in ("asc", "desc"):
         raise ValueError("order must be 'asc' or 'desc'")
     key = norms if order == "asc" else -norms

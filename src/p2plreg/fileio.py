@@ -120,19 +120,8 @@ def _load_ply(path: Path) -> PointCloud:
     width = len(properties)
 
     body = lines[body_start:]
-    rows = []
-    count = 0
-    for offset, raw in enumerate(body, start=body_start + 1):
-        if not raw.strip():
-            continue
-        values = raw.split()
-        if len(values) != width:
-            raise ParseError(f"expected {width} values, found {len(values)}", offset)
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError:
-            raise ParseError("non-numeric value", offset) from None
-        count += 1
+    rows = _numeric_rows(body, width, body_start + 1)
+    count = len(rows)
     if count != n_vertex:
         raise ParseError(
             f"header declares {n_vertex} vertices but body has {count}",
@@ -150,10 +139,14 @@ def _save_xyzn(path: Path, cloud: PointCloud) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _numeric_rows(path, width: int) -> list[list[float]]:
-    """Rows of ``width`` floats from a text file, skipping blank lines."""
+def _numeric_rows(lines: list[str], width: int, first: int = 1) -> list[list[float]]:
+    """Rows of ``width`` floats from text lines, skipping blank lines.
+
+    ``first`` is the file's line number of ``lines[0]``; errors report the
+    line number of the offending line.
+    """
     rows = []
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, raw in enumerate(lines, start=first):
         if not raw.strip():
             continue
         values = raw.split()
@@ -167,7 +160,7 @@ def _numeric_rows(path, width: int) -> list[list[float]]:
 
 
 def _load_xyzn(path: Path) -> PointCloud:
-    rows = _numeric_rows(path, 6)
+    rows = _numeric_rows(path.read_text(encoding="utf-8").splitlines(), 6)
     if not rows:
         raise ParseError("empty cloud file", 1)
     data = np.asarray(rows, dtype=np.float64)
@@ -182,7 +175,7 @@ def save_transform(path, t: RigidTransform) -> None:
 
 
 def load_transform(path) -> RigidTransform:
-    rows = _numeric_rows(path, 4)
+    rows = _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 4)
     if len(rows) != 3:
         raise ParseError(f"expected 3 rows, found {len(rows)}", len(rows) + 1)
     m = np.asarray(rows, dtype=np.float64)

@@ -1,7 +1,10 @@
 """Rigid-motion primitives: rotations, composition, and cloud transforms.
 
 Rotations are plain (3, 3) float64 arrays; a rigid transform is a frozen
-dataclass pairing a rotation with a translation. The 12-vector flattening
+dataclass pairing a rotation with a translation. The exponential and
+logarithm maps between axis-angle vectors and rotation matrices
+(``rodrigues_batch``, ``log_rotation``) come from
+``scipy.spatial.transform.Rotation``. The 12-vector flattening
 (row-major rotation entries followed by the translation) is fixed
 project-wide; every 12-dimensional Jacobian in the gradient module assumes
 this ordering.
@@ -14,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.spatial.transform import Rotation
 
 Mat3 = NDArray[np.float64]
 Vec3 = NDArray[np.float64]
 
-# Below this angle rodrigues returns the identity; avoids 0/0 in a / theta.
+# Below this angle rodrigues returns exactly the identity.
 SMALL_ANGLE = 1e-12
 
 
@@ -44,8 +48,8 @@ def skew(w) -> Mat3:
 def rodrigues(axis_angle) -> Mat3:
     """Rotation matrix for the axis-angle vector theta * w.
 
-    Exact formula I + sin(theta) K + (1 - cos(theta)) K^2 on the unit-axis
-    cross matrix K. Angles below SMALL_ANGLE return the identity.
+    The exponential map from ``scipy.spatial.transform.Rotation``. Angles
+    below SMALL_ANGLE return the identity.
     """
     return rodrigues_batch(_vec3(axis_angle, "axis_angle")[None])[0]
 
@@ -53,54 +57,18 @@ def rodrigues(axis_angle) -> Mat3:
 def rodrigues_batch(axis_angles: NDArray[np.float64]) -> NDArray[np.float64]:
     """Vectorized rodrigues for (B, 3) input, returning (B, 3, 3)."""
     a = np.asarray(axis_angles, dtype=np.float64)
-    theta = np.linalg.norm(a, axis=-1)
-    safe = np.where(theta < SMALL_ANGLE, 1.0, theta)
-    w = a / safe[..., None]
-    b = a.shape[0]
-    k = np.zeros((b, 3, 3))
-    k[:, 0, 1] = -w[:, 2]
-    k[:, 0, 2] = w[:, 1]
-    k[:, 1, 0] = w[:, 2]
-    k[:, 1, 2] = -w[:, 0]
-    k[:, 2, 0] = -w[:, 1]
-    k[:, 2, 1] = w[:, 0]
-    sin_t = np.sin(theta)[:, None, None]
-    cos_t = np.cos(theta)[:, None, None]
-    out = np.eye(3)[None] + sin_t * k + (1.0 - cos_t) * (k @ k)
-    out[theta < SMALL_ANGLE] = np.eye(3)
+    out = Rotation.from_rotvec(a).as_matrix()
+    out[np.linalg.norm(a, axis=-1) < SMALL_ANGLE] = np.eye(3)
     return out
 
 
 def log_rotation(r: Mat3) -> Vec3:
     """Axis-angle vector of a rotation matrix, with theta in [0, pi].
 
-    Near theta == pi the off-diagonal extraction degenerates, so the axis is
-    recovered from the largest diagonal entry of (R + I) / 2 instead.
+    The logarithm map from ``scipy.spatial.transform.Rotation``, which goes
+    through a unit quaternion and so stays accurate up to theta == pi.
     """
-    r = np.asarray(r, dtype=np.float64)
-    trace = float(np.trace(r))
-    cos_theta = min(1.0, max(-1.0, 0.5 * (trace - 1.0)))
-    theta = math.acos(cos_theta)
-    if theta < SMALL_ANGLE:
-        return np.zeros(3)
-    if math.pi - theta < 1e-6:
-        # (R + I) / 2 = w w^T + cos-ish remainder; its largest diagonal
-        # pins the dominant axis component away from cancellation.
-        b = 0.5 * (r + np.eye(3))
-        i = int(np.argmax(np.diag(b)))
-        axis = np.empty(3)
-        axis[i] = math.sqrt(max(b[i, i], 0.0))
-        for j in range(3):
-            if j != i:
-                axis[j] = b[i, j] / axis[i]
-        axis = axis / np.linalg.norm(axis)
-        # Fix the sign using the skew part when it is not fully degenerate.
-        sine_vec = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        if float(sine_vec @ axis) < 0.0:
-            axis = -axis
-        return theta * axis
-    scale = theta / (2.0 * math.sin(theta))
-    return scale * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return Rotation.from_matrix(np.asarray(r, dtype=np.float64)).as_rotvec()
 
 
 @dataclass(frozen=True)

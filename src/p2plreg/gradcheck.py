@@ -11,6 +11,7 @@ estimate itself never touches the analytic backward formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +19,9 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .geometry import residual_coeffs
 from .gradient import GradientBundle, chain_blocks
 from .seeding import derived_rng
-from .solver import _accumulate_batch, _moments
+from .solver import _accumulate_batch, _moment_rows, _moments
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
@@ -38,8 +38,10 @@ class FDConfig:
     n_iters_forward: int = 10
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError("step must be finite and positive")
+        if self.n_iters_forward < 1:
+            raise ValueError("n_iters_forward must be at least 1")
         if self.scheme != "central":
             raise ValueError("only the central scheme is supported")
 
@@ -92,9 +94,7 @@ def _perturbed_moments(
     x, y, n, zeta = pert
     if project_normals:
         n /= np.linalg.norm(n, axis=1, keepdims=True)
-    root = np.sqrt(zeta)
-    new_u = residual_coeffs(x - mu, root[:, None] * n)
-    new_s = root * np.einsum("ni,ni->n", x - y, n)
+    new_u, new_s = _moment_rows(x, y, n, zeta, mu)
     old_u = np.repeat(u[pairs], 2, axis=0)
     old_s = np.repeat(s[pairs], 2)
     m_out = new_u[:, :, None] * new_u[:, None, :]

@@ -112,11 +112,21 @@ def _moments(x, y, n, zeta):
     m = u^T u = sum zeta_i d_i d_i^T, a Gram product and so symmetric
     bitwise, and q0 = u^T s = sum zeta_i r0_i d_i.
     """
-    root = np.sqrt(zeta)
     mu = (zeta @ x) / zeta.sum()
+    u, s = _moment_rows(x, y, n, zeta, mu)
+    return mu, u, s, u.T @ u, s @ u
+
+
+def _moment_rows(x, y, n, zeta, mu):
+    """Weighted rows (u, s) of ``_moments`` for pairs centered at mu.
+
+    u_i = ``residual_coeffs(x_i - mu, sqrt(zeta_i) n_i)`` and
+    s_i = sqrt(zeta_i) (x_i - y_i) . n_i.
+    """
+    root = np.sqrt(zeta)
     u = residual_coeffs(x - mu, root[:, None] * n)
     s = root * np.einsum("ni,ni->n", x - y, n)
-    return mu, u, s, u.T @ u, s @ u
+    return u, s
 
 
 def _deflated(rot, trans, mu):

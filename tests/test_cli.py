@@ -239,6 +239,12 @@ class TestGradcheckCmd:
         assert len(agg) == 2
         assert all(float(r.split(",")[3]) <= 1e-4 for r in agg)
 
+    def test_nan_fd_step_fails(self, tmp_path):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--n", "12", "--cases", "1", "--iters", "1",
+                     "--fd-step", "nan", "--out", str(out)]) == 1
+        assert not (out / "gradcheck.csv").exists()
+
 
 class TestBenchCmd:
     def test_bench_schema_and_memory_stability(self, tmp_path):

@@ -345,6 +345,11 @@ class TestTopK:
     def test_stable_on_ties(self):
         np.testing.assert_array_equal(topk_keypoints([1.0, 1.0, 1.0], 2), [0, 1])
 
+    def test_rejects_negative_k(self):
+        # A negative slice bound would silently drop the last index instead.
+        with pytest.raises(ValueError):
+            topk_keypoints([3.0, 1.0, 2.0], -1)
+
 
 class TestCorrespondenceSet:
     def test_rejects_nonunit_normals(self):

@@ -127,6 +127,17 @@ class TestLogRotation:
                 assert 0.0 <= np.linalg.norm(back) <= math.pi + 1e-12
                 np.testing.assert_allclose(rodrigues(back), r, atol=1e-7)
 
+    @pytest.mark.parametrize("k", range(-12, 0))
+    def test_round_trip_approaching_pi(self, k):
+        # pi - theta = 10^k spans the band where recovering the axis from
+        # the skew part or from the diagonal of R both lose digits.
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            r = rodrigues((math.pi - 10.0**k) * _unit(rng))
+            back = log_rotation(r)
+            assert np.linalg.norm(back) <= math.pi
+            np.testing.assert_allclose(rodrigues(back), r, rtol=0.0, atol=1e-12)
+
     def test_theta_range(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

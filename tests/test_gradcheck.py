@@ -222,3 +222,13 @@ class TestFDConfig:
     def test_rejects_forward_scheme(self):
         with pytest.raises(ValueError):
             FDConfig(scheme="forward")
+
+    def test_rejects_nan_step(self):
+        # A NaN step would pass a plain "<= 0" check and give NaN Jacobians.
+        with pytest.raises(ValueError):
+            FDConfig(step=float("nan"))
+
+    def test_rejects_zero_forward_iterations(self):
+        # Zero rounds leave every copy at the identity: all-zero Jacobians.
+        with pytest.raises(ValueError):
+            FDConfig(n_iters_forward=0)
