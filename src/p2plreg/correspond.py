@@ -21,7 +21,8 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from . import eig3
-from .cloud import PointCloud
+from .cloud import UNIT_NORMAL_TOL, PointCloud
+from .fileio import ParseError, _numeric_rows
 from .geometry import RigidTransform
 
 logger = logging.getLogger(__name__)
@@ -63,7 +64,7 @@ class CorrespondenceSet:
             raise ValueError("inconsistent correspondence array shapes")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(n)) and np.all(np.isfinite(z))):
             raise ValueError("correspondence arrays must be finite")
-        if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > UNIT_NORMAL_TOL):
             raise ValueError("pointed normals must be unit length")
         if np.any(z < 0.0):
             raise ValueError("reliability weights must be nonnegative")
@@ -84,23 +85,21 @@ def nn_correspond(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
     """
     normals = target.require_normals()
     m = len(target)
-    if m == 1:
-        idx = np.zeros(len(source), dtype=np.intp)
-    else:
-        tree = cKDTree(target.positions)
-        d, nbr = tree.query(source.positions, k=2)
-        idx = nbr[:, 0].copy()
-        # Rows whose two nearest distances tie are queried again with a
-        # doubling k until the last neighbor returned is strictly farther,
-        # so every target at the nearest distance has been seen.
-        rows = np.flatnonzero(d[:, 0] == d[:, 1])
-        k = 2
-        while rows.size:
-            k = min(2 * k, m)
-            d, nbr = tree.query(source.positions[rows], k=k)
-            tied = d == d[:, :1]
-            idx[rows] = np.where(tied, nbr, m).min(axis=1)
-            rows = rows[tied[:, -1]] if k < m else rows[:0]
+    tree = cKDTree(target.positions)
+    d, nbr = tree.query(source.positions, k=2)
+    idx = nbr[:, 0].copy()
+    # Rows whose two nearest distances tie are queried again with a
+    # doubling k until the last neighbor returned is strictly farther,
+    # so every target at the nearest distance has been seen. With one
+    # target the second distance is infinite, so no row ties.
+    rows = np.flatnonzero(d[:, 0] == d[:, 1])
+    k = 2
+    while rows.size:
+        k = min(2 * k, m)
+        d, nbr = tree.query(source.positions[rows], k=k)
+        tied = d == d[:, :1]
+        idx[rows] = np.where(tied, nbr, m).min(axis=1)
+        rows = rows[tied[:, -1]] if k < m else rows[:0]
     return CorrespondenceSet(target.positions[idx], normals[idx], np.ones(len(source)))
 
 
@@ -273,16 +272,14 @@ def topk_keypoints(feature_norms, k: int, *, order: str = "asc") -> NDArray[np.i
 
 
 def load_scores_csv(path) -> NDArray[np.float64]:
-    """Header-free CSV of N rows and M columns of assignment scores."""
-    rows = []
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            rows.append([float(v) for v in raw.split(",")])
-        except ValueError:
-            raise ValueError(f"scores CSV line {i}: non-numeric value") from None
-    u = np.asarray(rows, dtype=np.float64)
-    if u.ndim != 2:
-        raise ValueError("scores CSV rows have inconsistent lengths")
-    return u
+    """Header-free CSV of N rows and M columns of assignment scores.
+
+    M is the width of the first non-blank row; a row of another width or a
+    non-numeric value raises ``ParseError`` with its line number.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    first = next((raw for raw in lines if raw.strip()), None)
+    if first is None:
+        raise ParseError("empty scores file", 1)
+    width = len(first.split(","))
+    return np.asarray(_numeric_rows(lines, width, sep=","), dtype=np.float64)

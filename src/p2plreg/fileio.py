@@ -139,17 +139,20 @@ def _save_xyzn(path: Path, cloud: PointCloud) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _numeric_rows(lines: list[str], width: int, first: int = 1) -> list[list[float]]:
+def _numeric_rows(
+    lines: list[str], width: int, first: int = 1, sep: str | None = None
+) -> list[list[float]]:
     """Rows of ``width`` floats from text lines, skipping blank lines.
 
-    ``first`` is the file's line number of ``lines[0]``; errors report the
-    line number of the offending line.
+    Values are split on ``sep`` (whitespace when None). ``first`` is the
+    file's line number of ``lines[0]``; errors report the line number of the
+    offending line.
     """
     rows = []
     for i, raw in enumerate(lines, start=first):
         if not raw.strip():
             continue
-        values = raw.split()
+        values = raw.split(sep)
         if len(values) != width:
             raise ParseError(f"expected {width} values per line, found {len(values)}", i)
         try:

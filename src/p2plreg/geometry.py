@@ -71,6 +71,18 @@ def log_rotation(r: Mat3) -> Vec3:
     return Rotation.from_matrix(np.asarray(r, dtype=np.float64)).as_rotvec()
 
 
+def rotation_angle(r: Mat3) -> float:
+    """Rotation angle theta in [0, pi] of a rotation matrix, |log_rotation(r)|.
+
+    atan2 of 2 sin(theta) = |vee(R - R^T)| and 2 cos(theta) = tr R - 1,
+    accurate at every angle (arccos of the trace alone loses every digit
+    below about 1e-8) and exactly 0 at the identity.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    sin2 = math.hypot(r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1])
+    return math.atan2(sin2, r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation matrix plus translation vector, applied as R p + t."""

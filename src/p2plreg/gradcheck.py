@@ -6,7 +6,8 @@ A copy differs from the problem in one pair, so its 12x12 moments are the
 problem's moments with that pair's term swapped out and the perturbed term
 swapped in, a rank-two update; the copies then run through the solver's
 batched kernel, whose rounds never touch the points. The derivative
-estimate itself never touches the analytic backward formulas.
+estimate itself never touches the analytic backward formulas; only its
+record, ``FDBlocks`` (``gradient.PerInput``), is shared with them.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .gradient import GradientBundle, chain_blocks
+from .gradient import GradientBundle, PerInput, chain_blocks
 from .seeding import derived_rng
 from .solver import _accumulate_batch, _moment_rows, _moments
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
+# Finite-difference Jacobians for every per-pair input, (N, 12, 3) and (N, 12).
+FDBlocks = PerInput
 # Moment elements (perturbed copies x 144) per batched job of the oracle.
 CHUNK_ELEMS = 300_000
 
@@ -34,7 +37,6 @@ class FDConfig:
     """Central-difference settings for the oracle."""
 
     step: float = 1e-5
-    scheme: str = "central"
     n_iters_forward: int = 10
 
     def __post_init__(self):
@@ -42,18 +44,6 @@ class FDConfig:
             raise ValueError("step must be finite and positive")
         if self.n_iters_forward < 1:
             raise ValueError("n_iters_forward must be at least 1")
-        if self.scheme != "central":
-            raise ValueError("only the central scheme is supported")
-
-
-@dataclass(frozen=True)
-class FDBlocks:
-    """Finite-difference Jacobians for every per-pair input."""
-
-    wrt_x: NDArray[np.float64]  # (N, 12, 3)
-    wrt_y: NDArray[np.float64]  # (N, 12, 3)
-    wrt_n: NDArray[np.float64]  # (N, 12, 3)
-    wrt_zeta: NDArray[np.float64]  # (N, 12)
 
 
 @dataclass
@@ -73,7 +63,6 @@ def _perturbed_moments(
     pairs: NDArray[np.intp],
     comps: NDArray[np.intp],
     h: float,
-    project_normals: bool = False,
 ):
     """Moments (m, q0) of the 2 len(kinds) centrally perturbed copies.
 
@@ -82,8 +71,7 @@ def _perturbed_moments(
     ``pairs[r]``'s input ``INPUT_KINDS[kinds[r]]``, copy 2 r + 1 adds -h.
     Each copy changes one pair, so its moments are the base ones with that
     pair's term swapped for the perturbed one, a rank-two update; all copies
-    keep the base centroid. ``project_normals`` renormalizes the perturbed
-    normal.
+    keep the base centroid.
     """
     mu, u, s, m, q0 = moments
     pert = [np.repeat(a[pairs], 2, axis=0) for a in arrays]
@@ -91,10 +79,7 @@ def _perturbed_moments(
         r = np.flatnonzero(kinds == k)[:, None]
         idx = (r, [0, 1]) + ((comps[r],) if arr.ndim == 2 else ())
         arr.reshape(len(kinds), 2, *arr.shape[1:])[idx] += [h, -h]
-    x, y, n, zeta = pert
-    if project_normals:
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-    new_u, new_s = _moment_rows(x, y, n, zeta, mu)
+    new_u, new_s = _moment_rows(*pert, mu)
     old_u = np.repeat(u[pairs], 2, axis=0)
     old_s = np.repeat(s[pairs], 2)
     m_out = new_u[:, :, None] * new_u[:, None, :]
@@ -112,7 +97,6 @@ def _central_diffs(
     pairs: NDArray[np.intp],
     comps: NDArray[np.intp],
     cfg: FDConfig,
-    project_normals: bool = False,
 ) -> NDArray[np.float64]:
     """Central differences of the solved 12-vector, one row per input.
 
@@ -130,9 +114,7 @@ def _central_diffs(
     out = np.empty((len(kinds), 12))
     for start in range(0, len(kinds), per_job):
         sl = slice(start, start + per_job)
-        m, q0 = _perturbed_moments(
-            moments, arrays, kinds[sl], pairs[sl], comps[sl], h, project_normals
-        )
+        m, q0 = _perturbed_moments(moments, arrays, kinds[sl], pairs[sl], comps[sl], h)
         b = m.shape[0]
         rot, trans, _, _, _ = _accumulate_batch(
             m, q0, np.broadcast_to(mu, (b, 3)), cfg.n_iters_forward
@@ -148,23 +130,21 @@ def fd_jacobian(
     which: str,
     index: int,
     cfg: FDConfig,
-    *,
-    project_normals: bool = False,
 ) -> NDArray[np.float64]:
     """Central differences of the solved transform for one pair's input.
 
     Returns a (12, 3) block, or (12, 1) for the scalar reliability weight.
     Perturbed normals are fed to the solver as raw coordinates, matching
-    the unconstrained derivative; ``project_normals`` renormalizes them
-    instead, for sensitivity studies only.
+    the unconstrained derivative. The derivative along the unit sphere is
+    its tangent projection:
+    ``fd_jacobian(corr, source, "n", i, cfg) @ (I - n_i n_i^T)``.
     """
     if which not in INPUT_KINDS:
         raise ValueError(f"which must be one of {INPUT_KINDS}")
     width = 1 if which == "zeta" else 3
     kinds = np.full(width, INPUT_KINDS.index(which))
     pairs = np.full(width, index)
-    project = project_normals and which == "n"
-    return _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg, project).T
+    return _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg).T
 
 
 def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> FDBlocks:
@@ -234,27 +214,18 @@ def make_instance(
     noise: float = 1e-3,
     rot_max_deg: float = 45.0,
     trans_max: float = 0.5,
-    anisotropy: tuple[float, float, float] = (1.0, 1.0, 1.0),
     weighted: bool = True,
 ):
     """Seeded correspondence instance for gradient checks and benchmarks.
 
     A blob surface provides rich normals; the ground-truth transform moves
     it, targets and normals get small Gaussian noise, and reliabilities are
-    drawn away from 1 so every input kind has a live gradient. Anisotropic
-    axis scales squeeze the normal distribution to slow convergence down.
+    drawn away from 1 so every input kind has a live gradient.
 
     Returns (corr, source, gt).
     """
     rng = derived_rng(seed, "instance")
     cloud = synth_shape("blob", n_pairs, seed)
-    scale = np.asarray(anisotropy, dtype=np.float64)
-    if np.any(scale != 1.0):
-        pos = cloud.positions * scale
-        nrm = cloud.require_normals() / scale
-        nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
-        cloud = PointCloud(pos, nrm)
-
     gt = draw_rigid(rng, rot_max_deg, trans_max)
     y = cloud.positions @ gt.rotation.T + gt.translation
     n = cloud.require_normals() @ gt.rotation.T

@@ -30,6 +30,7 @@ matrix p:
 
 The row uses the explicit lifted inverse, not a solve with H, so the VJP
 and the materialized blocks apply the same matrix and agree to rounding.
+All three, and the oracle's blocks, are ``PerInput`` records.
 
 The orthogonality penalty (``penalty``, its gradient and curvature, and the
 ``lam`` argument of ``hessian`` and ``energy_gradient``) defines a 12x12
@@ -174,13 +175,18 @@ def hessian(corr: CorrespondenceSet, source: PointCloud, g, lam: float) -> NDArr
 
 
 @dataclass(frozen=True)
-class CrossDerivatives:
-    """Per-pair mixed second derivatives of the energy, d(grad_g E)/d(input)."""
+class PerInput:
+    """One array per per-pair input: source position x, target position y,
+    target normal n and reliability zeta.
 
-    wrt_y: NDArray[np.float64]  # (N, 12, 3)
-    wrt_n: NDArray[np.float64]  # (N, 12, 3)
-    wrt_x: NDArray[np.float64]  # (N, 12, 3)
-    wrt_zeta: NDArray[np.float64]  # (N, 12)
+    Holds (N, 12, 3) and (N, 12) blocks (mixed derivatives d(grad_g E)/du or
+    Jacobians d g*/du), or chained loss gradients (N, 3) and (N,).
+    """
+
+    wrt_x: NDArray[np.float64]
+    wrt_y: NDArray[np.float64]
+    wrt_n: NDArray[np.float64]
+    wrt_zeta: NDArray[np.float64]
 
 
 def _add_outer(out: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.float64]) -> None:
@@ -190,7 +196,7 @@ def _add_outer(out: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.f
         out[:, :, s] += a * b[:, s, None]
 
 
-def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> CrossDerivatives:
+def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> PerInput:
     """p @ d(grad_g E)/du for every per-pair input u and a (k, 12) matrix p.
 
     With grad_g E = sum_i 2 zeta_i r_i d_i, the mixed derivatives are
@@ -236,10 +242,10 @@ def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> CrossDerivatives
 
     for s in range(3):
         np.multiply(pd, -ws.normals[:, s, None], out=wrt_y[:, :, s])
-    return CrossDerivatives(wrt_y, wrt_n, wrt_x, wrt_zeta)
+    return PerInput(wrt_x=wrt_x, wrt_y=wrt_y, wrt_n=wrt_n, wrt_zeta=wrt_zeta)
 
 
-def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> CrossDerivatives:
+def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> PerInput:
     return _mixed_blocks(build_workspace(corr, source, g), np.eye(12))
 
 
@@ -320,24 +326,14 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     return GradientBundle(ws, h_inv, h, condition)
 
 
-@dataclass(frozen=True)
-class PointGradients:
-    """Loss gradients chained down to the per-pair inputs."""
-
-    wrt_x: NDArray[np.float64]  # (N, 3)
-    wrt_y: NDArray[np.float64]  # (N, 3)
-    wrt_n: NDArray[np.float64]  # (N, 3)
-    wrt_zeta: NDArray[np.float64]  # (N,)
-
-
-def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PointGradients:
+def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PerInput:
     """Chain a loss gradient in g through per-pair (N, 12, 3) and (N, 12)
     Jacobian blocks."""
     v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
     # (N, 36) x (36, 3) product: entry ((k, j), j') of the right factor is
     # v[k] when j == j', so row i contracts v with block i over k.
     v_blocks = (v[:, None, None] * np.eye(3)).reshape(36, 3)
-    return PointGradients(
+    return PerInput(
         wrt_x=wrt_x.reshape(-1, 36) @ v_blocks,
         wrt_y=wrt_y.reshape(-1, 36) @ v_blocks,
         wrt_n=wrt_n.reshape(-1, 36) @ v_blocks,
@@ -345,7 +341,7 @@ def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PointGradients:
     )
 
 
-def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PointGradients:
+def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PerInput:
     """Chain a loss gradient v in g down to every per-pair input.
 
     A vector-Jacobian product through the bundle's factors: the one row
@@ -354,7 +350,7 @@ def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PointGradients:
     """
     v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
     row = _mixed_blocks(bundle.workspace, -(v @ bundle.h_inv)[None])
-    return PointGradients(row.wrt_x[:, 0], row.wrt_y[:, 0], row.wrt_n[:, 0], row.wrt_zeta[:, 0])
+    return PerInput(row.wrt_x[:, 0], row.wrt_y[:, 0], row.wrt_n[:, 0], row.wrt_zeta[:, 0])
 
 
 def rigid_motion_loss(g, gt: RigidTransform):

@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .cloud import RegistrationPair
-from .geometry import RigidTransform, apply_transform
+from .geometry import RigidTransform, apply_transform, rotation_angle
 
 # |pitch| this close to 90 degrees marks the Euler extraction as unstable.
 GIMBAL_TOL_DEG = 1e-6
@@ -35,9 +35,7 @@ def euler_zyx_angles(r: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def geodesic_angle_deg(est_rot: NDArray[np.float64], gt_rot: NDArray[np.float64]) -> float:
     """Angle of est^T gt: Euler-convention-free rotation discrepancy."""
-    rel = np.asarray(est_rot).T @ np.asarray(gt_rot)
-    c = min(1.0, max(-1.0, 0.5 * (float(np.trace(rel)) - 1.0)))
-    return math.degrees(math.acos(c))
+    return math.degrees(rotation_angle(np.asarray(est_rot).T @ np.asarray(gt_rot)))
 
 
 @dataclass(frozen=True)
@@ -107,33 +105,21 @@ def chamfer(est: RigidTransform, pair: RegistrationPair) -> float:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Aggregate rotation/translation statistics plus mean chamfer.
-
-    The per-case residual and chamfer rows are retained so callers can
-    serialize or re-pool them.
-    """
+    """Aggregate rotation/translation statistics plus mean chamfer."""
 
     rotation: QuantityStats
     translation: QuantityStats
     chamfer_mean: float
     cases: int
-    rotation_residuals: NDArray[np.float64]  # (C, 3) degrees
-    translation_residuals: NDArray[np.float64]  # (C, 3)
-    chamfers: NDArray[np.float64]  # (C,)
 
 
 def build_report(
     rot_residuals, gt_eulers, trans_residuals, gt_translations, chamfers
 ) -> MetricReport:
-    rot = np.asarray(rot_residuals, dtype=np.float64)
-    trans = np.asarray(trans_residuals, dtype=np.float64)
     ch = np.asarray(chamfers, dtype=np.float64)
     return MetricReport(
-        rotation=batch_stats(rot, gt_eulers),
-        translation=batch_stats(trans, gt_translations),
+        rotation=batch_stats(rot_residuals, gt_eulers),
+        translation=batch_stats(trans_residuals, gt_translations),
         chamfer_mean=float(ch.mean()),
         cases=int(ch.shape[0]),
-        rotation_residuals=rot,
-        translation_residuals=trans,
-        chamfers=ch,
     )

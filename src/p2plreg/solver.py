@@ -28,9 +28,9 @@ from .geometry import (
     RigidTransform,
     apply_transform,
     compose,
-    log_rotation,
     residual_coeffs,
     rodrigues_batch,
+    rotation_angle,
     step_jacobian,
 )
 
@@ -381,9 +381,7 @@ def icp(
         corr = matched(moved)
         trace.append(objective(moved, corr))
 
-        step = float(np.linalg.norm(log_rotation(delta.rotation))) + float(
-            np.linalg.norm(delta.translation)
-        )
+        step = rotation_angle(delta.rotation) + float(np.linalg.norm(delta.translation))
         if step < STEP_TOL:
             converged = True
             break

@@ -49,10 +49,6 @@ class SynthConfig:
             raise ValueError("compose_count must be at least 1")
 
 
-def _rng(seed, *key) -> np.random.Generator:
-    return derived_rng(seed, *key)
-
-
 def _unit_sphere(rng: np.random.Generator, n: int) -> NDArray[np.float64]:
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -64,7 +60,7 @@ def synth_shape(kind: str, n: int, seed: int) -> PointCloud:
         raise ValueError("n must be at least 8")
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind '{kind}', expected one of {SHAPE_KINDS}")
-    rng = _rng(seed, "shape", kind)
+    rng = derived_rng(seed, "shape", kind)
     if kind == "sphere":
         u = _unit_sphere(rng, n)
         return PointCloud(u, u.copy())
@@ -176,27 +172,29 @@ def make_cpu_pair(
     parts = []
     for i in range(cfg.compose_count):
         shape = shapes[i % len(shapes)]
-        t = draw_rigid(_rng(cfg.seed, "compose", i), cfg.rot_max_deg, cfg.trans_max)
+        t = draw_rigid(derived_rng(cfg.seed, "compose", i), cfg.rot_max_deg, cfg.trans_max)
         parts.append(apply_transform(t, shape))
     x_all = PointCloud(
         np.vstack([p.positions for p in parts]),
         np.vstack([p.require_normals() for p in parts]),
     )
 
-    gt = draw_rigid(_rng(cfg.seed, "pair"), cfg.rot_max_deg, cfg.trans_max)
+    gt = draw_rigid(derived_rng(cfg.seed, "pair"), cfg.rot_max_deg, cfg.trans_max)
     y_all = apply_transform(gt, x_all)
 
-    src_idx = _rng(cfg.seed, "sample", 0).choice(len(x_all), size=cfg.n_sample, replace=False)
+    src_rng = derived_rng(cfg.seed, "sample", 0)
+    src_idx = src_rng.choice(len(x_all), size=cfg.n_sample, replace=False)
     if unduplicated:
         remaining = np.setdiff1d(np.arange(len(x_all)), src_idx, assume_unique=False)
-        tgt_idx = _rng(cfg.seed, "sample", 1).choice(remaining, size=cfg.n_sample, replace=False)
+        tgt_rng = derived_rng(cfg.seed, "sample", 1)
+        tgt_idx = tgt_rng.choice(remaining, size=cfg.n_sample, replace=False)
     else:
         tgt_idx = src_idx
     clean_source = PointCloud(x_all.positions[src_idx], x_all.require_normals()[src_idx])
     clean_target = PointCloud(y_all.positions[tgt_idx], y_all.require_normals()[tgt_idx])
 
-    source = _partial_scan(clean_source, cfg.n_partial, _rng(cfg.seed, "partial", 0))
-    target = _partial_scan(clean_target, cfg.n_partial, _rng(cfg.seed, "partial", 1))
+    source = _partial_scan(clean_source, cfg.n_partial, derived_rng(cfg.seed, "partial", 0))
+    target = _partial_scan(clean_target, cfg.n_partial, derived_rng(cfg.seed, "partial", 1))
     return RegistrationPair(source, target, gt, clean_source, clean_target)
 
 
@@ -236,7 +234,7 @@ def estimate_normals(
     degenerate = lams[:, 1] <= 1e-12 * scale
 
     if random_flip:
-        signs = np.where(_rng(seed, "flip").random(n) < 0.5, -1.0, 1.0)
+        signs = np.where(derived_rng(seed, "flip").random(n) < 0.5, -1.0, 1.0)
     else:
         outward = cloud.positions - cloud.positions.mean(axis=0)
         signs = np.where(np.sum(normals * outward, axis=1) < 0.0, -1.0, 1.0)

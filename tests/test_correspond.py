@@ -22,6 +22,7 @@ from p2plreg.correspond import (
     soft_pointers,
     topk_keypoints,
 )
+from p2plreg.fileio import ParseError
 from p2plreg.geometry import RigidTransform, random_rotation
 
 
@@ -390,4 +391,19 @@ def test_scores_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n1.0,x\n")
     with pytest.raises(ValueError, match="line 2"):
+        load_scores_csv(path)
+
+
+def test_scores_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,2\n3\n")
+    with pytest.raises(ParseError, match="line 2") as info:
+        load_scores_csv(path)
+    assert info.value.line == 2
+
+
+def test_scores_csv_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("\n")
+    with pytest.raises(ParseError, match="empty scores file"):
         load_scores_csv(path)

@@ -17,6 +17,7 @@ from p2plreg.geometry import (
     random_rotation,
     rodrigues,
     rodrigues_batch,
+    rotation_angle,
     SMALL_ANGLE,
     skew,
     step_jacobian,
@@ -126,6 +127,14 @@ class TestLogRotation:
                 back = log_rotation(r)
                 assert 0.0 <= np.linalg.norm(back) <= math.pi + 1e-12
                 np.testing.assert_allclose(rodrigues(back), r, atol=1e-7)
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-8, 1.0, math.pi - 1e-9, math.pi])
+    def test_rotation_angle_matches_log_norm(self, angle):
+        rng = np.random.default_rng(59)
+        for _ in range(8):
+            r = rodrigues(angle * _unit(rng))
+            expected = np.linalg.norm(log_rotation(r))
+            assert rotation_angle(r) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("k", range(-12, 0))
     def test_round_trip_approaching_pi(self, k):

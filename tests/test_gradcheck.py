@@ -160,13 +160,6 @@ class TestFdJacobian:
         scale = np.abs(blocks.wrt_zeta).max()
         assert np.max(np.abs(along_ones)) <= 1e-4 * max(scale, 1e-30)
 
-    def test_projected_perturbation_flag(self):
-        corr, cloud, _ = make_instance(5, 8, noise=1e-3)
-        cfg = FDConfig(n_iters_forward=3)
-        raw = fd_jacobian(corr, cloud, "n", 0, cfg)
-        projected = fd_jacobian(corr, cloud, "n", 0, cfg, project_normals=True)
-        assert not np.allclose(raw, projected)
-
     def test_bad_input_kind(self):
         corr, cloud, _ = make_instance(6, 8)
         with pytest.raises(ValueError):
@@ -218,10 +211,6 @@ class TestFDConfig:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             FDConfig(step=0.0)
-
-    def test_rejects_forward_scheme(self):
-        with pytest.raises(ValueError):
-            FDConfig(scheme="forward")
 
     def test_rejects_nan_step(self):
         # A NaN step would pass a plain "<= 0" check and give NaN Jacobians.
