@@ -125,7 +125,7 @@ def _load_pair(pair_dir: Path) -> RegistrationPair:
 
 def _backward_and_chain(corr, source, g) -> None:
     """One backward and one chained loss direction, the work of a training
-    step; ``backward`` alone only factors the 12x12 Hessian."""
+    step; ``backward`` alone only factors the 6x6 chart Hessian."""
     chain_loss(np.ones(12), backward(corr, source, g))
 
 
@@ -140,7 +140,8 @@ def cmd_register(args: argparse.Namespace) -> int:
 
     weights = None
     if args.weights:
-        weights = np.loadtxt(args.weights, delimiter=",", ndmin=1)
+        lines = Path(args.weights).read_text(encoding="utf-8").splitlines()
+        weights = np.asarray(fileio._numeric_rows(lines, 1, sep=","), dtype=np.float64)
 
     def run_pair(item):
         index, pair_dir = item

@@ -7,7 +7,7 @@ problem's moments with that pair's term swapped out and the perturbed term
 swapped in, a rank-two update; the copies then run through the solver's
 batched kernel, whose rounds never touch the points. The derivative
 estimate itself never touches the analytic backward formulas; only its
-record, ``FDBlocks`` (``gradient.PerInput``), is shared with them.
+record, ``gradient.PerInput``, is shared with them.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .solver import _accumulate_batch, _moment_rows, _moments
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
-# Finite-difference Jacobians for every per-pair input, (N, 12, 3) and (N, 12).
-FDBlocks = PerInput
 # Moment elements (perturbed copies x 144) per batched job of the oracle.
 CHUNK_ELEMS = 300_000
 
@@ -147,8 +145,8 @@ def fd_jacobian(
     return _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg).T
 
 
-def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> FDBlocks:
-    """Oracle Jacobians for all pairs and all inputs at once.
+def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> PerInput:
+    """Oracle (N, 12, 3) and (N, 12) Jacobians for all pairs and inputs at once.
 
     Needs 2 (9 N + N) perturbed solves, ordered by kind, pair and
     coordinate; they run as one chunked batched job.
@@ -162,12 +160,12 @@ def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> FDB
     # Rows (kind, pair, coordinate) -> blocks (kind, pair, 12, coordinate).
     xyz = diffs[: 9 * n_pairs].reshape(3, n_pairs, 3, 12).transpose(0, 1, 3, 2)
     xyz = np.ascontiguousarray(xyz)
-    return FDBlocks(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
+    return PerInput(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
 
 
 def compare(
     analytic: GradientBundle,
-    fd: FDBlocks,
+    fd: PerInput,
     loss_direction,
     n_iters: int = 0,
 ) -> GradErrorReport:

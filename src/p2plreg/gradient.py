@@ -11,16 +11,17 @@ H = J^T H_data J the 6x6 Gauss-Newton Hessian, every per-pair input u
 
 One 6x6 inverse is shared across all N pairs, so the backward cost does
 not depend on how many accumulation rounds produced the transform. H is
-checked by the forward's own pivot rule (``solver._factor_batch``), so the
-two passes share one chart and one singularity criterion.
+twice the 6x6 system the forward would factor next at g
+(``solver._moments`` and ``solver._system_from_moments``), checked by the
+forward's own pivot rule (``solver._factor_batch``), so the two passes
+share one chart, one Hessian formula and one singularity criterion.
 
-``backward`` builds one workspace (``build_workspace``), which
-``hessian``, ``energy_gradient`` and ``cross_derivs`` read too, so each
-formula exists once. It then forms H and the lifted inverse
-J H^{-1} J^T, and stops there: O(N) work for the workspace and the data
-Hessian's Gram product. Every per-pair derivative is a product
-p @ d(grad_g E)/du from one builder, ``_mixed_blocks``, for a (k, 12)
-matrix p:
+``backward`` forms the moments, H and the lifted inverse J H^{-1} J^T,
+and one workspace (``build_workspace``: residuals and offsets at g, which
+``energy_gradient`` and ``cross_derivs`` read too), and stops there: O(N)
+work for the moments and the workspace. Every per-pair derivative is a
+product p @ d(grad_g E)/du from one builder, ``_mixed_blocks``, for a
+(k, 12) matrix p:
 
 - ``cross_derivs`` uses p = I;
 - the bundle's ``d_g_d_*`` Jacobians use p = -J H^{-1} J^T, formed on first
@@ -35,7 +36,7 @@ All three, and the oracle's blocks, are ``PerInput`` records.
 The orthogonality penalty (``penalty``, its gradient and curvature, and the
 ``lam`` argument of ``hessian`` and ``energy_gradient``) defines a 12x12
 penalized energy whose stiff-penalty limit is the chart form above; it is
-kept as an oracle for tests and is not used by ``backward``.
+kept as an oracle for tests, independent of ``backward`` and the moments.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from numpy.typing import NDArray
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
 from .geometry import RigidTransform, residual_coeffs, step_jacobian, to_gvector
-from .solver import SingularSystem, _factor_batch
+from .solver import SingularSystem, _factor_batch, _moments, _system_from_moments
 
 
 class SingularHessian(np.linalg.LinAlgError):
@@ -122,12 +123,11 @@ def penalty_curvature(r: NDArray[np.float64]) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class GradWorkspace:
-    """Per-pair quantities shared by every energy-derivative formula."""
+    """Per-pair quantities at g read by ``energy_gradient`` and ``_mixed_blocks``."""
 
     positions: NDArray[np.float64]  # (N, 3) source positions x_i
     normals: NDArray[np.float64]  # (N, 3) target normals n_i
     weights: NDArray[np.float64]  # (N,) reliabilities zeta_i
-    coeffs: NDArray[np.float64]  # (N, 12) residual gradients in g
     residuals: NDArray[np.float64]  # (N,) plane residuals at g
     offsets: NDArray[np.float64]  # (N, 3) R x_i + t - y_i
     rotation: NDArray[np.float64]  # (3, 3)
@@ -142,12 +142,7 @@ def build_workspace(
     n = corr.normals
     offsets = x @ rot.T + gv[9:] - corr.targets
     residuals = np.einsum("ni,ni->n", offsets, n)
-    return GradWorkspace(x, n, corr.weights, residual_coeffs(x, n), residuals, offsets, rot)
-
-
-def _data_gradient(ws: GradWorkspace) -> NDArray[np.float64]:
-    """Gradient of the plane energy sum_i zeta_i r_i^2 in g."""
-    return 2.0 * ((ws.weights * ws.residuals) @ ws.coeffs)
+    return GradWorkspace(x, n, corr.weights, residuals, offsets, rot)
 
 
 def energy_gradient(
@@ -155,22 +150,22 @@ def energy_gradient(
 ) -> NDArray[np.float64]:
     """Gradient of the penalized energy in the 12 transform coordinates."""
     ws = build_workspace(corr, source, g)
-    grad = _data_gradient(ws)
+    grad = 2.0 * ((ws.weights * ws.residuals) @ residual_coeffs(ws.positions, ws.normals))
     grad[:9] += lam * penalty_gradient(ws.rotation)
     return grad
 
 
-def _data_hessian(ws: GradWorkspace) -> NDArray[np.float64]:
-    # sqrt-weighted Gram product keeps the result symmetric bitwise
-    rd = ws.coeffs * np.sqrt(ws.weights)[:, None]
-    return 2.0 * rd.T @ rd
-
-
 def hessian(corr: CorrespondenceSet, source: PointCloud, g, lam: float) -> NDArray[np.float64]:
-    """12x12 second derivative of the penalized energy at g."""
-    ws = build_workspace(corr, source, g)
-    h = _data_hessian(ws)
-    h[:9, :9] += 4.0 * lam * penalty_curvature(ws.rotation)
+    """12x12 second derivative of the penalized energy at g.
+
+    The data term is the per-point Gram product 2 sum_i zeta_i d_i d_i^T of
+    the residual gradients d_i, independent of the forward's moments.
+    """
+    rot = _as_gvector(g)[:9].reshape(3, 3)
+    # sqrt-weighted Gram product keeps the result symmetric bitwise
+    rd = residual_coeffs(source.positions, corr.normals) * np.sqrt(corr.weights)[:, None]
+    h = 2.0 * rd.T @ rd
+    h[:9, :9] += 4.0 * lam * penalty_curvature(rot)
     return h
 
 
@@ -209,8 +204,9 @@ def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> PerInput:
     with w_i the offset. The coefficient Jacobians dd_i/dn_i and dd_i/dx_i
     are sparse lifts of x_i and n_i, so p applied to them for all i is one
     (N, 4) x (4, 3k) and one (N, 3) x (3, 3k) product, written straight into
-    the output arrays; the d_i terms are then accumulated in place. Blocks
-    are (N, k, 3) and (N, k).
+    the output arrays. As d_i is linear in n_i, p d_i is the row dot product
+    of n_i with p dd_i/dn_i, so no (N, 12) d_i is formed; the d_i terms are
+    then accumulated in place. Blocks are (N, k, 3) and (N, k).
     """
     n_pts = ws.residuals.shape[0]
     k = p.shape[0]
@@ -221,19 +217,20 @@ def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> PerInput:
     store = np.empty(10 * k * n_pts)
     wrt_y, wrt_n, wrt_x = store[: 9 * k * n_pts].reshape(3, n_pts, k, 3)
     wrt_zeta = store[9 * k * n_pts :].reshape(n_pts, k)
-    pd = ws.coeffs @ p.T  # rows p d_i
-    np.multiply((2.0 * ws.residuals)[:, None], pd, out=wrt_zeta)
-    zeta2 = 2.0 * ws.weights
-    pd *= zeta2[:, None]
-    zr2 = zeta2 * ws.residuals
 
     p_rot = p[:, :9].reshape(k, 3, 3)  # (k, a, b) -> p[k, 3a + b]
     # (p dd_i/dn_i)[k, s] = sum_q p[k, 3s + q] x_q + p[k, 9 + s]
-    lift_x = np.concatenate([ws.positions, np.ones((n_pts, 1))], axis=1) * zr2[:, None]
+    lift_x = np.concatenate([ws.positions, np.ones((n_pts, 1))], axis=1)
     to_n = np.concatenate(
         [p_rot.transpose(2, 0, 1).reshape(3, 3 * k), p[:, 9:].reshape(1, 3 * k)]
     )
     np.matmul(lift_x, to_n, out=wrt_n.reshape(n_pts, 3 * k))
+    pd = np.einsum("nks,ns->nk", wrt_n, ws.normals)  # rows p d_i
+    np.multiply((2.0 * ws.residuals)[:, None], pd, out=wrt_zeta)
+    zeta2 = 2.0 * ws.weights
+    pd *= zeta2[:, None]
+    zr2 = zeta2 * ws.residuals
+    wrt_n *= zr2[:, None, None]
     _add_outer(wrt_n, pd, ws.offsets)
     # (p dd_i/dx_i)[k, s] = sum_a p[k, 3a + s] n_a
     to_x = p_rot.transpose(1, 0, 2).reshape(3, 3 * k)
@@ -285,11 +282,11 @@ class GradientBundle:
     """Jacobians of the solved transform vector for every per-pair input,
     held as their factors.
 
-    Eager: the workspace, the 6x6 chart Hessian H = J^T H_data J, the lifted
-    inverse J H^{-1} J^T and the solver's condition flag for H, O(N) + 12x12
-    work. Formed on read: the (N, 12, 3) and (N, 12) ``d_g_d_*`` blocks,
-    d g*/d u = -J H^{-1} J^T d(grad_g E)/du, all four on the first read of
-    any one. ``chain_loss`` reads only the factors.
+    Eager: the workspace, the 6x6 chart Hessian H (twice the forward's
+    system at g), the lifted inverse J H^{-1} J^T and the solver's condition
+    flag for H, O(N) + 12x12 work. Formed on read: the (N, 12, 3) and
+    (N, 12) ``d_g_d_*`` blocks, d g*/d u = -J H^{-1} J^T d(grad_g E)/du, all
+    four on the first read of any one. ``chain_loss`` reads only the factors.
     """
 
     workspace: GradWorkspace
@@ -308,14 +305,16 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     Differentiates the minimality condition in the forward's own step chart
     (``step_jacobian``, 12x6 J at g): H = J^T H_data J is the Gauss-Newton
     Hessian of the plane energy in the six step coordinates, and the bundle
-    keeps J H^{-1} J^T. H is checked by the pivot rule the forward applies
-    to its own 6x6 systems. The per-pair Jacobians are formed only when a
-    ``d_g_d_*`` field is read.
+    keeps J H^{-1} J^T. H is twice the forward's own 6x6 system at g, checked
+    by the forward's pivot rule. The per-pair Jacobians are formed only when
+    a ``d_g_d_*`` field is read.
     """
     gv = _as_gvector(g)
     ws = build_workspace(corr, source, gv)
     jac = step_jacobian(ws.rotation, gv[9:])
-    h = jac.T @ _data_hessian(ws) @ jac
+    mu, _, _, m, q0 = _moments(ws.positions, corr.targets, ws.normals, ws.weights)
+    a, _, _ = _system_from_moments(m[None], q0[None], mu[None], ws.rotation[None], gv[None, 9:])
+    h = 2.0 * a[0]
     try:
         _, condition = _factor_batch(h[None], None)
     except SingularSystem as exc:

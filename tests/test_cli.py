@@ -129,6 +129,14 @@ class TestRegister:
         assert main(["register", "--in", str(dataset), "--weights", str(w),
                      "--out", str(out)]) == 0
 
+    def test_two_column_weights_fail_with_line_number(self, dataset, tmp_path, capsys):
+        # 112 rows of 2 values hold as many numbers as the 224 source points.
+        w = tmp_path / "w2.csv"
+        w.write_text("\n".join(["1.0,1.0"] * 112) + "\n")
+        assert main(["register", "--in", str(dataset), "--weights", str(w),
+                     "--out", str(tmp_path / "reg5b")]) == 1
+        assert "line 1: expected 1 values per line, found 2" in capsys.readouterr().err
+
     def test_backward_taken_at_loaded_source(self, dataset, tmp_path, monkeypatch):
         from p2plreg import cli
 

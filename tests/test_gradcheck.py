@@ -16,7 +16,7 @@ from p2plreg.gradcheck import (
     make_instance,
 )
 from p2plreg.geometry import to_gvector
-from p2plreg.gradient import backward, residual_coeffs, rigid_motion_loss
+from p2plreg.gradient import PerInput, backward, residual_coeffs, rigid_motion_loss
 from p2plreg.solver import _accumulate_batch, _moments, register_p2pl
 from p2plreg.synth import draw_rigid, synth_shape
 from p2plreg.seeding import derived_rng
@@ -174,9 +174,7 @@ class TestCompare:
         bundle = backward(corr, cloud, g)
         fd = fd_bundle(corr, cloud, FDConfig(n_iters_forward=10))
         # Feed the analytic bundle as its own reference through the FD slot.
-        from p2plreg.gradcheck import FDBlocks
-
-        self_fd = FDBlocks(bundle.d_g_d_x, bundle.d_g_d_y, bundle.d_g_d_n, bundle.d_g_d_zeta)
+        self_fd = PerInput(bundle.d_g_d_x, bundle.d_g_d_y, bundle.d_g_d_n, bundle.d_g_d_zeta)
         _, dldg = rigid_motion_loss(g, gt)
         report = compare(bundle, self_fd, dldg, 10)
         assert report.mse == 0.0 and report.rel_mse == 0.0
@@ -187,9 +185,7 @@ class TestCompare:
         corr, cloud, gt = make_instance(8, 16, noise=1e-3)
         g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
         bundle = backward(corr, cloud, g)
-        from p2plreg.gradcheck import FDBlocks
-
-        doubled = FDBlocks(
+        doubled = PerInput(
             2 * bundle.d_g_d_x, 2 * bundle.d_g_d_y, 2 * bundle.d_g_d_n, 2 * bundle.d_g_d_zeta
         )
         _, dldg = rigid_motion_loss(g, gt)

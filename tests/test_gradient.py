@@ -23,7 +23,7 @@ from p2plreg.gradient import (
     residual_coeffs,
     rigid_motion_loss,
 )
-from p2plreg.solver import energy, register_p2pl
+from p2plreg.solver import _moments, _system_from_moments, energy, register_p2pl
 from p2plreg.synth import draw_rigid
 from p2plreg.seeding import derived_rng
 
@@ -240,6 +240,42 @@ class TestCrossDerivs:
                 fd = (raw_grad(np1) - raw_grad(nm1)) / (2 * step)
                 np.testing.assert_allclose(blocks.wrt_n[i, :, c], fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_builder_applies_any_p_to_the_formula_blocks(self, k):
+        # The four mixed-derivative formulas of the builder's docstring,
+        # spelled out per pair with explicit residual gradients d_i, at a
+        # general g (not a rotation) so every residual term is live.
+        from p2plreg.gradient import _mixed_blocks
+
+        corr, cloud, gt = make_instance(40 + k, 50, noise=1e-3)
+        rng = np.random.default_rng(40 + k)
+        g = to_gvector(gt) + 0.1 * rng.standard_normal(12)
+        p = rng.standard_normal((k, 12))
+        x, y, n, zeta = cloud.positions, corr.targets, corr.normals, corr.weights
+        rot = g[:9].reshape(3, 3)
+        w = x @ rot.T + g[9:] - y
+        r = np.einsum("ni,ni->n", w, n)
+        d = residual_coeffs(x, n)
+        dd_dn = np.stack(
+            [np.vstack([np.kron(np.eye(3), xi[:, None]), np.eye(3)]) for xi in x]
+        )
+        dd_dx = np.stack(
+            [np.vstack([np.kron(ni[:, None], np.eye(3)), np.zeros((3, 3))]) for ni in n]
+        )
+        zr2 = (2.0 * zeta * r)[:, None, None]
+        formulas = {
+            "wrt_y": -2.0 * zeta[:, None, None] * d[:, :, None] * n[:, None, :],
+            "wrt_n": 2.0 * zeta[:, None, None] * d[:, :, None] * w[:, None, :] + zr2 * dd_dn,
+            "wrt_x": 2.0 * zeta[:, None, None] * d[:, :, None] * (n @ rot)[:, None, :]
+            + zr2 * dd_dx,
+        }
+        got = _mixed_blocks(build_workspace(corr, cloud, g), p)
+        for name, blocks in formulas.items():
+            expect = np.einsum("kj,njs->nks", p, blocks)
+            assert np.abs(getattr(got, name) - expect).max() <= 1e-13 * np.abs(expect).max()
+        expect = (2.0 * r[:, None] * d) @ p.T
+        assert np.abs(got.wrt_zeta - expect).max() <= 1e-13 * np.abs(expect).max()
+
     def test_weight_scaling_is_exact(self):
         corr, cloud, _ = make_instance(18, 16, noise=1e-3)
         g = to_gvector(register_p2pl(corr, cloud, n_iters=5).transform)
@@ -356,11 +392,17 @@ class TestBackward:
     @pytest.mark.parametrize("n_pts", [32, 1024])
     def test_matches_explicit_solve_of_cross_derivatives(self, n_pts):
         # Textbook form in the step chart: d g*/d u = -J H^{-1} J^T
-        # d(grad_g E)/du with H = J^T H_data J, one solve per block.
+        # d(grad_g E)/du with H = J^T H_data J, one solve per block. The
+        # bundle's H is twice the forward's own 6x6 system at g, which
+        # agrees with the textbook H to rounding.
         corr, cloud, _ = make_instance(29, n_pts, noise=1e-3)
         t = register_p2pl(corr, cloud, n_iters=10).transform
         g = to_gvector(t)
         bundle = backward(corr, cloud, g)
+        mu, _, _, m, q0 = _moments(cloud.positions, corr.targets, corr.normals, corr.weights)
+        forward_a = _system_from_moments(
+            m[None], q0[None], mu[None], t.rotation[None], t.translation[None]
+        )[0][0]
         jac = step_jacobian(t.rotation, t.translation)
         h = jac.T @ hessian(corr, cloud, g, 0.0) @ jac
         blocks = cross_derivs(corr, cloud, g)
@@ -374,7 +416,8 @@ class TestBackward:
             (bundle.d_g_d_x, solved(blocks.wrt_x)),
             (bundle.d_g_d_zeta, solved(blocks.wrt_zeta.T).T),
         ]
-        np.testing.assert_array_equal(bundle.hessian, h)
+        np.testing.assert_array_equal(bundle.hessian, 2.0 * forward_a)
+        np.testing.assert_allclose(bundle.hessian, h, rtol=0, atol=1e-14 * np.abs(h).max())
         for got, expect in pairs:
             np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-12 * np.abs(expect).max())
 
