@@ -57,6 +57,14 @@ def _echo_config(out: Path, args: argparse.Namespace) -> None:
     )
 
 
+def _counts(text: str, flag: str) -> list[int]:
+    """The comma list of an iteration-count option, each value at least 1."""
+    values = [int(v) for v in str(text).split(",") if v.strip()]
+    if not values or min(values) < 1:
+        raise ValueError(f"{flag} needs one or more counts >= 1, got {text!r}")
+    return values
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -234,9 +242,9 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    iters_list = _counts(args.iters, "--iters")
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
-    iters_list = [int(v) for v in str(args.iters).split(",") if v.strip()]
 
     def run_case(case: int):
         corr, cloud, gt = make_instance(derived_seed(args.seed, case), args.n, noise=args.noise)
@@ -286,9 +294,11 @@ def _peak_bytes(fn) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    iters_list = _counts(args.iters_list, "--iters-list")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
-    iters_list = [int(v) for v in str(args.iters_list).split(",") if v.strip()]
     corr, cloud, _ = make_instance(0, args.n_points, noise=1e-4)
 
     rows = []

@@ -147,8 +147,8 @@ def from_gvector(g) -> RigidTransform:
 def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[np.float64]:
     """Per-pair 12-vectors d with d . g == (R x + t) . n for any g.
 
-    Equal to the elementwise product of the two lifts in ``gradient``; rows
-    are the gradients of the plane residuals in transform coordinates.
+    d = (n_0 x, n_1 x, n_2 x, n); rows are the gradients of the plane
+    residuals in transform coordinates.
     """
     x = np.asarray(x, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)

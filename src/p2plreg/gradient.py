@@ -16,12 +16,12 @@ twice the 6x6 system the forward would factor next at g
 forward's own pivot rule (``solver._factor_batch``), so the two passes
 share one chart, one Hessian formula and one singularity criterion.
 
-``backward`` forms the moments, H and the lifted inverse J H^{-1} J^T,
-and one workspace (``build_workspace``: residuals and offsets at g, which
-``energy_gradient`` and ``cross_derivs`` read too), and stops there: O(N)
-work for the moments and the workspace. Every per-pair derivative is a
-product p @ d(grad_g E)/du from one builder, ``_mixed_blocks``, for a
-(k, 12) matrix p:
+``backward`` forms the moments, H and the lifted inverse J H^{-1} J^T and
+stops there: its one O(N) pass is the moments. The bundle keeps the inputs
+and the solved transform it was built from. Every per-pair derivative is a
+product p @ d(grad_g E)/du, for a (k, 12) matrix p, from one builder,
+``_mixed_blocks``, which forms the offsets and residuals at g in its own
+pass (``_plane_offsets``, shared with ``energy_gradient``):
 
 - ``cross_derivs`` uses p = I;
 - the bundle's ``d_g_d_*`` Jacobians use p = -J H^{-1} J^T, formed on first
@@ -48,7 +48,7 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
-from .geometry import RigidTransform, residual_coeffs, step_jacobian, to_gvector
+from .geometry import RigidTransform, from_gvector, residual_coeffs, step_jacobian
 from .solver import SingularSystem, _factor_batch, _moments, _system_from_moments
 
 
@@ -62,27 +62,11 @@ class SingularHessian(np.linalg.LinAlgError):
     """
 
 
-def _as_gvector(g) -> NDArray[np.float64]:
-    if isinstance(g, RigidTransform):
-        return to_gvector(g)
-    arr = np.asarray(g, dtype=np.float64).reshape(-1)
-    if arr.shape != (12,):
-        raise ValueError("expected a RigidTransform or a 12-vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("transform vector must be finite")
-    return arr
-
-
-def position_lift(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """(N, 12) vectors (x, x, x, 1, 1, 1) pairing positions with g."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.concatenate([np.tile(x, (1, 3)), np.ones((x.shape[0], 3))], axis=1)
-
-
-def normal_lift(n: NDArray[np.float64]) -> NDArray[np.float64]:
-    """(N, 12) vectors (n0,n0,n0, n1,n1,n1, n2,n2,n2, n) pairing normals with g."""
-    n = np.asarray(n, dtype=np.float64)
-    return np.concatenate([np.repeat(n, 3, axis=1), n], axis=1)
+def _as_transform(g) -> RigidTransform:
+    """g as given if it is a RigidTransform, else a copy of the 12-vector read
+    by ``from_gvector``, so an in-place update of g after ``backward`` does
+    not reach the bundle."""
+    return g if isinstance(g, RigidTransform) else from_gvector(np.array(g, dtype=np.float64))
 
 
 def rotation_row_matrix(r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -121,37 +105,22 @@ def penalty_curvature(r: NDArray[np.float64]) -> NDArray[np.float64]:
     )
 
 
-@dataclass(frozen=True)
-class GradWorkspace:
-    """Per-pair quantities at g read by ``energy_gradient`` and ``_mixed_blocks``."""
-
-    positions: NDArray[np.float64]  # (N, 3) source positions x_i
-    normals: NDArray[np.float64]  # (N, 3) target normals n_i
-    weights: NDArray[np.float64]  # (N,) reliabilities zeta_i
-    residuals: NDArray[np.float64]  # (N,) plane residuals at g
-    offsets: NDArray[np.float64]  # (N, 3) R x_i + t - y_i
-    rotation: NDArray[np.float64]  # (3, 3)
-
-
-def build_workspace(
-    corr: CorrespondenceSet, source: PointCloud, g
-) -> GradWorkspace:
-    gv = _as_gvector(g)
-    rot = gv[:9].reshape(3, 3)
-    x = source.positions
-    n = corr.normals
-    offsets = x @ rot.T + gv[9:] - corr.targets
-    residuals = np.einsum("ni,ni->n", offsets, n)
-    return GradWorkspace(x, n, corr.weights, residuals, offsets, rot)
+def _plane_offsets(
+    corr: CorrespondenceSet, source: PointCloud, t: RigidTransform
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(N, 3) offsets w_i = R x_i + t - y_i and (N,) plane residuals w_i . n_i."""
+    offsets = source.positions @ t.rotation.T + t.translation - corr.targets
+    return offsets, np.einsum("ni,ni->n", offsets, corr.normals)
 
 
 def energy_gradient(
     corr: CorrespondenceSet, source: PointCloud, g, lam: float = 0.0
 ) -> NDArray[np.float64]:
     """Gradient of the penalized energy in the 12 transform coordinates."""
-    ws = build_workspace(corr, source, g)
-    grad = 2.0 * ((ws.weights * ws.residuals) @ residual_coeffs(ws.positions, ws.normals))
-    grad[:9] += lam * penalty_gradient(ws.rotation)
+    t = _as_transform(g)
+    _, residuals = _plane_offsets(corr, source, t)
+    grad = 2.0 * ((corr.weights * residuals) @ residual_coeffs(source.positions, corr.normals))
+    grad[:9] += lam * penalty_gradient(t.rotation)
     return grad
 
 
@@ -161,7 +130,7 @@ def hessian(corr: CorrespondenceSet, source: PointCloud, g, lam: float) -> NDArr
     The data term is the per-point Gram product 2 sum_i zeta_i d_i d_i^T of
     the residual gradients d_i, independent of the forward's moments.
     """
-    rot = _as_gvector(g)[:9].reshape(3, 3)
+    rot = _as_transform(g).rotation
     # sqrt-weighted Gram product keeps the result symmetric bitwise
     rd = residual_coeffs(source.positions, corr.normals) * np.sqrt(corr.weights)[:, None]
     h = 2.0 * rd.T @ rd
@@ -191,7 +160,9 @@ def _add_outer(out: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.f
         out[:, :, s] += a * b[:, s, None]
 
 
-def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> PerInput:
+def _mixed_blocks(
+    corr: CorrespondenceSet, source: PointCloud, t: RigidTransform, p: NDArray[np.float64]
+) -> PerInput:
     """p @ d(grad_g E)/du for every per-pair input u and a (k, 12) matrix p.
 
     With grad_g E = sum_i 2 zeta_i r_i d_i, the mixed derivatives are
@@ -208,7 +179,9 @@ def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> PerInput:
     of n_i with p dd_i/dn_i, so no (N, 12) d_i is formed; the d_i terms are
     then accumulated in place. Blocks are (N, k, 3) and (N, k).
     """
-    n_pts = ws.residuals.shape[0]
+    x, n, zeta = source.positions, corr.normals, corr.weights
+    offsets, residuals = _plane_offsets(corr, source, t)
+    n_pts = residuals.shape[0]
     k = p.shape[0]
     # One allocation holds all four blocks. With glibc malloc, separate ~1 MB
     # blocks freed together went back to the OS and were page-faulted in
@@ -220,30 +193,30 @@ def _mixed_blocks(ws: GradWorkspace, p: NDArray[np.float64]) -> PerInput:
 
     p_rot = p[:, :9].reshape(k, 3, 3)  # (k, a, b) -> p[k, 3a + b]
     # (p dd_i/dn_i)[k, s] = sum_q p[k, 3s + q] x_q + p[k, 9 + s]
-    lift_x = np.concatenate([ws.positions, np.ones((n_pts, 1))], axis=1)
+    lift_x = np.concatenate([x, np.ones((n_pts, 1))], axis=1)
     to_n = np.concatenate(
         [p_rot.transpose(2, 0, 1).reshape(3, 3 * k), p[:, 9:].reshape(1, 3 * k)]
     )
     np.matmul(lift_x, to_n, out=wrt_n.reshape(n_pts, 3 * k))
-    pd = np.einsum("nks,ns->nk", wrt_n, ws.normals)  # rows p d_i
-    np.multiply((2.0 * ws.residuals)[:, None], pd, out=wrt_zeta)
-    zeta2 = 2.0 * ws.weights
+    pd = np.einsum("nks,ns->nk", wrt_n, n)  # rows p d_i
+    np.multiply((2.0 * residuals)[:, None], pd, out=wrt_zeta)
+    zeta2 = 2.0 * zeta
     pd *= zeta2[:, None]
-    zr2 = zeta2 * ws.residuals
+    zr2 = zeta2 * residuals
     wrt_n *= zr2[:, None, None]
-    _add_outer(wrt_n, pd, ws.offsets)
+    _add_outer(wrt_n, pd, offsets)
     # (p dd_i/dx_i)[k, s] = sum_a p[k, 3a + s] n_a
     to_x = p_rot.transpose(1, 0, 2).reshape(3, 3 * k)
-    np.matmul(zr2[:, None] * ws.normals, to_x, out=wrt_x.reshape(n_pts, 3 * k))
-    _add_outer(wrt_x, pd, ws.normals @ ws.rotation)
+    np.matmul(zr2[:, None] * n, to_x, out=wrt_x.reshape(n_pts, 3 * k))
+    _add_outer(wrt_x, pd, n @ t.rotation)
 
     for s in range(3):
-        np.multiply(pd, -ws.normals[:, s, None], out=wrt_y[:, :, s])
+        np.multiply(pd, -n[:, s, None], out=wrt_y[:, :, s])
     return PerInput(wrt_x=wrt_x, wrt_y=wrt_y, wrt_n=wrt_n, wrt_zeta=wrt_zeta)
 
 
 def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> PerInput:
-    return _mixed_blocks(build_workspace(corr, source, g), np.eye(12))
+    return _mixed_blocks(corr, source, _as_transform(g), np.eye(12))
 
 
 class _FormedOnRead:
@@ -251,7 +224,8 @@ class _FormedOnRead:
 
     ``backward`` leaves the four fields unset (the dataclass default None).
     The first read of any of them forms all four with one
-    ``_mixed_blocks(workspace, -h_inv)`` call and keeps them on the bundle;
+    ``_mixed_blocks(correspondences, source, transform, -h_inv)`` call, which
+    reads the bundle's inputs again, and keeps them on the bundle;
     a value passed to the constructor, as ``dataclasses.replace`` does, is
     kept as given. Two threads reading an unformed bundle at once may both
     form the blocks; they form the same values, and a field once set is
@@ -265,7 +239,7 @@ class _FormedOnRead:
         if obj is None:
             return None  # the dataclass default: formed on first read
         if obj.__dict__[self.name] is None:
-            jac = _mixed_blocks(obj.workspace, -obj.h_inv)
+            jac = _mixed_blocks(obj.correspondences, obj.source, obj.transform, -obj.h_inv)
             formed = (("d_g_d_x", jac.wrt_x), ("d_g_d_y", jac.wrt_y),
                       ("d_g_d_n", jac.wrt_n), ("d_g_d_zeta", jac.wrt_zeta))
             for name, blocks in formed:
@@ -282,14 +256,18 @@ class GradientBundle:
     """Jacobians of the solved transform vector for every per-pair input,
     held as their factors.
 
-    Eager: the workspace, the 6x6 chart Hessian H (twice the forward's
-    system at g), the lifted inverse J H^{-1} J^T and the solver's condition
-    flag for H, O(N) + 12x12 work. Formed on read: the (N, 12, 3) and
-    (N, 12) ``d_g_d_*`` blocks, d g*/d u = -J H^{-1} J^T d(grad_g E)/du, all
-    four on the first read of any one. ``chain_loss`` reads only the factors.
+    Eager: the inputs and the solved transform it was built from (held, not
+    copied, so they must not change in place while the bundle is in use),
+    the 6x6 chart Hessian H (twice the forward's system at g), the lifted
+    inverse J H^{-1} J^T and the solver's condition flag for H; no eager
+    field has N rows. Formed on read: the (N, 12, 3) and (N, 12) ``d_g_d_*``
+    blocks, d g*/d u = -J H^{-1} J^T d(grad_g E)/du, all four on the first
+    read of any one. ``chain_loss`` forms none of them.
     """
 
-    workspace: GradWorkspace
+    correspondences: CorrespondenceSet
+    source: PointCloud
+    transform: RigidTransform  # the solved g
     h_inv: NDArray[np.float64]  # (12, 12) J H^{-1} J^T
     hessian: NDArray[np.float64]  # (6, 6) chart Hessian H
     condition_warning: bool  # pivot ratio of H above solver.CONDITION_LIMIT
@@ -306,14 +284,16 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     (``step_jacobian``, 12x6 J at g): H = J^T H_data J is the Gauss-Newton
     Hessian of the plane energy in the six step coordinates, and the bundle
     keeps J H^{-1} J^T. H is twice the forward's own 6x6 system at g, checked
-    by the forward's pivot rule. The per-pair Jacobians are formed only when
-    a ``d_g_d_*`` field is read.
+    by the forward's pivot rule. Its one O(N) pass forms the moments; the
+    per-pair Jacobians are formed only when a ``d_g_d_*`` field is read.
+    g is a RigidTransform or its 12-vector.
     """
-    gv = _as_gvector(g)
-    ws = build_workspace(corr, source, gv)
-    jac = step_jacobian(ws.rotation, gv[9:])
-    mu, _, _, m, q0 = _moments(ws.positions, corr.targets, ws.normals, ws.weights)
-    a, _, _ = _system_from_moments(m[None], q0[None], mu[None], ws.rotation[None], gv[None, 9:])
+    t = _as_transform(g)
+    jac = step_jacobian(t.rotation, t.translation)
+    mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    a, _, _ = _system_from_moments(
+        m[None], q0[None], mu[None], t.rotation[None], t.translation[None]
+    )
     h = 2.0 * a[0]
     try:
         _, condition = _factor_batch(h[None], None)
@@ -322,7 +302,7 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     # The explicit inverse, not a solve: chain_loss and the materialized
     # blocks then apply the same matrix and agree to rounding.
     h_inv = jac @ np.linalg.inv(h) @ jac.T
-    return GradientBundle(ws, h_inv, h, condition)
+    return GradientBundle(corr, source, t, h_inv, h, condition)
 
 
 def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PerInput:
@@ -344,11 +324,14 @@ def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PerInput:
     """Chain a loss gradient v in g down to every per-pair input.
 
     A vector-Jacobian product through the bundle's factors: the one row
-    -v^T H^{-1} goes through the mixed-derivative builder, so no per-pair
-    Jacobian is formed and the ``d_g_d_*`` fields are not read.
+    -v^T J H^{-1} J^T goes through the mixed-derivative builder with the
+    bundle's inputs, so no per-pair Jacobian is formed and the ``d_g_d_*``
+    fields are not read.
     """
     v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
-    row = _mixed_blocks(bundle.workspace, -(v @ bundle.h_inv)[None])
+    row = _mixed_blocks(
+        bundle.correspondences, bundle.source, bundle.transform, -(v @ bundle.h_inv)[None]
+    )
     return PerInput(row.wrt_x[:, 0], row.wrt_y[:, 0], row.wrt_n[:, 0], row.wrt_zeta[:, 0])
 
 
@@ -357,11 +340,9 @@ def rigid_motion_loss(g, gt: RigidTransform):
 
     loss = |R^T R_gt - I|_F^2 + |t - t_gt|^2.
     """
-    gv = _as_gvector(g)
-    rot = gv[:9].reshape(3, 3)
-    trans = gv[9:]
-    c = rot.T @ gt.rotation - np.eye(3)
-    dt = trans - gt.translation
+    t = _as_transform(g)
+    c = t.rotation.T @ gt.rotation - np.eye(3)
+    dt = t.translation - gt.translation
     loss = float(np.sum(c * c) + dt @ dt)
     grad_rot = 2.0 * gt.rotation @ c.T
     grad = np.concatenate([grad_rot.reshape(9), 2.0 * dt])

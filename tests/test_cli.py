@@ -253,6 +253,13 @@ class TestGradcheckCmd:
                      "--fd-step", "nan", "--out", str(out)]) == 1
         assert not (out / "gradcheck.csv").exists()
 
+    def test_empty_iters_fails(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--n", "12", "--cases", "1", "--iters", "",
+                     "--out", str(out)]) == 1
+        assert "error: --iters needs one or more counts" in capsys.readouterr().err
+        assert not (out / "gradcheck.csv").exists()
+
 
 class TestBenchCmd:
     def test_bench_schema_and_memory_stability(self, tmp_path):
@@ -267,3 +274,30 @@ class TestBenchCmd:
         # Analytic backward memory does not depend on the iteration count.
         peaks = [int(c[3]) for c in cells if c[0] == "backward_analytic"]
         assert max(peaks) <= 1.1 * min(peaks)
+
+    def test_empty_iters_list_fails(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--n-points", "64", "--iters-list", "", "--reps", "1",
+                     "--out", str(out)]) == 1
+        assert "error: --iters-list needs one or more counts" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
+    def test_zero_reps_fails(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--n-points", "64", "--iters-list", "1", "--reps", "0",
+                     "--out", str(out)]) == 1
+        assert "error: --reps must be at least 1" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1,2,5,10", " 1, 2 ,5,10", "1,2,5,10,"])
+    def test_count_list_spellings(self, text):
+        from p2plreg.cli import _counts
+
+        assert _counts(text, "--iters-list") == [1, 2, 5, 10]
+
+    @pytest.mark.parametrize("text", ["", " , ", "1,0", "-2"])
+    def test_count_list_rejects_empty_and_below_one(self, text):
+        from p2plreg.cli import _counts
+
+        with pytest.raises(ValueError, match="--iters-list needs one or more counts >= 1"):
+            _counts(text, "--iters-list")

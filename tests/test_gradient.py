@@ -5,21 +5,25 @@ import pytest
 
 from p2plreg.cloud import PointCloud
 from p2plreg.correspond import CorrespondenceSet
-from p2plreg.geometry import RigidTransform, random_rotation, step_jacobian, to_gvector
+from p2plreg.geometry import (
+    RigidTransform,
+    from_gvector,
+    random_rotation,
+    step_jacobian,
+    to_gvector,
+)
 from p2plreg.gradcheck import make_instance
 from p2plreg.gradient import (
     SingularHessian,
+    _plane_offsets,
     backward,
-    build_workspace,
     chain_loss,
     cross_derivs,
     energy_gradient,
     hessian,
-    normal_lift,
     penalty,
     penalty_curvature,
     penalty_gradient,
-    position_lift,
     residual_coeffs,
     rigid_motion_loss,
 )
@@ -39,7 +43,6 @@ class TestWorkspace:
         n = rng.standard_normal((20, 3))
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         coeffs = residual_coeffs(x, n)
-        np.testing.assert_array_equal(coeffs, position_lift(x) * normal_lift(n))
         for _ in range(10):
             g = _random_g(rng)
             rot, trans = g[:9].reshape(3, 3), g[9:]
@@ -48,10 +51,9 @@ class TestWorkspace:
 
     def test_residuals_match_energy(self):
         corr, cloud, gt = make_instance(2, 32, noise=1e-3)
-        g = to_gvector(gt)
-        ws = build_workspace(corr, cloud, g)
+        _, residuals = _plane_offsets(corr, cloud, gt)
         np.testing.assert_allclose(
-            float(np.sum(corr.weights * ws.residuals**2)),
+            float(np.sum(corr.weights * residuals**2)),
             energy(corr, cloud, gt),
             rtol=1e-12,
         )
@@ -269,7 +271,7 @@ class TestCrossDerivs:
             "wrt_x": 2.0 * zeta[:, None, None] * d[:, :, None] * (n @ rot)[:, None, :]
             + zr2 * dd_dx,
         }
-        got = _mixed_blocks(build_workspace(corr, cloud, g), p)
+        got = _mixed_blocks(corr, cloud, from_gvector(g), p)
         for name, blocks in formulas.items():
             expect = np.einsum("kj,njs->nks", p, blocks)
             assert np.abs(getattr(got, name) - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -301,6 +303,43 @@ class TestBackward:
         )
         assert bundle.condition_warning is False
         assert np.all(np.isfinite(bundle.d_g_d_n))
+
+    def test_bundle_keeps_inputs_and_factors_only(self):
+        corr, cloud, _ = make_instance(41, 32, noise=1e-3)
+        t = register_p2pl(corr, cloud, n_iters=10).transform
+        bundle = backward(corr, cloud, t)
+        assert bundle.correspondences is corr and bundle.source is cloud
+        assert bundle.h_inv.shape == (12, 12)
+        assert bundle.hessian.shape == (6, 6)
+        # vars() reads the eager fields without forming the d_g_d_* blocks.
+        eager = [v for v in vars(bundle).values() if isinstance(v, np.ndarray)]
+        assert eager and all(len(v) != len(corr) for v in eager)
+        v = np.random.default_rng(41).standard_normal(12)
+        by_transform = chain_loss(v, bundle)
+        by_vector = chain_loss(v, backward(corr, cloud, to_gvector(t)))
+        for name in ("wrt_x", "wrt_y", "wrt_n", "wrt_zeta"):
+            np.testing.assert_array_equal(getattr(by_transform, name), getattr(by_vector, name))
+
+    def test_in_place_update_of_g_does_not_reach_bundle(self):
+        corr, cloud, gt = make_instance(43, 32, noise=1e-3)
+        g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
+        bundle = backward(corr, cloud, g)
+        before = chain_loss(np.ones(12), bundle).wrt_x
+        g += 0.1
+        np.testing.assert_array_equal(chain_loss(np.ones(12), bundle).wrt_x, before)
+
+    def test_short_transform_vector_rejected(self):
+        corr, cloud, gt = make_instance(42, 16, noise=1e-3)
+        g = to_gvector(gt)[:11]
+        for call in (
+            lambda: backward(corr, cloud, g),
+            lambda: cross_derivs(corr, cloud, g),
+            lambda: energy_gradient(corr, cloud, g),
+            lambda: hessian(corr, cloud, g, 0.0),
+            lambda: rigid_motion_loss(g, gt),
+        ):
+            with pytest.raises(ValueError, match="length 12"):
+                call()
 
     def test_matches_fd_oracle_at_ten_iterations(self):
         from p2plreg.gradcheck import FDConfig, compare, fd_bundle
@@ -447,9 +486,9 @@ class TestLazyJacobians:
         calls = []
         real = gradient._mixed_blocks
 
-        def counting(ws, p):
+        def counting(corr, source, t, p):
             calls.append(p.shape)
-            return real(ws, p)
+            return real(corr, source, t, p)
 
         monkeypatch.setattr(gradient, "_mixed_blocks", counting)
         corr, cloud, _ = make_instance(32, 48, noise=1e-3)
@@ -459,7 +498,7 @@ class TestLazyJacobians:
             assert calls == []
             getattr(bundle, first)
             assert calls == [(12, 12)]
-            expect = real(build_workspace(corr, cloud, g), -bundle.h_inv)
+            expect = real(corr, cloud, from_gvector(g), -bundle.h_inv)
             for got, want in (
                 (bundle.d_g_d_x, expect.wrt_x),
                 (bundle.d_g_d_y, expect.wrt_y),
@@ -476,7 +515,9 @@ class TestLazyJacobians:
         calls = []
         real = gradient._mixed_blocks
         monkeypatch.setattr(
-            gradient, "_mixed_blocks", lambda ws, p: calls.append(p.shape) or real(ws, p)
+            gradient,
+            "_mixed_blocks",
+            lambda corr, source, t, p: calls.append(p.shape) or real(corr, source, t, p),
         )
         corr, cloud, gt = make_instance(33, 32, noise=1e-3)
         g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
