@@ -40,7 +40,7 @@ from .gradient import (
     penalty,
     rigid_motion_loss,
 )
-from .metrics import MetricReport, batch_stats, chamfer, rotation_errors
+from .metrics import batch_stats, chamfer, rotation_errors
 from .solver import (
     DegenerateConfiguration,
     LinearizedSystem,
@@ -67,7 +67,6 @@ __all__ = [
     "GradientBundle",
     "FDConfig",
     "GradErrorReport",
-    "MetricReport",
     "SynthConfig",
     "ParseError",
     "InsufficientPoints",

@@ -26,7 +26,7 @@ from .cloud import RegistrationPair
 from .gradcheck import FDConfig, compare, fd_bundle, make_instance
 from .gradient import backward, chain_loss, rigid_motion_loss
 from .geometry import to_gvector
-from .metrics import build_report, chamfer, euler_zyx_angles, rotation_errors
+from .metrics import chamfer, euler_zyx_angles, rotation_errors, summary
 from .seeding import derived_seed
 from .solver import SingularSystem, icp, register_p2pl
 from .synth import SHAPE_KINDS, SynthConfig, estimate_normals, make_cpu_pair, synth_shape
@@ -161,9 +161,6 @@ def cmd_register(args: argparse.Namespace) -> int:
                 flip = not args.consistent_normals
                 source = estimate_normals(source, k, derived_seed(index, "src"), random_flip=flip)
                 target = estimate_normals(target, k, derived_seed(index, "tgt"), random_flip=flip)
-                pair = RegistrationPair(
-                    source, target, pair.gt, pair.clean_source, pair.clean_target
-                )
             t0 = time.perf_counter()
             report = icp(
                 source,
@@ -215,21 +212,9 @@ def cmd_register(args: argparse.Namespace) -> int:
 
     _write_csv(out / "metrics.csv", header, rows)
     if len(chamfers) >= 2:
-        report = build_report(rot_res, gt_eulers, trans_res, gt_trans, chamfers)
-        summary = {
-            "cases": report.cases,
-            "mse_r": report.rotation.mse,
-            "rmse_r": report.rotation.rmse,
-            "mae_r": report.rotation.mae,
-            "r2_r": report.rotation.r2,
-            "mse_t": report.translation.mse,
-            "rmse_t": report.translation.rmse,
-            "mae_t": report.translation.mae,
-            "r2_t": report.translation.r2,
-            "chamfer_mean": report.chamfer_mean,
-        }
+        record = summary(rot_res, gt_eulers, trans_res, gt_trans, chamfers)
         (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     if failures and args.strict:
         return 2
@@ -243,6 +228,8 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     iters_list = _counts(args.iters, "--iters")
+    if args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
 

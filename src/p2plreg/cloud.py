@@ -26,12 +26,22 @@ def _as_points(a, name: str) -> NDArray[np.float64]:
     return arr
 
 
+def _read_only(arr: NDArray) -> NDArray:
+    """A read-only view of arr, so a frozen container's arrays cannot be
+    edited in place through it; arr itself keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Positions plus optional per-point unit normals.
 
     positions: (N, 3) finite scene-unit coordinates, N >= 1.
     normals:   (N, 3) unit vectors or None when not yet estimated.
+
+    Both are held as read-only views.
     """
 
     positions: NDArray[np.float64]
@@ -43,7 +53,7 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", _read_only(pos))
         if self.normals is not None:
             nrm = _as_points(self.normals, "normals")
             if nrm.shape[0] != pos.shape[0]:
@@ -52,7 +62,7 @@ class PointCloud:
             if np.any(np.abs(lengths - 1.0) > UNIT_NORMAL_TOL):
                 worst = float(np.max(np.abs(lengths - 1.0)))
                 raise ValueError(f"normals must be unit length (worst deviation {worst:.3e})")
-            object.__setattr__(self, "normals", nrm)
+            object.__setattr__(self, "normals", _read_only(nrm))
 
     def __len__(self) -> int:
         return int(self.positions.shape[0])

@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from . import eig3
-from .cloud import UNIT_NORMAL_TOL, PointCloud
+from .cloud import UNIT_NORMAL_TOL, PointCloud, _read_only
 from .fileio import ParseError, _numeric_rows
 from .geometry import RigidTransform
 
@@ -47,8 +47,9 @@ _TENSOR_COLS = 3 + np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 class CorrespondenceSet:
     """Per-source-point target position, target normal, and reliability.
 
-    ``degenerate`` optionally marks indices whose pointed direction came
-    from a (numerically) repeated top eigenvalue.
+    The three validated arrays are held as read-only views. ``degenerate``
+    optionally marks indices whose pointed direction came from a
+    (numerically) repeated top eigenvalue.
     """
 
     targets: NDArray[np.float64]  # (N, 3) pointed positions
@@ -70,9 +71,9 @@ class CorrespondenceSet:
             raise ValueError("reliability weights must be nonnegative")
         if not np.any(z > 0.0):
             raise ValueError("at least one reliability weight must be positive")
-        object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "normals", n)
-        object.__setattr__(self, "weights", z)
+        object.__setattr__(self, "targets", _read_only(y))
+        object.__setattr__(self, "normals", _read_only(n))
+        object.__setattr__(self, "weights", _read_only(z))
 
     def __len__(self) -> int:
         return int(self.targets.shape[0])

@@ -22,7 +22,7 @@ from .cloud import PointCloud
 from .correspond import CorrespondenceSet
 from .gradient import GradientBundle, PerInput, chain_blocks
 from .seeding import derived_rng
-from .solver import _accumulate_batch, _moment_rows, _moments
+from .solver import _accumulate_batch, _check_sizes, _moment_rows, _moments
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
@@ -137,8 +137,11 @@ def fd_jacobian(
     its tangent projection:
     ``fd_jacobian(corr, source, "n", i, cfg) @ (I - n_i n_i^T)``.
     """
+    _check_sizes(corr, source)
     if which not in INPUT_KINDS:
         raise ValueError(f"which must be one of {INPUT_KINDS}")
+    if not 0 <= index < len(corr):
+        raise ValueError(f"index must be in [0, {len(corr)}), got {index}")
     width = 1 if which == "zeta" else 3
     kinds = np.full(width, INPUT_KINDS.index(which))
     pairs = np.full(width, index)
@@ -151,6 +154,7 @@ def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> Per
     Needs 2 (9 N + N) perturbed solves, ordered by kind, pair and
     coordinate; they run as one chunked batched job.
     """
+    _check_sizes(corr, source)
     n_pairs = len(corr)
     pair = np.arange(n_pairs)
     kinds = np.repeat(np.arange(len(INPUT_KINDS)), [3 * n_pairs] * 3 + [n_pairs])
@@ -161,6 +165,13 @@ def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> Per
     xyz = diffs[: 9 * n_pairs].reshape(3, n_pairs, 3, 12).transpose(0, 1, 3, 2)
     xyz = np.ascontiguousarray(xyz)
     return PerInput(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
+
+
+def _relative(sq: float, ref: float) -> float:
+    """sq / ref, with 0 / 0 read as 0 and x / 0 as inf."""
+    if ref > 0.0:
+        return sq / ref
+    return 0.0 if sq == 0.0 else float("inf")
 
 
 def compare(
@@ -191,18 +202,11 @@ def compare(
         diff = getattr(a, f"wrt_{kind}") - ref_grad
         sq = float(np.sum(diff * diff))
         ref = float(np.sum(ref_grad * ref_grad))
-        m = diff.size
-        mse = sq / m
-        if ref > 0.0:
-            rel = sq / ref
-        else:
-            rel = 0.0 if sq == 0.0 else float("inf")
-        per_input[kind] = (mse, rel)
+        per_input[kind] = (sq / diff.size, _relative(sq, ref))
         sq_sum += sq
         ref_sum += ref
-        count += m
-    rel_all = sq_sum / ref_sum if ref_sum > 0.0 else (0.0 if sq_sum == 0.0 else float("inf"))
-    return GradErrorReport(mse=sq_sum / count, rel_mse=rel_all, per_input=per_input, n_iters=n_iters)
+        count += diff.size
+    return GradErrorReport(sq_sum / count, _relative(sq_sum, ref_sum), per_input, n_iters)
 
 
 def make_instance(

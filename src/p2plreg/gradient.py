@@ -21,7 +21,8 @@ stops there: its one O(N) pass is the moments. The bundle keeps the inputs
 and the solved transform it was built from. Every per-pair derivative is a
 product p @ d(grad_g E)/du, for a (k, 12) matrix p, from one builder,
 ``_mixed_blocks``, which forms the offsets and residuals at g in its own
-pass (``_plane_offsets``, shared with ``energy_gradient``):
+pass through the solver's one plane-residual helper,
+``solver._plane_offsets``, as ``energy_gradient`` and ``solver.energy`` do:
 
 - ``cross_derivs`` uses p = I;
 - the bundle's ``d_g_d_*`` Jacobians use p = -J H^{-1} J^T, formed on first
@@ -49,7 +50,14 @@ from numpy.typing import NDArray
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
 from .geometry import RigidTransform, from_gvector, residual_coeffs, step_jacobian
-from .solver import SingularSystem, _factor_batch, _moments, _system_from_moments
+from .solver import (
+    SingularSystem,
+    _check_sizes,
+    _factor_batch,
+    _moments,
+    _plane_offsets,
+    _system_from_moments,
+)
 
 
 class SingularHessian(np.linalg.LinAlgError):
@@ -105,18 +113,11 @@ def penalty_curvature(r: NDArray[np.float64]) -> NDArray[np.float64]:
     )
 
 
-def _plane_offsets(
-    corr: CorrespondenceSet, source: PointCloud, t: RigidTransform
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """(N, 3) offsets w_i = R x_i + t - y_i and (N,) plane residuals w_i . n_i."""
-    offsets = source.positions @ t.rotation.T + t.translation - corr.targets
-    return offsets, np.einsum("ni,ni->n", offsets, corr.normals)
-
-
 def energy_gradient(
     corr: CorrespondenceSet, source: PointCloud, g, lam: float = 0.0
 ) -> NDArray[np.float64]:
     """Gradient of the penalized energy in the 12 transform coordinates."""
+    _check_sizes(corr, source)
     t = _as_transform(g)
     _, residuals = _plane_offsets(corr, source, t)
     grad = 2.0 * ((corr.weights * residuals) @ residual_coeffs(source.positions, corr.normals))
@@ -130,6 +131,7 @@ def hessian(corr: CorrespondenceSet, source: PointCloud, g, lam: float) -> NDArr
     The data term is the per-point Gram product 2 sum_i zeta_i d_i d_i^T of
     the residual gradients d_i, independent of the forward's moments.
     """
+    _check_sizes(corr, source)
     rot = _as_transform(g).rotation
     # sqrt-weighted Gram product keeps the result symmetric bitwise
     rd = residual_coeffs(source.positions, corr.normals) * np.sqrt(corr.weights)[:, None]
@@ -216,6 +218,7 @@ def _mixed_blocks(
 
 
 def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> PerInput:
+    _check_sizes(corr, source)
     return _mixed_blocks(corr, source, _as_transform(g), np.eye(12))
 
 
@@ -257,7 +260,8 @@ class GradientBundle:
     held as their factors.
 
     Eager: the inputs and the solved transform it was built from (held, not
-    copied, so they must not change in place while the bundle is in use),
+    copied: the cloud and correspondence arrays are read-only, and a
+    12-vector g is read into a transform of its own),
     the 6x6 chart Hessian H (twice the forward's system at g), the lifted
     inverse J H^{-1} J^T and the solver's condition flag for H; no eager
     field has N rows. Formed on read: the (N, 12, 3) and (N, 12) ``d_g_d_*``
@@ -288,6 +292,7 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     per-pair Jacobians are formed only when a ``d_g_d_*`` field is read.
     g is a RigidTransform or its 12-vector.
     """
+    _check_sizes(corr, source)
     t = _as_transform(g)
     jac = step_jacobian(t.rotation, t.translation)
     mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)

@@ -9,7 +9,7 @@ convention, pooled across the three components of each quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,23 +103,15 @@ def chamfer(est: RigidTransform, pair: RegistrationPair) -> float:
     return 0.5 * (float(np.mean(d_fwd**2)) + float(np.mean(d_bwd**2)))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregate rotation/translation statistics plus mean chamfer."""
-
-    rotation: QuantityStats
-    translation: QuantityStats
-    chamfer_mean: float
-    cases: int
-
-
-def build_report(
-    rot_residuals, gt_eulers, trans_residuals, gt_translations, chamfers
-) -> MetricReport:
+def summary(rot_residuals, gt_eulers, trans_residuals, gt_translations, chamfers) -> dict:
+    """The ``summary.json`` record of a run: rotation (``_r``) and
+    translation (``_t``) statistics of ``batch_stats``, the mean chamfer
+    distance and the case count."""
     ch = np.asarray(chamfers, dtype=np.float64)
-    return MetricReport(
-        rotation=batch_stats(rot_residuals, gt_eulers),
-        translation=batch_stats(trans_residuals, gt_translations),
-        chamfer_mean=float(ch.mean()),
-        cases=int(ch.shape[0]),
-    )
+    out: dict = {"cases": int(ch.shape[0]), "chamfer_mean": float(ch.mean())}
+    for suffix, res, gt in (
+        ("r", rot_residuals, gt_eulers), ("t", trans_residuals, gt_translations)
+    ):
+        stats = asdict(batch_stats(res, gt))
+        out.update({f"{name}_{suffix}": value for name, value in stats.items()})
+    return out

@@ -86,17 +86,19 @@ def _check_sizes(corr: CorrespondenceSet, source: PointCloud) -> None:
         )
 
 
-def _plane_energy(x, y, n, zeta):
-    """sum zeta_i ((x_i - y_i) . n_i)^2 over the point axis of (..., N, 3) inputs."""
-    res = np.einsum("...ni,...ni->...n", x - y, n)
-    return np.sum(zeta * res * res, axis=-1)
+def _plane_offsets(
+    corr: CorrespondenceSet, source: PointCloud, t: RigidTransform
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(N, 3) offsets w_i = R x_i + t - y_i and (N,) plane residuals w_i . n_i."""
+    offsets = source.positions @ t.rotation.T + t.translation - corr.targets
+    return offsets, np.einsum("ni,ni->n", offsets, corr.normals)
 
 
 def energy(corr: CorrespondenceSet, source: PointCloud, t: RigidTransform) -> float:
     """Weighted point-to-plane energy sum zeta_i ((R x_i + t - y_i) . n_i)^2."""
     _check_sizes(corr, source)
-    moved = source.positions @ t.rotation.T + t.translation
-    return float(_plane_energy(moved, corr.targets, corr.normals, corr.weights))
+    _, res = _plane_offsets(corr, source, t)
+    return float(np.sum(corr.weights * res * res))
 
 
 def _moments(x, y, n, zeta):
@@ -129,10 +131,12 @@ def _moment_rows(x, y, n, zeta, mu):
     return u, s
 
 
-def _deflated(rot, trans, mu):
-    """g - g0 of (rot, trans) as R - I and t_c - mu = t + (R - I) mu."""
+def _deflated(rot, trans, mu, out):
+    """Write g - g0 of (rot, trans) into the (B, 12) out: R - I, then
+    t_c - mu = t + (R - I) mu."""
     dr = rot - np.eye(3)
-    return dr, trans + (dr @ mu[..., None])[..., 0]
+    out[:, :9] = dr.reshape(-1, 9)
+    np.add(trans, (dr @ mu[..., None])[..., 0], out=out[:, 9:])
 
 
 def _system_from_moments(m, q0, mu, rot, trans):
@@ -145,13 +149,10 @@ def _system_from_moments(m, q0, mu, rot, trans):
     [p_i x n_i; n_i] rows at p_i = R x_i + t. Also returns the deflated
     g - g0, (B, 12).
     """
-    b_dim = rot.shape[0]
-    dr, dt = _deflated(rot, trans, mu)
     # Columns 0-5 hold J, column 6 holds g - g0.
-    jg = np.empty((b_dim, 12, 7))
-    jg[..., :6] = step_jacobian(rot, dt + mu)
-    jg[:, :9, 6] = dr.reshape(b_dim, 9)
-    jg[:, 9:, 6] = dt
+    jg = np.empty((rot.shape[0], 12, 7))
+    _deflated(rot, trans, mu, jg[..., 6])
+    jg[..., :6] = step_jacobian(rot, jg[:, 9:, 6] + mu)
     mjg = m @ jg
     mjg[..., 6] += q0
     ab = jg[..., :6].swapaxes(1, 2) @ mjg
@@ -177,6 +178,7 @@ def _factor_batch(a: NDArray[np.float64], iteration: int | None):
     Raises SingularSystem when any factorization fails or when the smallest
     squared Cholesky pivot falls below PIVOT_RATIO times the largest.
     """
+    where = f" at iteration {iteration}" if iteration is not None else ""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -187,19 +189,16 @@ def _factor_batch(a: NDArray[np.float64], iteration: int | None):
             except np.linalg.LinAlgError:
                 bad = i
                 break
-        where = f" at iteration {iteration}" if iteration is not None else ""
         raise SingularSystem(
             f"singular 6x6 system{where} (batch item {bad})", iteration
         ) from None
-    d = np.einsum("...ii->...i", chol)
+    d = np.diagonal(chol, axis1=-2, axis2=-1)
     piv = d * d
-    piv_min = piv.min(axis=-1)
-    piv_max = piv.max(axis=-1)
-    if np.any(piv_min < PIVOT_RATIO * piv_max):
-        where = f" at iteration {iteration}" if iteration is not None else ""
+    lo = piv.min(axis=-1)
+    hi = piv.max(axis=-1)
+    if np.any(lo < PIVOT_RATIO * hi):
         raise SingularSystem(f"singular 6x6 system{where} (tiny pivot)", iteration)
-    condition = bool(np.any((piv_max / piv_min) > CONDITION_LIMIT))
-    return chol, condition
+    return chol, bool(np.any(hi / lo > CONDITION_LIMIT))
 
 
 def _solve_batch(a, b, damping: float, iteration: int | None):
@@ -256,9 +255,7 @@ def _accumulate_batch(
         step = np.linalg.norm(sol[:, :3], axis=1) + np.linalg.norm(step_trans, axis=1)
         converged |= step < STEP_TOL
     if want_trace:
-        dr, dt = _deflated(rot, trans, mu)
-        deltas[:, n_iters, :9] = dr.reshape(b_dim, 9)
-        deltas[:, n_iters, 9:] = dt
+        _deflated(rot, trans, mu, deltas[:, n_iters])
 
     return rot, trans, deltas, converged, condition
 
@@ -359,7 +356,7 @@ def icp(
 
     def objective(moved: PointCloud, corr: CorrespondenceSet) -> float:
         if method == "p2pl":
-            return float(_plane_energy(moved.positions, corr.targets, corr.normals, corr.weights))
+            return energy(corr, source, running)
         diff = moved.positions - corr.targets
         return float(np.sum(corr.weights * np.einsum("ni,ni->n", diff, diff)))
 

@@ -260,6 +260,14 @@ class TestGradcheckCmd:
         assert "error: --iters needs one or more counts" in capsys.readouterr().err
         assert not (out / "gradcheck.csv").exists()
 
+    @pytest.mark.parametrize("cases", ["0", "-2"])
+    def test_cases_below_one_fails(self, tmp_path, capsys, cases):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--n", "12", "--cases", cases, "--iters", "1",
+                     "--out", str(out)]) == 1
+        assert "error: --cases must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchCmd:
     def test_bench_schema_and_memory_stability(self, tmp_path):

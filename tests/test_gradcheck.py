@@ -37,6 +37,12 @@ class TestFdJacobian:
             ref += float(np.sum(fd**2))
         assert sq / ref <= 1e-6
 
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_pair_index_out_of_range_rejected(self, index):
+        corr, cloud, _ = make_instance(2, 16, noise=1e-3)
+        with pytest.raises(ValueError, match=r"index must be in \[0, 16\)"):
+            fd_jacobian(corr, cloud, "x", index, FDConfig(n_iters_forward=2))
+
     def test_matches_bundle_blocks(self):
         corr, cloud, _ = make_instance(2, 12, noise=1e-3)
         cfg = FDConfig(n_iters_forward=5)

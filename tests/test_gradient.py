@@ -12,7 +12,7 @@ from p2plreg.geometry import (
     step_jacobian,
     to_gvector,
 )
-from p2plreg.gradcheck import make_instance
+from p2plreg.gradcheck import FDConfig, fd_bundle, fd_jacobian, make_instance
 from p2plreg.gradient import (
     SingularHessian,
     _plane_offsets,
@@ -327,6 +327,37 @@ class TestBackward:
         before = chain_loss(np.ones(12), bundle).wrt_x
         g += 0.1
         np.testing.assert_array_equal(chain_loss(np.ones(12), bundle).wrt_x, before)
+
+    def test_inputs_cannot_change_in_place_after_backward(self):
+        corr, cloud, _ = make_instance(44, 32, noise=1e-3)
+        positions = np.array(cloud.positions)
+        cloud = PointCloud(positions, cloud.normals)
+        bundle = backward(corr, cloud, register_p2pl(corr, cloud, n_iters=10).transform)
+        before = chain_loss(np.ones(12), bundle).wrt_x
+        for arr in (cloud.positions, cloud.normals, corr.targets, corr.normals, corr.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] += 0.1
+        np.testing.assert_array_equal(chain_loss(np.ones(12), bundle).wrt_x, before)
+        positions[0] += 0.1  # the caller's own array stays writable
+        assert positions.flags.writeable
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda corr, src, g: backward(corr, src, g),
+            lambda corr, src, g: cross_derivs(corr, src, g),
+            lambda corr, src, g: energy_gradient(corr, src, g),
+            lambda corr, src, g: hessian(corr, src, g, 0.0),
+            lambda corr, src, g: fd_jacobian(corr, src, "x", 0, FDConfig(n_iters_forward=2)),
+            lambda corr, src, g: fd_bundle(corr, src, FDConfig(n_iters_forward=2)),
+        ],
+        ids=["backward", "cross_derivs", "energy_gradient", "hessian", "fd_jacobian", "fd_bundle"],
+    )
+    def test_size_mismatch_rejected(self, call):
+        corr, cloud, gt = make_instance(45, 16, noise=1e-3)
+        short = PointCloud(cloud.positions[:10], cloud.normals[:10])
+        with pytest.raises(ValueError, match="correspondence count 16 does not match source size 10"):
+            call(corr, short, to_gvector(gt))
 
     def test_short_transform_vector_rejected(self):
         corr, cloud, gt = make_instance(42, 16, noise=1e-3)
