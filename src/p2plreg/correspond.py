@@ -245,13 +245,17 @@ def reliability_weights(scores: NDArray[np.float64]) -> NDArray[np.float64]:
 
     Terms that would be subnormal are flushed to 0. Rows that underflow to
     zero are kept (and logged); downstream weighted solves treat them as
-    zero-confidence pairs.
+    zero-confidence pairs. A NaN score raises ``ValueError``: it survives the
+    masked exp into its row sum, so the check reads the (N,) sums and forms
+    no (N, M) mask.
     """
     u = np.asarray(scores, dtype=np.float64)
     keep = u >= LOG_TINY
     e = np.minimum(u, SCORE_CLAMP)
     _masked_exp(e, keep)
     zeta = e.sum(axis=1)
+    if np.isnan(zeta).any():
+        raise ValueError("score matrix must not contain NaN")
     dead = zeta == 0.0
     if np.any(dead):
         logger.warning("reliability_weights: %d rows underflowed to zero", int(dead.sum()))

@@ -19,6 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial.transform import Rotation
 
+from .cloud import _read_only
+
 Mat3 = NDArray[np.float64]
 Vec3 = NDArray[np.float64]
 
@@ -85,7 +87,10 @@ def rotation_angle(r: Mat3) -> float:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation matrix plus translation vector, applied as R p + t."""
+    """Rotation matrix plus translation vector, applied as R p + t.
+
+    Both are held as read-only views, as ``PointCloud`` holds its arrays.
+    """
 
     rotation: Mat3 = field(default_factory=lambda: np.eye(3))
     translation: Vec3 = field(default_factory=lambda: np.zeros(3))
@@ -99,8 +104,8 @@ class RigidTransform:
             raise ValueError("rotation must be finite")
         if not np.all(np.isfinite(t)):
             raise ValueError("translation must be finite")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "rotation", _read_only(r))
+        object.__setattr__(self, "translation", _read_only(t))
 
     @staticmethod
     def identity() -> "RigidTransform":

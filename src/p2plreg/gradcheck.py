@@ -185,13 +185,11 @@ def compare(
     Errors are measured on per-point loss gradients, with the oracle's
     per-input mean square as the relative normalizer. Both sides chain their
     per-pair Jacobian blocks through the same contraction, so the analytic
-    ``d_g_d_*`` fields are what is compared.
+    blocks of ``analytic.jacobians()`` are what is compared.
     """
     v = np.asarray(loss_direction, dtype=np.float64).reshape(12)
-    a = chain_blocks(
-        v, analytic.d_g_d_x, analytic.d_g_d_y, analytic.d_g_d_n, analytic.d_g_d_zeta
-    )
-    f = chain_blocks(v, fd.wrt_x, fd.wrt_y, fd.wrt_n, fd.wrt_zeta)
+    a = chain_blocks(v, analytic.jacobians())
+    f = chain_blocks(v, fd)
 
     per_input: dict[str, tuple[float, float]] = {}
     sq_sum = 0.0

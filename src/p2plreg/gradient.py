@@ -25,8 +25,8 @@ pass through the solver's one plane-residual helper,
 ``solver._plane_offsets``, as ``energy_gradient`` and ``solver.energy`` do:
 
 - ``cross_derivs`` uses p = I;
-- the bundle's ``d_g_d_*`` Jacobians use p = -J H^{-1} J^T, formed on first
-  read, 120 N doubles;
+- ``GradientBundle.jacobians`` uses p = -J H^{-1} J^T, 120 N doubles per
+  call;
 - ``chain_loss`` is the vector-Jacobian product, the one row
   p = -v^T J H^{-1} J^T, 10 N doubles.
 
@@ -222,51 +222,19 @@ def cross_derivs(corr: CorrespondenceSet, source: PointCloud, g) -> PerInput:
     return _mixed_blocks(corr, source, _as_transform(g), np.eye(12))
 
 
-class _FormedOnRead:
-    """Data descriptor for the per-pair Jacobian fields of ``GradientBundle``.
-
-    ``backward`` leaves the four fields unset (the dataclass default None).
-    The first read of any of them forms all four with one
-    ``_mixed_blocks(correspondences, source, transform, -h_inv)`` call, which
-    reads the bundle's inputs again, and keeps them on the bundle;
-    a value passed to the constructor, as ``dataclasses.replace`` does, is
-    kept as given. Two threads reading an unformed bundle at once may both
-    form the blocks; they form the same values, and a field once set is
-    never replaced.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the dataclass default: formed on first read
-        if obj.__dict__[self.name] is None:
-            jac = _mixed_blocks(obj.correspondences, obj.source, obj.transform, -obj.h_inv)
-            formed = (("d_g_d_x", jac.wrt_x), ("d_g_d_y", jac.wrt_y),
-                      ("d_g_d_n", jac.wrt_n), ("d_g_d_zeta", jac.wrt_zeta))
-            for name, blocks in formed:
-                if obj.__dict__[name] is None:
-                    obj.__dict__[name] = blocks
-        return obj.__dict__[self.name]
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class GradientBundle:
     """Jacobians of the solved transform vector for every per-pair input,
     held as their factors.
 
-    Eager: the inputs and the solved transform it was built from (held, not
-    copied: the cloud and correspondence arrays are read-only, and a
-    12-vector g is read into a transform of its own),
-    the 6x6 chart Hessian H (twice the forward's system at g), the lifted
-    inverse J H^{-1} J^T and the solver's condition flag for H; no eager
-    field has N rows. Formed on read: the (N, 12, 3) and (N, 12) ``d_g_d_*``
-    blocks, d g*/d u = -J H^{-1} J^T d(grad_g E)/du, all four on the first
-    read of any one. ``chain_loss`` forms none of them.
+    Holds the inputs and the solved transform it was built from, the 6x6
+    chart Hessian H (twice the forward's system at g), the lifted inverse
+    J H^{-1} J^T and the solver's condition flag for H; no field has N rows.
+    The inputs are held, not copied: the cloud, correspondence and
+    transform arrays are read-only views, and a 12-vector g is read into a
+    transform of its own. A view shares memory with a contiguous float64
+    array the caller passed in, so editing that array in place after
+    ``backward`` still changes what the bundle reads.
     """
 
     correspondences: CorrespondenceSet
@@ -275,10 +243,11 @@ class GradientBundle:
     h_inv: NDArray[np.float64]  # (12, 12) J H^{-1} J^T
     hessian: NDArray[np.float64]  # (6, 6) chart Hessian H
     condition_warning: bool  # pivot ratio of H above solver.CONDITION_LIMIT
-    d_g_d_x: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
-    d_g_d_y: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
-    d_g_d_n: NDArray[np.float64] = _FormedOnRead()  # (N, 12, 3)
-    d_g_d_zeta: NDArray[np.float64] = _FormedOnRead()  # (N, 12)
+
+    def jacobians(self) -> PerInput:
+        """The (N, 12, 3) and (N, 12) blocks d g*/d u = -J H^{-1} J^T
+        d(grad_g E)/du, formed on every call; ``chain_loss`` needs none."""
+        return _mixed_blocks(self.correspondences, self.source, self.transform, -self.h_inv)
 
 
 def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
@@ -289,7 +258,7 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     Hessian of the plane energy in the six step coordinates, and the bundle
     keeps J H^{-1} J^T. H is twice the forward's own 6x6 system at g, checked
     by the forward's pivot rule. Its one O(N) pass forms the moments; the
-    per-pair Jacobians are formed only when a ``d_g_d_*`` field is read.
+    per-pair Jacobians are formed only by ``GradientBundle.jacobians``.
     g is a RigidTransform or its 12-vector.
     """
     _check_sizes(corr, source)
@@ -310,7 +279,7 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     return GradientBundle(corr, source, t, h_inv, h, condition)
 
 
-def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PerInput:
+def chain_blocks(d_loss_d_g, blocks: PerInput) -> PerInput:
     """Chain a loss gradient in g through per-pair (N, 12, 3) and (N, 12)
     Jacobian blocks."""
     v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
@@ -318,10 +287,10 @@ def chain_blocks(d_loss_d_g, wrt_x, wrt_y, wrt_n, wrt_zeta) -> PerInput:
     # v[k] when j == j', so row i contracts v with block i over k.
     v_blocks = (v[:, None, None] * np.eye(3)).reshape(36, 3)
     return PerInput(
-        wrt_x=wrt_x.reshape(-1, 36) @ v_blocks,
-        wrt_y=wrt_y.reshape(-1, 36) @ v_blocks,
-        wrt_n=wrt_n.reshape(-1, 36) @ v_blocks,
-        wrt_zeta=wrt_zeta @ v,
+        wrt_x=blocks.wrt_x.reshape(-1, 36) @ v_blocks,
+        wrt_y=blocks.wrt_y.reshape(-1, 36) @ v_blocks,
+        wrt_n=blocks.wrt_n.reshape(-1, 36) @ v_blocks,
+        wrt_zeta=blocks.wrt_zeta @ v,
     )
 
 
@@ -330,8 +299,7 @@ def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PerInput:
 
     A vector-Jacobian product through the bundle's factors: the one row
     -v^T J H^{-1} J^T goes through the mixed-derivative builder with the
-    bundle's inputs, so no per-pair Jacobian is formed and the ``d_g_d_*``
-    fields are not read.
+    bundle's inputs, so no per-pair Jacobian is formed.
     """
     v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
     row = _mixed_blocks(

@@ -17,6 +17,7 @@ copies whose moments are rank-two updates of the base ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,8 @@ def _factor_batch(a: NDArray[np.float64], iteration: int | None):
 def _solve_batch(a, b, damping: float, iteration: int | None):
     """Solutions (B, 6) of the damped systems (a + damping I) s = b, plus
     the condition flag of ``_factor_batch``."""
+    if not (math.isfinite(damping) and damping >= 0.0):
+        raise ValueError(f"damping must be finite and non-negative, got {damping}")
     if damping:
         a = a + damping * np.eye(6)
     _, condition = _factor_batch(a, iteration)

@@ -308,6 +308,12 @@ class TestReliability:
         zeta = reliability_weights(np.full((1, 3), 1e9))
         assert np.isfinite(zeta).all()
 
+    def test_nan_score_rejected(self):
+        u = np.zeros((3, 4))
+        u[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            reliability_weights(u)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_monotone_in_scores(self, seed):

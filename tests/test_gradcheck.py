@@ -29,11 +29,12 @@ class TestFdJacobian:
         corr = exact_correspond(cloud, gt)
         rep = register_p2pl(corr, cloud, n_iters=10)
         bundle = backward(corr, cloud, rep.transform)
+        jac = bundle.jacobians()
         cfg = FDConfig(n_iters_forward=10)
         sq = ref = 0.0
         for i in range(8):
             fd = fd_jacobian(corr, cloud, "y", i, cfg)
-            sq += float(np.sum((bundle.d_g_d_y[i] - fd) ** 2))
+            sq += float(np.sum((jac.wrt_y[i] - fd) ** 2))
             ref += float(np.sum(fd**2))
         assert sq / ref <= 1e-6
 
@@ -180,7 +181,7 @@ class TestCompare:
         bundle = backward(corr, cloud, g)
         fd = fd_bundle(corr, cloud, FDConfig(n_iters_forward=10))
         # Feed the analytic bundle as its own reference through the FD slot.
-        self_fd = PerInput(bundle.d_g_d_x, bundle.d_g_d_y, bundle.d_g_d_n, bundle.d_g_d_zeta)
+        self_fd = bundle.jacobians()
         _, dldg = rigid_motion_loss(g, gt)
         report = compare(bundle, self_fd, dldg, 10)
         assert report.mse == 0.0 and report.rel_mse == 0.0
@@ -191,9 +192,8 @@ class TestCompare:
         corr, cloud, gt = make_instance(8, 16, noise=1e-3)
         g = to_gvector(register_p2pl(corr, cloud, n_iters=10).transform)
         bundle = backward(corr, cloud, g)
-        doubled = PerInput(
-            2 * bundle.d_g_d_x, 2 * bundle.d_g_d_y, 2 * bundle.d_g_d_n, 2 * bundle.d_g_d_zeta
-        )
+        jac = bundle.jacobians()
+        doubled = PerInput(2 * jac.wrt_x, 2 * jac.wrt_y, 2 * jac.wrt_n, 2 * jac.wrt_zeta)
         _, dldg = rigid_motion_loss(g, gt)
         report = compare(bundle, doubled, dldg, 10)
         assert report.rel_mse == pytest.approx(0.25, rel=1e-12)

@@ -203,6 +203,20 @@ class TestSolveStep:
             np.testing.assert_array_equal(step.translation, rep.transform.translation)
 
 
+@pytest.mark.parametrize("damping", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("solve", ["register_p2pl", "solve_step", "icp"])
+def test_invalid_damping_rejected(solve, damping):
+    cloud = synth_shape("blob", 64, seed=5)
+    corr = exact_correspond(cloud, draw_rigid(derived_rng(5, "gt"), 15.0, 0.1))
+    call = {
+        "register_p2pl": lambda: register_p2pl(corr, cloud, n_iters=3, damping=damping),
+        "solve_step": lambda: solve_step(assemble(corr, cloud), damping),
+        "icp": lambda: icp(cloud, cloud, method="p2pl", max_outer=2, damping=damping),
+    }[solve]
+    with pytest.raises(ValueError, match="damping must be finite and non-negative"):
+        call()
+
+
 class TestRegisterP2pl:
     def test_identity_converges_immediately(self):
         cloud = synth_shape("blob", 64, seed=11)
