@@ -3,13 +3,18 @@
 import csv
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from p2plreg import fileio
 from p2plreg.cli import main
+from p2plreg.gradient import GradientBundle, PerInput
 from p2plreg.metrics import euler_zyx_angles
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _dir_bytes(root):
@@ -267,6 +272,35 @@ class TestGradcheckCmd:
                      "--out", str(out)]) == 1
         assert "error: --cases must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1.0, 1.1])
+    def test_benchmark_job_fails_on_scaled_position_jacobians(
+        self, tmp_path, capsys, monkeypatch, scale
+    ):
+        # The benchmark's gradcheck workload runs `p2pl gradcheck` jobs; a job
+        # whose analytic d g*/dx is scaled by 1.1 must count as a failed op
+        # through the gradient check itself (the op runs to its verdict).
+        monkeypatch.setattr(sys, "path", [str(BENCH_DIR), *sys.path])
+        import run
+        from workloads import TINY
+
+        for var in run.THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        real, calls = GradientBundle.jacobians, []
+
+        def scaled(self):
+            calls.append(self)
+            jac = real(self)
+            return PerInput(scale * jac.wrt_x, jac.wrt_y, jac.wrt_n, jac.wrt_zeta)
+
+        monkeypatch.setattr(GradientBundle, "jacobians", scaled)
+        argv = ["--workload", "gradcheck", "--seed", "0", "--seconds", "0.001", "--trace", "0"]
+        assert run.main(argv, sizes=TINY, scratch=tmp_path) == 0
+        result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert result["attempted"] >= 1 and calls
+        corrupted = scale != 1.0
+        assert result["failed"] == (result["attempted"] if corrupted else 0)
+        assert result["correct"] is not corrupted
 
 
 class TestBenchCmd:

@@ -154,17 +154,6 @@ class TestLogRotation:
             assert 0.0 <= np.linalg.norm(a) <= math.pi + 1e-12
 
 
-class TestRigidTransform:
-    def test_arrays_are_read_only_views(self):
-        rot, trans = np.eye(3), np.array([1.0, -2.0, 0.5])
-        t = RigidTransform(rot, trans)
-        for arr in (t.rotation, t.translation):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] += 1.0
-        trans[0] = 3.0  # the caller's own array stays writable and is shared
-        assert rot.flags.writeable and t.translation[0] == 3.0
-
-
 class TestComposeApply:
     def test_identity_neutral(self):
         rng = np.random.default_rng(23)

@@ -332,24 +332,17 @@ class TestBackward:
         corr, cloud, _ = make_instance(44, 32, noise=1e-3)
         positions = np.array(cloud.positions)
         cloud = PointCloud(positions, cloud.normals)
-        bundle = backward(corr, cloud, register_p2pl(corr, cloud, n_iters=10).transform)
+        t = register_p2pl(corr, cloud, n_iters=10).transform
+        bundle = backward(corr, cloud, t)
         before = chain_loss(np.ones(12), bundle).wrt_x
-        for arr in (cloud.positions, cloud.normals, corr.targets, corr.normals, corr.weights):
+        arrays = (cloud.positions, cloud.normals, corr.targets, corr.normals, corr.weights,
+                  t.rotation, t.translation)
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[:] += 0.1
         np.testing.assert_array_equal(chain_loss(np.ones(12), bundle).wrt_x, before)
         positions[0] += 0.1  # the caller's own array stays writable
         assert positions.flags.writeable
-
-    def test_transform_cannot_change_in_place_after_backward(self):
-        corr, cloud, _ = make_instance(0, 64)
-        t = register_p2pl(corr, cloud, n_iters=10).transform
-        bundle = backward(corr, cloud, t)
-        before = chain_loss(np.ones(12), bundle).wrt_x
-        for arr in (t.rotation, t.translation):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[:] += 0.1
-        np.testing.assert_array_equal(chain_loss(np.ones(12), bundle).wrt_x, before)
 
     @pytest.mark.parametrize(
         "call",
