@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -63,6 +64,17 @@ def _counts(text: str, flag: str) -> list[int]:
     if not values or min(values) < 1:
         raise ValueError(f"{flag} needs one or more counts >= 1, got {text!r}")
     return values
+
+
+def _damping(text: str) -> float:
+    """The --damping value: finite and non-negative, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate-normals", type=int, default=0, metavar="K")
     p.add_argument("--consistent-normals", action="store_true",
                    help="orient estimated normals outward instead of flipping randomly")
-    p.add_argument("--damping", type=float, default=0.0)
+    p.add_argument("--damping", type=_damping, default=0.0)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_register)

@@ -84,24 +84,40 @@ def nn_correspond(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
 
     Exact ties resolve to the lowest target index.
     """
+    return _nn_matcher(target)(source.positions)
+
+
+def _nn_matcher(target: PointCloud):
+    """``nn_correspond`` against one kd-tree of ``target``, built here.
+
+    Returns match(points, weights=None), the correspondences of the (N, 3)
+    points with unit reliabilities or the given (N,) weights, so a caller
+    that re-matches moved points (ICP) builds the tree once.
+    """
     normals = target.require_normals()
     m = len(target)
     tree = cKDTree(target.positions)
-    d, nbr = tree.query(source.positions, k=2)
-    idx = nbr[:, 0].copy()
-    # Rows whose two nearest distances tie are queried again with a
-    # doubling k until the last neighbor returned is strictly farther,
-    # so every target at the nearest distance has been seen. With one
-    # target the second distance is infinite, so no row ties.
-    rows = np.flatnonzero(d[:, 0] == d[:, 1])
-    k = 2
-    while rows.size:
-        k = min(2 * k, m)
-        d, nbr = tree.query(source.positions[rows], k=k)
-        tied = d == d[:, :1]
-        idx[rows] = np.where(tied, nbr, m).min(axis=1)
-        rows = rows[tied[:, -1]] if k < m else rows[:0]
-    return CorrespondenceSet(target.positions[idx], normals[idx], np.ones(len(source)))
+
+    def match(points, weights=None) -> CorrespondenceSet:
+        d, nbr = tree.query(points, k=2)
+        idx = nbr[:, 0].copy()
+        # Rows whose two nearest distances tie are queried again with a
+        # doubling k until the last neighbor returned is strictly farther,
+        # so every target at the nearest distance has been seen. With one
+        # target the second distance is infinite, so no row ties.
+        rows = np.flatnonzero(d[:, 0] == d[:, 1])
+        k = 2
+        while rows.size:
+            k = min(2 * k, m)
+            d, nbr = tree.query(points[rows], k=k)
+            tied = d == d[:, :1]
+            idx[rows] = np.where(tied, nbr, m).min(axis=1)
+            rows = rows[tied[:, -1]] if k < m else rows[:0]
+        if weights is None:
+            weights = np.ones(len(points))
+        return CorrespondenceSet(target.positions[idx], normals[idx], weights)
+
+    return match
 
 
 def exact_correspond(source: PointCloud, gt: RigidTransform, weights=None) -> CorrespondenceSet:

@@ -1,10 +1,10 @@
 """Rigid-motion primitives: rotations, composition, and cloud transforms.
 
 Rotations are plain (3, 3) float64 arrays; a rigid transform is a frozen
-dataclass pairing a rotation with a translation. The exponential and
-logarithm maps between axis-angle vectors and rotation matrices
-(``rodrigues_batch``, ``log_rotation``) come from
-``scipy.spatial.transform.Rotation``. The 12-vector flattening
+dataclass pairing a rotation with a translation. The exponential map from
+axis-angle vectors to rotation matrices (``rodrigues_batch``) is closed
+form, through the unit quaternion; the logarithm map (``log_rotation``)
+comes from ``scipy.spatial.transform.Rotation``. The 12-vector flattening
 (row-major rotation entries followed by the translation) is fixed
 project-wide; every 12-dimensional Jacobian in the gradient module assumes
 this ordering.
@@ -50,18 +50,43 @@ def skew(w) -> Mat3:
 def rodrigues(axis_angle) -> Mat3:
     """Rotation matrix for the axis-angle vector theta * w.
 
-    The exponential map from ``scipy.spatial.transform.Rotation``. Angles
-    below SMALL_ANGLE return the identity.
+    The exponential map of ``rodrigues_batch``. Angles below SMALL_ANGLE
+    return the identity.
     """
     return rodrigues_batch(_vec3(axis_angle, "axis_angle")[None])[0]
 
 
+# Row-major entry 3 i + j of exp([a]) is (2 v)_i v_j plus entry
+# _EXP_PICK[3 i + j] of (cos(theta), 2 w v, -2 w v).
+_EXP_I = np.repeat(np.arange(3), 3)
+_EXP_J = np.tile(np.arange(3), 3)
+_EXP_PICK = np.array([0, 6, 2, 3, 0, 4, 5, 1, 0])
+
+
 def rodrigues_batch(axis_angles: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Vectorized rodrigues for (B, 3) input, returning (B, 3, 3)."""
-    a = np.asarray(axis_angles, dtype=np.float64)
-    out = Rotation.from_rotvec(a).as_matrix()
-    out[np.linalg.norm(a, axis=-1) < SMALL_ANGLE] = np.eye(3)
-    return out
+    """Vectorized rodrigues for (B, 3) input, returning (B, 3, 3).
+
+    exp([a]) = cos(theta) I + 2 v v^T + 2 w [v] for the unit quaternion
+    (v, w) = (sin(theta/2) a / theta, cos(theta/2)); it matches
+    ``scipy.spatial.transform.Rotation.from_rotvec(a).as_matrix()``, which
+    forms the same terms, within a few ulps at every angle. Below
+    SMALL_ANGLE v is 0 and cos(theta) rounds to 1, which gives exactly the
+    identity. Each pass runs over one row per component across the batch,
+    so no step mixes items.
+    """
+    at = np.asarray(axis_angles, dtype=np.float64).T
+    # |a| summed as np.linalg.norm sums it, so the identity cut agrees with it.
+    theta = np.sqrt(np.add.reduce(np.multiply(at, at, order="C")))
+    half = 0.5 * theta
+    k = np.divide(np.sin(half), theta, out=np.zeros_like(theta), where=theta >= SMALL_ANGLE)
+    v = np.multiply(at, k, order="C")
+    ext = np.empty((7,) + theta.shape)
+    np.cos(theta, out=ext[0])
+    np.multiply(v, 2.0 * np.cos(half), out=ext[1:4])
+    np.negative(ext[1:4], out=ext[4:])
+    out = (v + v)[_EXP_I] * v[_EXP_J]
+    out += ext[_EXP_PICK]
+    return np.ascontiguousarray(out.T).reshape(-1, 3, 3)
 
 
 def log_rotation(r: Mat3) -> Vec3:
@@ -161,11 +186,24 @@ def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[n
     return np.concatenate([top, n], axis=1)
 
 
-# Row 3 p + j is the Levi-Civita symbol eps[p, j, :]: for any 3-vector v,
-# (_LEVI_CIVITA @ v)[3 p + j] = d (a x v)_p / d a_j.
-_LEVI_CIVITA = np.zeros((9, 3))
-_LEVI_CIVITA[[1, 5, 6], [2, 0, 1]] = 1.0
-_LEVI_CIVITA[[2, 3, 7], [1, 2, 0]] = -1.0
+def _step_picks():
+    """Where each step_jacobian entry sits in (row-major R, t, -R, -t, 0, 1).
+
+    Column j < 3 is e_j x v for v each column of R and for t, so row p of
+    it is eps[p, j, m] v_m, a signed copy of v_m; column 3 + j is (0, e_j).
+    """
+    pick = np.full((12, 6), 24)
+    # eps[p, j, m] is +1 on the first three (p, j, m), -1 on the last three.
+    for p, j, m, neg in ((0, 1, 2, 0), (1, 2, 0, 0), (2, 0, 1, 0),
+                         (0, 2, 1, 12), (1, 0, 2, 12), (2, 1, 0, 12)):
+        pick[[3 * p, 3 * p + 1, 3 * p + 2, 9 + p], j] = [
+            neg + 3 * m, neg + 3 * m + 1, neg + 3 * m + 2, neg + 9 + m]
+    pick[[9, 10, 11], [3, 4, 5]] = 25
+    return pick
+
+
+_STEP_PICK = _step_picks()
+_ZERO_ONE = np.array([0.0, 1.0])
 
 
 def step_jacobian(rot, trans) -> NDArray[np.float64]:
@@ -173,17 +211,17 @@ def step_jacobian(rot, trans) -> NDArray[np.float64]:
 
     The chart is R' = exp([a]) R, t' = exp([a]) t + delta. At (a, delta) = 0
     column j < 3 is the change ([e_j] R, e_j x t) and column 3 + j is
-    (0, e_j). Takes (..., 3, 3) rotations and (..., 3) translations.
+    (0, e_j). Takes (..., 3, 3) rotations and (..., 3) translations; the 27
+    nonzero entries are signed copies of R, t and 1.
     """
     rot = np.asarray(rot, dtype=np.float64)
-    trans = np.asarray(trans, dtype=np.float64)
     lead = rot.shape[:-2]
-    # Rows 3 p + k are R[p, k] for p < 3 and t[k] for p = 3.
-    jac = np.zeros(lead + (4, 3, 6))
-    jac[..., :3, :, :3] = (_LEVI_CIVITA @ rot).reshape(lead + (3, 3, 3)).swapaxes(-1, -2)
-    jac[..., 3, :, :3] = (trans @ _LEVI_CIVITA.T).reshape(lead + (3, 3))
-    jac[..., 3, :, 3:] = np.eye(3)
-    return jac.reshape(lead + (12, 6))
+    ext = np.empty(lead + (26,))
+    ext[..., :9] = rot.reshape(lead + (9,))
+    ext[..., 9:12] = trans
+    np.negative(ext[..., :12], out=ext[..., 12:24])
+    ext[..., 24:] = _ZERO_ONE
+    return ext[..., _STEP_PICK]
 
 
 def euler_zyx_to_rotation(yaw: float, pitch: float, roll: float) -> Mat3:

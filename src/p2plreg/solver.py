@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cloud import PointCloud
-from .correspond import CorrespondenceSet, nn_correspond
+from .correspond import CorrespondenceSet, _nn_matcher
 from .geometry import (
     RigidTransform,
     apply_transform,
@@ -41,6 +41,9 @@ STEP_TOL = 1e-10
 PIVOT_RATIO = 1e-14
 # Condition estimate beyond this sets the report's warning flag.
 CONDITION_LIMIT = 1e12
+
+_EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -135,7 +138,7 @@ def _moment_rows(x, y, n, zeta, mu):
 def _deflated(rot, trans, mu, out):
     """Write g - g0 of (rot, trans) into the (B, 12) out: R - I, then
     t_c - mu = t + (R - I) mu."""
-    dr = rot - np.eye(3)
+    dr = rot - _EYE3
     out[:, :9] = dr.reshape(-1, 9)
     np.add(trans, (dr @ mu[..., None])[..., 0], out=out[:, 9:])
 
@@ -173,13 +176,17 @@ def assemble(corr: CorrespondenceSet, source: PointCloud) -> LinearizedSystem:
     return LinearizedSystem(a[0], b[0])
 
 
+def _singular(iteration: int | None, what: str) -> SingularSystem:
+    where = f" at iteration {iteration}" if iteration is not None else ""
+    return SingularSystem(f"singular 6x6 system{where} ({what})", iteration)
+
+
 def _factor_batch(a: NDArray[np.float64], iteration: int | None):
     """Cholesky factor of a batch of 6x6 systems plus a condition flag.
 
     Raises SingularSystem when any factorization fails or when the smallest
     squared Cholesky pivot falls below PIVOT_RATIO times the largest.
     """
-    where = f" at iteration {iteration}" if iteration is not None else ""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -190,16 +197,14 @@ def _factor_batch(a: NDArray[np.float64], iteration: int | None):
             except np.linalg.LinAlgError:
                 bad = i
                 break
-        raise SingularSystem(
-            f"singular 6x6 system{where} (batch item {bad})", iteration
-        ) from None
-    d = np.diagonal(chol, axis1=-2, axis2=-1)
+        raise _singular(iteration, f"batch item {bad}") from None
+    d = chol.diagonal(axis1=-2, axis2=-1)
     piv = d * d
-    lo = piv.min(axis=-1)
-    hi = piv.max(axis=-1)
-    if np.any(lo < PIVOT_RATIO * hi):
-        raise SingularSystem(f"singular 6x6 system{where} (tiny pivot)", iteration)
-    return chol, bool(np.any(hi / lo > CONDITION_LIMIT))
+    lo = np.minimum.reduce(piv, axis=-1)
+    hi = np.maximum.reduce(piv, axis=-1)
+    if np.logical_or.reduce(lo < PIVOT_RATIO * hi):
+        raise _singular(iteration, "tiny pivot")
+    return chol, bool(np.logical_or.reduce(hi / lo > CONDITION_LIMIT))
 
 
 def _solve_batch(a, b, damping: float, iteration: int | None):
@@ -208,7 +213,7 @@ def _solve_batch(a, b, damping: float, iteration: int | None):
     if not (math.isfinite(damping) and damping >= 0.0):
         raise ValueError(f"damping must be finite and non-negative, got {damping}")
     if damping:
-        a = a + damping * np.eye(6)
+        a = a + damping * _EYE6
     _, condition = _factor_batch(a, iteration)
     return np.linalg.solve(a, b[..., None])[..., 0], condition
 
@@ -237,7 +242,8 @@ def _accumulate_batch(
     informational.
     """
     b_dim = m.shape[0]
-    rot = np.broadcast_to(np.eye(3), (b_dim, 3, 3)).copy()
+    rot = np.empty((b_dim, 3, 3))
+    rot[:] = _EYE3
     trans = np.zeros((b_dim, 3))
     converged = np.zeros(b_dim, dtype=bool)
     condition = False
@@ -250,13 +256,14 @@ def _accumulate_batch(
         sol, cond_k = _solve_batch(a_mat, b_vec, damping, k)
         condition = condition or cond_k
         step_rot = rodrigues_batch(sol[:, :3])
-        step_trans = sol[:, 3:]
-
         rot = step_rot @ rot
-        trans = (step_rot @ trans[..., None])[..., 0] + step_trans
-
-        step = np.linalg.norm(sol[:, :3], axis=1) + np.linalg.norm(step_trans, axis=1)
-        converged |= step < STEP_TOL
+        trans = (step_rot @ trans[..., None])[..., 0] + sol[:, 3:]
+        # |a| + |delta|, each summed in the order of np.linalg.norm.
+        step = np.sqrt(np.add.reduce((sol * sol).reshape(b_dim, 2, 3), axis=-1))
+        converged |= np.add.reduce(step, axis=-1) < STEP_TOL
+        # Only rot and trans carry over: the next round's system is formed
+        # without this round's (delta is a view of the whole system buffer).
+        del a_mat, b_vec, delta, sol, step_rot, step
     if want_trace:
         _deflated(rot, trans, mu, deltas[:, n_iters])
 
@@ -338,24 +345,18 @@ def icp(
     """
     if method not in ("p2p", "p2pl"):
         raise ValueError("method must be 'p2p' or 'p2pl'")
-    if method == "p2pl":
-        target.require_normals()
     if source_weights is not None:
         source_weights = np.asarray(source_weights, dtype=np.float64).reshape(-1)
         if source_weights.shape[0] != len(source):
             raise ValueError("source_weights length must match the source size")
+    # One kd-tree of the target serves every round's matching.
+    match = _nn_matcher(target)
 
     running = RigidTransform.identity()
     trace: list[float] = []
     converged = False
     condition = False
     iterations = 0
-
-    def matched(moved: PointCloud) -> CorrespondenceSet:
-        corr = nn_correspond(moved, target)
-        if source_weights is None:
-            return corr
-        return CorrespondenceSet(corr.targets, corr.normals, source_weights)
 
     def objective(moved: PointCloud, corr: CorrespondenceSet) -> float:
         if method == "p2pl":
@@ -364,7 +365,7 @@ def icp(
         return float(np.sum(corr.weights * np.einsum("ni,ni->n", diff, diff)))
 
     moved = source
-    corr = matched(moved)
+    corr = match(moved.positions, source_weights)
     trace.append(objective(moved, corr))
 
     for _ in range(max_outer):
@@ -378,7 +379,7 @@ def icp(
         iterations += 1
 
         moved = apply_transform(running, source)
-        corr = matched(moved)
+        corr = match(moved.positions, source_weights)
         trace.append(objective(moved, corr))
 
         step = rotation_angle(delta.rotation) + float(np.linalg.norm(delta.translation))

@@ -229,6 +229,24 @@ class TestRegister:
         assert main(["register", "--in", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("method", ["p2pl", "p2p"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "x"])
+    def test_invalid_damping_is_a_usage_error(self, dataset, tmp_path, capsys, method, value):
+        out = tmp_path / "reg"
+        with pytest.raises(SystemExit) as exc:
+            main(["register", "--in", str(dataset), "--method", method,
+                  f"--damping={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--damping: must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_and_positive_damping_accepted(self, dataset, tmp_path):
+        for value in ("0", "1e-3"):
+            out = tmp_path / f"reg_{value}"
+            assert main(["register", "--in", str(dataset), "--damping", value,
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "run_config.json").read_text())["damping"] == float(value)
+
 
 class TestGradcheckCmd:
     def test_byte_identical_and_thread_invariant(self, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from p2plreg.cloud import PointCloud
 from p2plreg.geometry import (
@@ -94,6 +95,40 @@ class TestRodrigues:
         aa = [t * axis for t in angles] + list(rng.standard_normal((200, 3)))
         for a in aa:
             np.testing.assert_array_equal(rodrigues(a), rodrigues_batch(a[None])[0])
+
+
+def _scipy_exp(aa):
+    """Oracle for rodrigues_batch: scipy's exponential map, with the
+    identity below SMALL_ANGLE (the cut taken on np.linalg.norm)."""
+    out = Rotation.from_rotvec(aa).as_matrix()
+    out[np.linalg.norm(aa, axis=-1) < SMALL_ANGLE] = np.eye(3)
+    return out
+
+
+class TestRodriguesMatchesScipy:
+    ANGLES = [0.0, 0.5 * SMALL_ANGLE, 0.999 * SMALL_ANGLE, SMALL_ANGLE, 1e-8, 1.0,
+              math.pi - 1e-6, math.pi]
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_single_axis_angle(self, angle):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            aa = (angle * _unit(rng))[None]
+            np.testing.assert_allclose(rodrigues_batch(aa), _scipy_exp(aa), rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_batch_of_1280(self, angle):
+        rng = np.random.default_rng(62)
+        axes = rng.standard_normal((1280, 3))
+        aa = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        np.testing.assert_allclose(rodrigues_batch(aa), _scipy_exp(aa), rtol=0, atol=2e-15)
+
+    def test_mixed_angles_in_one_batch(self):
+        rng = np.random.default_rng(63)
+        axes = rng.standard_normal((1280, 3))
+        angles = rng.choice(self.ANGLES, 1280) * rng.uniform(0.5, 1.0, 1280)
+        aa = angles[:, None] * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        np.testing.assert_allclose(rodrigues_batch(aa), _scipy_exp(aa), rtol=0, atol=2e-15)
 
 
 def _unit(rng):
@@ -250,7 +285,42 @@ class TestGVector:
             from_gvector(np.concatenate([rot.reshape(9), np.zeros(3)]))
 
 
+# Row 3 p + j is the Levi-Civita symbol eps[p, j, :]: for any 3-vector v,
+# (_LEVI_CIVITA @ v)[3 p + j] = d (a x v)_p / d a_j.
+_LEVI_CIVITA = np.zeros((9, 3))
+_LEVI_CIVITA[[1, 5, 6], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[2, 3, 7], [1, 2, 0]] = -1.0
+
+
+def _levi_civita_step_jacobian(rot, trans):
+    """Oracle for step_jacobian: its construction from the Levi-Civita
+    symbol, one product per block."""
+    rot = np.asarray(rot, dtype=np.float64)
+    trans = np.asarray(trans, dtype=np.float64)
+    lead = rot.shape[:-2]
+    jac = np.zeros(lead + (4, 3, 6))
+    jac[..., :3, :, :3] = (_LEVI_CIVITA @ rot).reshape(lead + (3, 3, 3)).swapaxes(-1, -2)
+    jac[..., 3, :, :3] = (trans @ _LEVI_CIVITA.T).reshape(lead + (3, 3))
+    jac[..., 3, :, 3:] = np.eye(3)
+    return jac.reshape(lead + (12, 6))
+
+
 class TestStepJacobian:
+    @pytest.mark.parametrize("batch", [None, 1, 1280])
+    def test_bitwise_equal_to_levi_civita_construction(self, batch):
+        # Every entry is a signed copy of R, t, 1 or 0, so the two agree
+        # bitwise; assert_array_equal leaves only the sign of zero free.
+        rng = np.random.default_rng(56)
+        count = 1 if batch is None else batch
+        rots = np.stack([random_rotation(rng) for _ in range(count)])
+        trans = 10.0 ** rng.uniform(-3, 5, (count, 1)) * rng.standard_normal((count, 3))
+        if batch is None:
+            rots, trans = rots[0], trans[0]
+        got = step_jacobian(rots, trans)
+        assert got.shape == rots.shape[:-2] + (12, 6)
+        np.testing.assert_array_equal(got, _levi_civita_step_jacobian(rots, trans))
+        assert np.count_nonzero(got) == 27 * count
+
     def test_matches_fd_of_the_step_chart(self):
         rng = np.random.default_rng(54)
         rot, trans = random_rotation(rng), 5.0 * rng.standard_normal(3)

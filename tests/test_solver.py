@@ -418,6 +418,46 @@ class TestIcp:
         np.testing.assert_array_equal(rep.correspondences.targets, expect.targets)
         np.testing.assert_array_equal(rep.correspondences.weights, w)
 
+    @pytest.mark.parametrize("method", ["p2pl", "p2p"])
+    def test_one_tree_build_per_call(self, method, monkeypatch):
+        import p2plreg.correspond as correspond
+
+        # Counted at the name the tracer wraps, looked up at call time.
+        builds = []
+        tree_cls = correspond.cKDTree
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return tree_cls(*args, **kwargs)
+
+        monkeypatch.setattr(correspond, "cKDTree", counted)
+        cloud = synth_shape("blob", 256, seed=25)
+        target = apply_transform(draw_rigid(derived_rng(25, "gt"), 10.0, 0.05), cloud)
+        rep = icp(cloud, target, method=method, max_outer=6)
+        assert rep.iterations > 1
+        assert len(builds) == 1
+        icp(cloud, target, method=method, max_outer=3)
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("method", ["p2pl", "p2p"])
+    def test_final_correspondences_under_exact_ties(self, method):
+        # Every target point appears twice, the copy with its normal flipped,
+        # so every nearest distance ties exactly at any transform; the lower
+        # index, the unflipped copy, must win each tie.
+        cloud = synth_shape("blob", 256, seed=26)
+        moved = apply_transform(draw_rigid(derived_rng(26, "gt"), 10.0, 0.05), cloud)
+        target = PointCloud(np.concatenate([moved.positions] * 2),
+                            np.concatenate([moved.normals, -moved.normals]))
+        rep = icp(cloud, target, method=method, max_outer=5)
+        final = apply_transform(rep.transform, cloud)
+        expect = nn_correspond(final, target)
+        for field in ("targets", "normals", "weights"):
+            np.testing.assert_array_equal(
+                getattr(rep.correspondences, field), getattr(expect, field)
+            )
+        np.testing.assert_array_equal(rep.correspondences.normals,
+                                      nn_correspond(final, moved).normals)
+
     def test_register_p2pl_reports_no_correspondences(self):
         corr = exact_correspond(synth_shape("blob", 32, seed=24), _identity())
         assert register_p2pl(corr, synth_shape("blob", 32, seed=24)).correspondences is None
