@@ -43,15 +43,12 @@ from .gradient import (
 from .metrics import batch_stats, chamfer, rotation_errors
 from .solver import (
     DegenerateConfiguration,
-    LinearizedSystem,
     SingularSystem,
     SolveReport,
-    assemble,
     energy,
     icp,
     register_p2pl,
     register_procrustes,
-    solve_step,
 )
 from .synth import InsufficientPoints, SynthConfig, estimate_normals, make_cpu_pair, synth_shape
 
@@ -62,7 +59,6 @@ __all__ = [
     "RegistrationPair",
     "CorrespondenceSet",
     "RigidTransform",
-    "LinearizedSystem",
     "SolveReport",
     "GradientBundle",
     "FDConfig",
@@ -95,8 +91,6 @@ __all__ = [
     "topk_keypoints",
     "load_scores_csv",
     "energy",
-    "assemble",
-    "solve_step",
     "register_p2pl",
     "register_procrustes",
     "icp",

@@ -66,15 +66,27 @@ def _counts(text: str, flag: str) -> list[int]:
     return values
 
 
-def _damping(text: str) -> float:
-    """The --damping value: finite and non-negative, else a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, and a usage error (exit 2)
+    unless that works and ``ok`` holds for the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and non-negative")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+# estimate_normals needs the point and at least two neighbours.
+_normals_k = _checked(int, lambda v: v == 0 or v >= 3, "0 (off) or an integer >= 3")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -347,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="run ICP over a synthesized pair directory")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--method", choices=("p2p", "p2pl"), default="p2pl")
-    p.add_argument("--inner-iters", type=int, default=10)
-    p.add_argument("--outer-iters", type=int, default=30)
+    p.add_argument("--inner-iters", type=_positive_int, default=10)
+    p.add_argument("--outer-iters", type=_non_negative_int, default=30)
     p.add_argument("--weights", default="")
-    p.add_argument("--estimate-normals", type=int, default=0, metavar="K")
+    p.add_argument("--estimate-normals", type=_normals_k, default=0, metavar="K")
     p.add_argument("--consistent-normals", action="store_true",
                    help="orient estimated normals outward instead of flipping randomly")
-    p.add_argument("--damping", type=_damping, default=0.0)
+    p.add_argument("--damping", type=_non_negative, default=0.0)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_register)
@@ -364,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", default="1,2,5,10")
     p.add_argument("--fd-step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=1e-4)
+    p.add_argument("--noise", type=_non_negative, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -209,10 +209,14 @@ _ZERO_ONE = np.array([0.0, 1.0])
 def step_jacobian(rot, trans) -> NDArray[np.float64]:
     """(..., 12, 6) Jacobian of the 12-vector along the solver's step chart.
 
-    The chart is R' = exp([a]) R, t' = exp([a]) t + delta. At (a, delta) = 0
-    column j < 3 is the change ([e_j] R, e_j x t) and column 3 + j is
-    (0, e_j). Takes (..., 3, 3) rotations and (..., 3) translations; the 27
-    nonzero entries are signed copies of R, t and 1.
+    The chart is R' = exp([a]) R, t' = exp([a]) (t - p) + p + delta, a step
+    that rotates about the pivot p, with ``trans`` = t - p. At
+    (a, delta) = 0 column j < 3 is the change ([e_j] R, e_j x trans) and
+    column 3 + j is (0, e_j). The solver pivots about the moved source
+    centroid t_c = t + R mu: the Jacobian is ``step_jacobian(R, 0)`` in its
+    centred coordinates (R, t_c) and ``step_jacobian(R, -R mu)`` in (R, t).
+    Takes (..., 3, 3) rotations and (..., 3) translations; the 27 nonzero
+    entries are signed copies of R, ``trans`` and 1.
     """
     rot = np.asarray(rot, dtype=np.float64)
     lead = rot.shape[:-2]

@@ -222,8 +222,11 @@ def make_instance(
     it, targets and normals get small Gaussian noise, and reliabilities are
     drawn away from 1 so every input kind has a live gradient.
 
-    Returns (corr, source, gt).
+    Returns (corr, source, gt). Raises ValueError unless ``noise`` is finite
+    and non-negative.
     """
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = derived_rng(seed, "instance")
     cloud = synth_shape("blob", n_pairs, seed)
     gt = draw_rigid(rng, rot_max_deg, trans_max)

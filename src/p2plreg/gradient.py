@@ -1,17 +1,19 @@
 """Closed-form Jacobians of the solved transform with respect to inputs.
 
-The forward solver steps in a 6-dof chart around its running transform,
-R' = exp([a]) R and t' = exp([a]) t + delta. The backward differentiates
-the minimality condition of the plane energy in that same chart: with J the
-12x6 Jacobian of the chart at the solved g (``geometry.step_jacobian``) and
-H = J^T H_data J the 6x6 Gauss-Newton Hessian, every per-pair input u
-(target position, target normal, source position, reliability) gives
+The forward solver steps in a 6-dof chart that rotates about the moved
+source centroid t_c = t + R mu: R' = exp([a]) R and t_c' = t_c + delta.
+The backward differentiates the minimality condition of the plane energy
+in that same chart: with J the 12x6 Jacobian of the chart at the solved g
+(``geometry.step_jacobian(R, -R mu)``) and H = J^T H_data J the 6x6
+Gauss-Newton Hessian, every per-pair input u (target position, target
+normal, source position, reliability) gives
 
     d g* / d u  =  -J H^{-1} J^T (d^2 E / d u d g)
 
 One 6x6 inverse is shared across all N pairs, so the backward cost does
-not depend on how many accumulation rounds produced the transform. H is
-twice the 6x6 system the forward would factor next at g
+not depend on how many accumulation rounds produced the transform, and
+J H^{-1} J^T does not depend on the chart's pivot. H is twice the 6x6
+system the forward would factor next at g, that is at (R, t + R mu)
 (``solver._moments`` and ``solver._system_from_moments``), checked by the
 forward's own pivot rule (``solver._factor_batch``), so the two passes
 share one chart, one Hessian formula and one singularity criterion.
@@ -253,22 +255,24 @@ class GradientBundle:
 def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     """Factor the Jacobians of the solved transform for every per-pair input.
 
-    Differentiates the minimality condition in the forward's own step chart
-    (``step_jacobian``, 12x6 J at g): H = J^T H_data J is the Gauss-Newton
-    Hessian of the plane energy in the six step coordinates, and the bundle
-    keeps J H^{-1} J^T. H is twice the forward's own 6x6 system at g, checked
-    by the forward's pivot rule. Its one O(N) pass forms the moments; the
-    per-pair Jacobians are formed only by ``GradientBundle.jacobians``.
-    g is a RigidTransform or its 12-vector.
+    Differentiates the minimality condition in the forward's own step chart,
+    which rotates about the moved centroid t_c = t + R mu of the source
+    (J = ``step_jacobian(R, -R mu)``, 12x6 at g): H = J^T H_data J is the
+    Gauss-Newton Hessian of the plane energy in the six step coordinates,
+    and the bundle keeps J H^{-1} J^T. H is twice the forward's own 6x6
+    system at (R, t_c), checked by the forward's pivot rule. Its one O(N)
+    pass forms the moments; the per-pair Jacobians are formed only by
+    ``GradientBundle.jacobians``. g is a RigidTransform or its 12-vector.
     """
     _check_sizes(corr, source)
     t = _as_transform(g)
-    jac = step_jacobian(t.rotation, t.translation)
     mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    r_mu = t.rotation @ mu
     a, _, _ = _system_from_moments(
-        m[None], q0[None], mu[None], t.rotation[None], t.translation[None]
+        m[None], q0[None], mu[None], t.rotation[None], (t.translation + r_mu)[None]
     )
     h = 2.0 * a[0]
+    jac = step_jacobian(t.rotation, -r_mu)
     try:
         _, condition = _factor_batch(h[None], None)
     except SingularSystem as exc:

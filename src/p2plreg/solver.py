@@ -1,10 +1,13 @@
 """Forward registration solvers.
 
-The point-to-plane path linearizes the rotation around the identity, solves
-a 6x6 normal system for an axis-angle/translation step, re-maps the step
-through the exact rotation formula, and accumulates steps into the running
-transform. Correspondences stay fixed for the whole accumulation; the
-classic ICP wrapper re-derives them between accumulations.
+The point-to-plane path linearizes a rotation about the moved source
+centroid, solves a 6x6 normal system for an axis-angle/translation step,
+re-maps the step through the exact rotation formula, and accumulates steps
+into the running transform. Rotating about the centroid, not the world
+origin, keeps the system's rotation columns from lining up with its
+translation columns however far the scene sits from the origin.
+Correspondences stay fixed for the whole accumulation; the classic ICP
+wrapper re-derives them between accumulations.
 
 The plane residuals are linear in the 12 transform entries, so one pass
 over the points forms their 12x12 moments (``_moments``) and every round
@@ -56,18 +59,6 @@ class SingularSystem(np.linalg.LinAlgError):
 
 class DegenerateConfiguration(ValueError):
     """Procrustes cross-covariance has rank < 2 (collinear points)."""
-
-
-@dataclass(frozen=True)
-class LinearizedSystem:
-    """Normal equations of the linearized plane energy.
-
-    Unknown ordering is (a0, a1, a2, t0, t1, t2) with ``a`` the axis-angle
-    part. ``a_matrix`` is symmetric positive semidefinite by construction.
-    """
-
-    a_matrix: NDArray[np.float64]  # (6, 6)
-    b_vector: NDArray[np.float64]  # (6,)
 
 
 @dataclass
@@ -135,45 +126,32 @@ def _moment_rows(x, y, n, zeta, mu):
     return u, s
 
 
-def _deflated(rot, trans, mu, out):
-    """Write g - g0 of (rot, trans) into the (B, 12) out: R - I, then
-    t_c - mu = t + (R - I) mu."""
-    dr = rot - _EYE3
-    out[:, :9] = dr.reshape(-1, 9)
-    np.add(trans, (dr @ mu[..., None])[..., 0], out=out[:, 9:])
+def _deflated(rot, centre, mu, out):
+    """Write g - g0 of (rot, centre) into the (B, 12) out: R - I, then
+    t_c - mu."""
+    np.subtract(rot.reshape(-1, 9), _EYE3.reshape(9), out=out[:, :9])
+    np.subtract(centre, mu, out=out[:, 9:])
 
 
-def _system_from_moments(m, q0, mu, rot, trans):
-    """6x6 systems (B, 6, 6), (B, 6) of the linearized step at (rot, trans).
+def _system_from_moments(m, q0, mu, rot, centre):
+    """6x6 systems (B, 6, 6), (B, 6) of the linearized step at (rot, centre).
 
-    The step is R' = exp([a]) R, t' = exp([a]) t + delta, which moves the
-    centred t_c = t + R mu the same way, so the chart's 12x6 Jacobian J is
-    ``step_jacobian(R, t_c)`` and the system is A = sym(J^T m J),
-    b = -J^T (m (g - g0) + q0), the same normal equations as the per-point
-    [p_i x n_i; n_i] rows at p_i = R x_i + t. Also returns the deflated
+    The state is R and the moved centroid t_c = t + R mu, and the step
+    R' = exp([a]) R, t_c' = t_c + delta rotates about t_c, so the chart's
+    12x6 Jacobian J is ``step_jacobian(R, 0)`` and the system is
+    A = sym(J^T m J), b = -J^T (m (g - g0) + q0): the normal equations of
+    the per-point rows [R (x_i - mu) x n_i; n_i]. Also returns the deflated
     g - g0, (B, 12).
     """
     # Columns 0-5 hold J, column 6 holds g - g0.
     jg = np.empty((rot.shape[0], 12, 7))
-    _deflated(rot, trans, mu, jg[..., 6])
-    jg[..., :6] = step_jacobian(rot, jg[:, 9:, 6] + mu)
+    _deflated(rot, centre, mu, jg[..., 6])
+    jg[..., :6] = step_jacobian(rot, 0.0)
     mjg = m @ jg
     mjg[..., 6] += q0
     ab = jg[..., :6].swapaxes(1, 2) @ mjg
     a = ab[..., :6]
     return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
-
-
-def assemble(corr: CorrespondenceSet, source: PointCloud) -> LinearizedSystem:
-    """Build the 6x6 system for the source positions as given.
-
-    Callers accumulate by transforming the source before re-assembling.
-    """
-    _check_sizes(corr, source)
-    mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
-    identity = (np.eye(3)[None], np.zeros((1, 3)))
-    a, b, _ = _system_from_moments(m[None], q0[None], mu[None], *identity)
-    return LinearizedSystem(a[0], b[0])
 
 
 def _singular(iteration: int | None, what: str) -> SingularSystem:
@@ -218,12 +196,6 @@ def _solve_batch(a, b, damping: float, iteration: int | None):
     return np.linalg.solve(a, b[..., None])[..., 0], condition
 
 
-def solve_step(sys: LinearizedSystem, damping: float = 0.0) -> RigidTransform:
-    """Solve the linearized system and re-map through the rotation formula."""
-    sol, _ = _solve_batch(sys.a_matrix[None], sys.b_vector[None], damping, None)
-    return RigidTransform(rodrigues_batch(sol[:, :3])[0], sol[0, 3:])
-
-
 def _accumulate_batch(
     m: NDArray[np.float64],
     q0: NDArray[np.float64],
@@ -235,7 +207,9 @@ def _accumulate_batch(
     """Iterative accumulation over a batch of independent problems, from moments.
 
     Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
-    ``_moments``; no round touches the points. Returns (rotations
+    ``_moments``; no round touches the points. Each round steps R and the
+    moved centroid t_c = t + R mu (``_system_from_moments``); the world
+    t = t_c - R mu is formed once, after the last round. Returns (rotations
     (B, 3, 3), translations (B, 3), g - g0 before every round and after the
     last (B, n_iters+1, 12) or None, converged (B,), condition_warning
     bool). Runs exactly ``n_iters`` iterations; convergence is
@@ -244,30 +218,29 @@ def _accumulate_batch(
     b_dim = m.shape[0]
     rot = np.empty((b_dim, 3, 3))
     rot[:] = _EYE3
-    trans = np.zeros((b_dim, 3))
+    centre = mu
     converged = np.zeros(b_dim, dtype=bool)
     condition = False
     deltas = np.empty((b_dim, n_iters + 1, 12)) if want_trace else None
 
     for k in range(n_iters):
-        a_mat, b_vec, delta = _system_from_moments(m, q0, mu, rot, trans)
+        a_mat, b_vec, delta = _system_from_moments(m, q0, mu, rot, centre)
         if want_trace:
             deltas[:, k] = delta
         sol, cond_k = _solve_batch(a_mat, b_vec, damping, k)
         condition = condition or cond_k
-        step_rot = rodrigues_batch(sol[:, :3])
-        rot = step_rot @ rot
-        trans = (step_rot @ trans[..., None])[..., 0] + sol[:, 3:]
+        rot = rodrigues_batch(sol[:, :3]) @ rot
+        centre = centre + sol[:, 3:]
         # |a| + |delta|, each summed in the order of np.linalg.norm.
         step = np.sqrt(np.add.reduce((sol * sol).reshape(b_dim, 2, 3), axis=-1))
         converged |= np.add.reduce(step, axis=-1) < STEP_TOL
-        # Only rot and trans carry over: the next round's system is formed
+        # Only rot and centre carry over: the next round's system is formed
         # without this round's (delta is a view of the whole system buffer).
-        del a_mat, b_vec, delta, sol, step_rot, step
+        del a_mat, b_vec, delta, sol, step
     if want_trace:
-        _deflated(rot, trans, mu, deltas[:, n_iters])
+        _deflated(rot, centre, mu, deltas[:, n_iters])
 
-    return rot, trans, deltas, converged, condition
+    return rot, centre - (rot @ mu[..., None])[..., 0], deltas, converged, condition
 
 
 def register_p2pl(
@@ -278,7 +251,7 @@ def register_p2pl(
 ) -> SolveReport:
     """Point-to-plane registration by iterative accumulation.
 
-    Runs exactly ``n_iters`` assemble/solve/compose rounds on the fixed
+    Runs exactly ``n_iters`` linearize/solve/compose rounds on the fixed
     correspondences; ten rounds are enough for the energies this module
     produces, and a fixed count keeps the input-to-transform map smooth for
     the finite-difference oracle. The moments are formed once, so each

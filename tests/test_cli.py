@@ -240,6 +240,28 @@ class TestRegister:
         assert "--damping: must be finite and non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value", [
+        ("--inner-iters", "0"),
+        ("--inner-iters", "1.5"),
+        ("--outer-iters", "-1"),
+        ("--estimate-normals", "2"),
+        ("--estimate-normals", "-3"),
+    ])
+    def test_invalid_count_is_a_usage_error(self, dataset, tmp_path, capsys, option, value):
+        # Each used to run, writing an error row for every pair or, for
+        # --outer-iters -1, silently running no round.
+        want = {
+            "--inner-iters": "an integer >= 1",
+            "--outer-iters": "an integer >= 0",
+            "--estimate-normals": "0 (off) or an integer >= 3",
+        }[option]
+        out = tmp_path / "reg"
+        with pytest.raises(SystemExit) as exc:
+            main(["register", "--in", str(dataset), f"{option}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{option}: must be {want}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_and_positive_damping_accepted(self, dataset, tmp_path):
         for value in ("0", "1e-3"):
             out = tmp_path / f"reg_{value}"
@@ -289,6 +311,17 @@ class TestGradcheckCmd:
         assert main(["gradcheck", "--n", "12", "--cases", cases, "--iters", "1",
                      "--out", str(out)]) == 1
         assert "error: --cases must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "x"])
+    def test_invalid_noise_is_a_usage_error(self, tmp_path, capsys, value):
+        # A negative or NaN noise used to run noise-free.
+        out = tmp_path / "gc"
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--n", "12", "--cases", "1", "--iters", "1",
+                  f"--noise={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--noise: must be finite and non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scale", [1.0, 1.1])

@@ -223,3 +223,17 @@ class TestFDConfig:
         # Zero rounds leave every copy at the identity: all-zero Jacobians.
         with pytest.raises(ValueError):
             FDConfig(n_iters_forward=0)
+
+
+class TestMakeInstance:
+    @pytest.mark.parametrize("noise", [-1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_noise(self, noise):
+        # A negative or NaN noise used to give a noise-free instance.
+        with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+            make_instance(0, 8, noise=noise)
+
+    def test_zero_noise_is_exact(self):
+        corr, cloud, gt = make_instance(0, 8, noise=0.0)
+        np.testing.assert_array_equal(
+            corr.targets, cloud.positions @ gt.rotation.T + gt.translation
+        )

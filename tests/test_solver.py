@@ -1,4 +1,4 @@
-"""Forward solver tests: energy, system assembly, accumulation, ICP."""
+"""Forward solver tests: energy, the 6x6 system, accumulation, ICP."""
 
 import numpy as np
 import pytest
@@ -16,12 +16,12 @@ from p2plreg.geometry import (
 from p2plreg.solver import (
     DegenerateConfiguration,
     SingularSystem,
-    assemble,
+    _moments,
+    _system_from_moments,
     energy,
     icp,
     register_p2pl,
     register_procrustes,
-    solve_step,
 )
 from p2plreg.synth import SynthConfig, draw_rigid, make_cpu_pair, synth_shape
 from p2plreg.seeding import derived_rng
@@ -29,6 +29,19 @@ from p2plreg.seeding import derived_rng
 
 def _identity():
     return RigidTransform.identity()
+
+
+def _system_at_identity(corr, source):
+    """The kernel's 6x6 system (A, b) before its first round: R = I and the
+    moved centroid t_c at the weighted source centroid mu."""
+    mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    a, b, _ = _system_from_moments(m[None], q0[None], mu[None], np.eye(3)[None], mu[None])
+    return a[0], b[0]
+
+
+def _one_step(corr, source, damping=0.0):
+    """One accumulation round from the identity."""
+    return register_p2pl(corr, source, n_iters=1, damping=damping).transform
 
 
 def _per_point_register(corr, source, n_iters):
@@ -76,41 +89,43 @@ class TestAssemble:
     def test_aligned_rhs_zero(self):
         cloud = synth_shape("blob", 48, seed=3)
         corr = exact_correspond(cloud, _identity())
-        sys6 = assemble(corr, cloud)
-        np.testing.assert_array_equal(sys6.b_vector, np.zeros(6))
+        _, b = _system_at_identity(corr, cloud)
+        np.testing.assert_array_equal(b, np.zeros(6))
 
     def test_plane_is_rank_deficient(self):
         rng = np.random.default_rng(4)
         pts = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), np.zeros(50)])
         normals = np.tile([0.0, 0.0, 1.0], (50, 1))
         corr = CorrespondenceSet(pts, normals, np.ones(50))
-        sys6 = assemble(corr, PointCloud(pts))
-        assert np.linalg.matrix_rank(sys6.a_matrix, tol=1e-10) <= 3
+        a, _ = _system_at_identity(corr, PointCloud(pts))
+        assert np.linalg.matrix_rank(a, tol=1e-10) <= 3
 
     def test_matches_per_term_oracle(self):
         rng = np.random.default_rng(5)
         cloud = synth_shape("blob", 40, seed=5)
         gt = draw_rigid(derived_rng(5, "gt"), 25.0, 0.3)
         corr = exact_correspond(cloud, gt, weights=rng.uniform(0.2, 2.0, 40))
-        sys6 = assemble(corr, cloud)
+        got_a, got_b = _system_at_identity(corr, cloud)
 
+        # Rows [(x_i - mu) x n_i; n_i]: the step rotates about the centroid.
+        mu = corr.weights @ cloud.positions / corr.weights.sum()
         a = np.zeros((6, 6))
         b = np.zeros(6)
         for i in range(40):
             v = np.concatenate(
-                [np.cross(cloud.positions[i], corr.normals[i]), corr.normals[i]]
+                [np.cross(cloud.positions[i] - mu, corr.normals[i]), corr.normals[i]]
             )
             a += corr.weights[i] * np.outer(v, v)
             b += corr.weights[i] * v * ((corr.targets[i] - cloud.positions[i]) @ corr.normals[i])
-        np.testing.assert_allclose(sys6.a_matrix, a, atol=1e-12)
-        np.testing.assert_allclose(sys6.b_vector, b, atol=1e-12)
+        np.testing.assert_allclose(got_a, a, atol=1e-12)
+        np.testing.assert_allclose(got_b, b, atol=1e-12)
 
     def test_symmetric_and_psd(self):
         cloud = synth_shape("blob", 100, seed=6)
         corr = exact_correspond(cloud, draw_rigid(derived_rng(6, "gt"), 30.0, 0.3))
-        sys6 = assemble(corr, cloud)
-        np.testing.assert_array_equal(sys6.a_matrix, sys6.a_matrix.T)
-        assert np.min(np.linalg.eigvalsh(sys6.a_matrix)) >= -1e-12
+        a, _ = _system_at_identity(corr, cloud)
+        np.testing.assert_array_equal(a, a.T)
+        assert np.min(np.linalg.eigvalsh(a)) >= -1e-12
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
@@ -121,16 +136,19 @@ class TestAssemble:
         shuffled = CorrespondenceSet(
             corr.targets[perm], corr.normals[perm], corr.weights[perm]
         )
-        a1 = assemble(corr, cloud).a_matrix
-        a2 = assemble(shuffled, shuffled_cloud).a_matrix
+        a1, _ = _system_at_identity(corr, cloud)
+        a2, _ = _system_at_identity(shuffled, shuffled_cloud)
         np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 
 class TestSolveStep:
+    """One accumulation round from the identity: ``register_p2pl`` with
+    n_iters=1."""
+
     def test_zero_rhs_gives_identity(self):
         cloud = synth_shape("blob", 48, seed=8)
         corr = exact_correspond(cloud, _identity())
-        t = solve_step(assemble(corr, cloud))
+        t = _one_step(corr, cloud)
         np.testing.assert_array_equal(t.rotation, np.eye(3))
         np.testing.assert_array_equal(t.translation, np.zeros(3))
 
@@ -143,7 +161,7 @@ class TestSolveStep:
             axis /= np.linalg.norm(axis)
             gt = RigidTransform(rodrigues(np.radians(0.2) * axis), np.zeros(3))
             corr = exact_correspond(cloud, gt)
-            step = solve_step(assemble(corr, cloud))
+            step = _one_step(corr, cloud)
             err = np.linalg.norm(log_rotation(step.rotation.T @ gt.rotation))
             assert err <= 1e-4
 
@@ -158,7 +176,7 @@ class TestSolveStep:
                 axis /= np.linalg.norm(axis)
                 gt = RigidTransform(rodrigues(np.radians(deg) * axis), np.zeros(3))
                 corr = exact_correspond(cloud, gt)
-                step = solve_step(assemble(corr, cloud))
+                step = _one_step(corr, cloud)
                 worst = max(worst, np.linalg.norm(log_rotation(step.rotation.T @ gt.rotation)))
             errs[deg] = worst
         assert errs[2.0] <= 1e-2
@@ -181,36 +199,24 @@ class TestSolveStep:
         normals = np.tile([0.0, 0.0, 1.0], (30, 1))
         corr = CorrespondenceSet(pts + [0, 0, 0.1], normals, np.ones(30))
         with pytest.raises(SingularSystem):
-            solve_step(assemble(corr, PointCloud(pts)))
+            _one_step(corr, PointCloud(pts))
 
     def test_damping_rescues_plane(self):
         rng = np.random.default_rng(10)
         pts = np.column_stack([rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30), np.zeros(30)])
         normals = np.tile([0.0, 0.0, 1.0], (30, 1))
         corr = CorrespondenceSet(pts + [0, 0, 0.1], normals, np.ones(30))
-        t = solve_step(assemble(corr, PointCloud(pts)), damping=1e-6)
+        t = _one_step(corr, PointCloud(pts), damping=1e-6)
         assert np.isfinite(t.translation).all()
-
-    @pytest.mark.parametrize("damping", [0.0, 1e-3])
-    def test_is_one_accumulation_round(self, damping):
-        # solve_step is the B=1, one-iteration case of the batched kernel.
-        for seed in range(4):
-            cloud = synth_shape("blob", 128, seed=seed)
-            corr = exact_correspond(cloud, draw_rigid(derived_rng(seed, "gt"), 30.0, 0.3))
-            step = solve_step(assemble(corr, cloud), damping)
-            rep = register_p2pl(corr, cloud, n_iters=1, damping=damping)
-            np.testing.assert_array_equal(step.rotation, rep.transform.rotation)
-            np.testing.assert_array_equal(step.translation, rep.transform.translation)
 
 
 @pytest.mark.parametrize("damping", [np.nan, np.inf, -1.0])
-@pytest.mark.parametrize("solve", ["register_p2pl", "solve_step", "icp"])
+@pytest.mark.parametrize("solve", ["register_p2pl", "icp"])
 def test_invalid_damping_rejected(solve, damping):
     cloud = synth_shape("blob", 64, seed=5)
     corr = exact_correspond(cloud, draw_rigid(derived_rng(5, "gt"), 15.0, 0.1))
     call = {
         "register_p2pl": lambda: register_p2pl(corr, cloud, n_iters=3, damping=damping),
-        "solve_step": lambda: solve_step(assemble(corr, cloud), damping),
         "icp": lambda: icp(cloud, cloud, method="p2pl", max_outer=2, damping=damping),
     }[solve]
     with pytest.raises(ValueError, match="damping must be finite and non-negative"):
@@ -294,6 +300,30 @@ class TestRegisterP2pl:
             rot, trans = _per_point_register(corr, cloud, 10)
             assert np.max(np.abs(got.rotation - rot)) <= 1e-12
             assert np.max(np.abs(got.translation - trans)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("scale", [3e2, 1e3, 1e5])
+    def test_far_from_origin_matches_unshifted_solve(self, scale):
+        # Shifting the scene by c moves the solution to (R, t + c - R c).
+        # The step rotates about the moved centroid, so the system stays as
+        # well conditioned as at the origin. Shifting the inputs rounds them
+        # by eps |c|; R inherits that, and t inherits R's error times |c|.
+        from p2plreg.gradcheck import make_instance
+
+        c = scale * np.array([1.0, -2.0, 0.5])
+        size = float(np.linalg.norm(c))
+        for seed in range(8):
+            corr, cloud, _ = make_instance(seed, 512)
+            base = register_p2pl(corr, cloud, n_iters=10).transform
+            shifted = register_p2pl(
+                CorrespondenceSet(corr.targets + c, corr.normals, corr.weights),
+                PointCloud(cloud.positions + c, cloud.normals),
+                n_iters=10,
+            )
+            assert not shifted.condition_warning
+            got = shifted.transform
+            want_t = base.translation + c - base.rotation @ c
+            assert np.max(np.abs(got.rotation - base.rotation)) <= 1e-15 * size
+            assert np.max(np.abs(got.translation - want_t)) <= 1e-15 * size * size
 
     def test_energy_trace_is_point_form_energy(self):
         # The trace comes from deflated residuals; it must be the plane
@@ -457,6 +487,25 @@ class TestIcp:
             )
         np.testing.assert_array_equal(rep.correspondences.normals,
                                       nn_correspond(final, moved).normals)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    def test_shifted_scene_gives_unshifted_result(self, scale):
+        # As for register_p2pl: the result moves to (R, t + c - R c), within
+        # the rounding of the shifted inputs, and no round turns singular.
+        c = scale * np.array([1.0, -2.0, 0.5])
+        size = float(np.linalg.norm(c))
+        base = synth_shape("blob", 1024, seed=22)
+        cfg = SynthConfig(seed=22, n_sample=256, n_partial=192, rot_max_deg=30.0,
+                          trans_max=0.2, compose_count=1)
+        pair = make_cpu_pair([base], cfg)
+        ref = icp(pair.source, pair.target, max_outer=30)
+        rep = icp(PointCloud(pair.source.positions + c, pair.source.normals),
+                  PointCloud(pair.target.positions + c, pair.target.normals), max_outer=30)
+        assert rep.iterations == ref.iterations
+        rot, trans = ref.transform.rotation, ref.transform.translation
+        assert np.max(np.abs(rep.transform.rotation - rot)) <= 1e-15 * size
+        want_t = trans + c - rot @ c
+        assert np.max(np.abs(rep.transform.translation - want_t)) <= 1e-15 * size * size
 
     def test_register_p2pl_reports_no_correspondences(self):
         corr = exact_correspond(synth_shape("blob", 32, seed=24), _identity())
