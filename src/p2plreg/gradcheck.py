@@ -5,9 +5,12 @@ of each input coordinate and differences the resulting transform vectors.
 A copy differs from the problem in one pair, so its 12x12 moments are the
 problem's moments with that pair's term swapped out and the perturbed term
 swapped in, a rank-two update; the copies then run through the solver's
-batched kernel, whose rounds never touch the points. The derivative
-estimate itself never touches the analytic backward formulas; only its
-record, ``gradient.PerInput``, is shared with them.
+batched kernel, whose rounds never touch the points. No round depends on
+the iteration count, so one pass to the largest count also yields the
+differences at every smaller count, read as the kernel passes it
+(``fd_bundle(..., also_at=...)``). The derivative estimate itself never
+touches the analytic backward formulas; only its record,
+``gradient.PerInput``, is shared with them.
 """
 
 from __future__ import annotations
@@ -94,31 +97,40 @@ def _central_diffs(
     kinds: NDArray[np.intp],
     pairs: NDArray[np.intp],
     comps: NDArray[np.intp],
-    cfg: FDConfig,
-) -> NDArray[np.float64]:
-    """Central differences of the solved 12-vector, one row per input.
+    h: float,
+    counts,
+) -> dict[int, NDArray[np.float64]]:
+    """Central differences of the solved 12-vector, one row per input, after
+    each forward round count in ``counts``.
 
     Row r perturbs coordinate ``comps[r]`` of pair ``pairs[r]``'s input
     ``INPUT_KINDS[kinds[r]]`` by +h and -h. The moments are formed once;
     the 2 len(kinds) perturbed solves are rank-two updates of them and run
-    as batched jobs of at most CHUNK_ELEMS moment elements. Returns
-    (len(kinds), 12).
+    as batched jobs of at most CHUNK_ELEMS moment elements. Each job runs
+    its rounds once, to the largest count, and writes each smaller count's
+    differences into that count's rows as the kernel reaches it. Returns
+    count -> (len(kinds), 12).
     """
-    h = cfg.step
     arrays = (source.positions, corr.targets, corr.normals, corr.weights)
     moments = _moments(*arrays)
     mu = moments[0]
     per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
-    out = np.empty((len(kinds), 12))
+    out = {count: np.empty((len(kinds), 12)) for count in counts}
+    top = max(out)
+    smaller = set(out) - {top}
     for start in range(0, len(kinds), per_job):
         sl = slice(start, start + per_job)
         m, q0 = _perturbed_moments(moments, arrays, kinds[sl], pairs[sl], comps[sl], h)
         b = m.shape[0]
+
+        def write(count, rot, trans):
+            g = np.concatenate([rot.reshape(b, 9), trans], axis=1)
+            out[count][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
+
         rot, trans, _, _, _ = _accumulate_batch(
-            m, q0, np.broadcast_to(mu, (b, 3)), cfg.n_iters_forward
+            m, q0, np.broadcast_to(mu, (b, 3)), top, at=smaller, emit=write
         )
-        g = np.concatenate([rot.reshape(b, 9), trans], axis=1)
-        out[sl] = (g[0::2] - g[1::2]) / (2.0 * h)
+        write(top, rot, trans)
     return out
 
 
@@ -145,26 +157,53 @@ def fd_jacobian(
     width = 1 if which == "zeta" else 3
     kinds = np.full(width, INPUT_KINDS.index(which))
     pairs = np.full(width, index)
-    return _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg).T
+    n_iters = cfg.n_iters_forward
+    diffs = _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg.step, (n_iters,))
+    return diffs[n_iters].T
 
 
-def fd_bundle(corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig) -> PerInput:
+@dataclass(frozen=True)
+class FDBlocks(PerInput):
+    """Oracle blocks at ``FDConfig.n_iters_forward``; ``also`` maps each
+    ``also_at`` round count of ``fd_bundle`` to the blocks at that count."""
+
+    also: dict[int, PerInput] = field(default_factory=dict)
+
+
+def _blocks(diffs: NDArray[np.float64], n_pairs: int) -> PerInput:
+    """Rows (kind, pair, coordinate) -> blocks (kind, pair, 12, coordinate)."""
+    xyz = diffs[: 9 * n_pairs].reshape(3, n_pairs, 3, 12).transpose(0, 1, 3, 2)
+    xyz = np.ascontiguousarray(xyz)
+    return PerInput(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
+
+
+def fd_bundle(
+    corr: CorrespondenceSet, source: PointCloud, cfg: FDConfig, *, also_at=()
+) -> FDBlocks:
     """Oracle (N, 12, 3) and (N, 12) Jacobians for all pairs and inputs at once.
 
     Needs 2 (9 N + N) perturbed solves, ordered by kind, pair and
-    coordinate; they run as one chunked batched job.
+    coordinate; they run as one chunked batched job of
+    ``cfg.n_iters_forward`` rounds. The blocks at each count in ``also_at``
+    (at most that many rounds) are read on the way, bitwise equal to a
+    separate call at that count, and returned in the result's ``also``.
     """
     _check_sizes(corr, source)
+    top = cfg.n_iters_forward
+    bad = [c for c in also_at if not 1 <= c <= top]
+    if bad:
+        raise ValueError(f"also_at counts must be in [1, {top}], got {bad}")
     n_pairs = len(corr)
     pair = np.arange(n_pairs)
     kinds = np.repeat(np.arange(len(INPUT_KINDS)), [3 * n_pairs] * 3 + [n_pairs])
     pairs = np.concatenate([np.repeat(pair, 3)] * 3 + [pair])
     comps = np.concatenate([np.tile(np.arange(3), 3 * n_pairs), np.zeros(n_pairs, np.intp)])
-    diffs = _central_diffs(corr, source, kinds, pairs, comps, cfg)
-    # Rows (kind, pair, coordinate) -> blocks (kind, pair, 12, coordinate).
-    xyz = diffs[: 9 * n_pairs].reshape(3, n_pairs, 3, 12).transpose(0, 1, 3, 2)
-    xyz = np.ascontiguousarray(xyz)
-    return PerInput(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
+    diffs = _central_diffs(corr, source, kinds, pairs, comps, cfg.step, {top, *also_at})
+    blocks = {count: _blocks(d, n_pairs) for count, d in diffs.items()}
+    main = blocks[top]
+    return FDBlocks(
+        main.wrt_x, main.wrt_y, main.wrt_n, main.wrt_zeta, {c: blocks[c] for c in also_at}
+    )
 
 
 def _relative(sq: float, ref: float) -> float:

@@ -150,6 +150,8 @@ def _system_from_moments(m, q0, mu, rot, centre):
     mjg = m @ jg
     mjg[..., 6] += q0
     ab = jg[..., :6].swapaxes(1, 2) @ mjg
+    # Free the (B, 12, 7) product before the symmetrized copy is formed.
+    del mjg
     a = ab[..., :6]
     return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
 
@@ -196,6 +198,11 @@ def _solve_batch(a, b, damping: float, iteration: int | None):
     return np.linalg.solve(a, b[..., None])[..., 0], condition
 
 
+def _world(rot, centre, mu):
+    """World translations t = t_c - R mu of the (B, 3) moved centroids."""
+    return centre - (rot @ mu[..., None])[..., 0]
+
+
 def _accumulate_batch(
     m: NDArray[np.float64],
     q0: NDArray[np.float64],
@@ -203,17 +210,22 @@ def _accumulate_batch(
     n_iters: int,
     damping: float = 0.0,
     want_trace: bool = False,
+    at=(),
+    emit=None,
 ):
     """Iterative accumulation over a batch of independent problems, from moments.
 
     Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
     ``_moments``; no round touches the points. Each round steps R and the
     moved centroid t_c = t + R mu (``_system_from_moments``); the world
-    t = t_c - R mu is formed once, after the last round. Returns (rotations
-    (B, 3, 3), translations (B, 3), g - g0 before every round and after the
-    last (B, n_iters+1, 12) or None, converged (B,), condition_warning
-    bool). Runs exactly ``n_iters`` iterations; convergence is
-    informational.
+    t = t_c - R mu is formed only for a transform the kernel hands out.
+    After round k, for every count k in ``at``, ``emit(k, rotations,
+    translations)`` receives the transform that ``n_iters = k`` returns,
+    bitwise, since no round depends on ``n_iters``; the kernel keeps
+    nothing of it after the call. Returns (rotations (B, 3, 3), translations (B, 3), g - g0 before
+    every round and after the last (B, n_iters+1, 12) or None, converged
+    (B,), condition_warning bool). Runs exactly ``n_iters`` iterations;
+    convergence is informational.
     """
     b_dim = m.shape[0]
     rot = np.empty((b_dim, 3, 3))
@@ -237,10 +249,12 @@ def _accumulate_batch(
         # Only rot and centre carry over: the next round's system is formed
         # without this round's (delta is a view of the whole system buffer).
         del a_mat, b_vec, delta, sol, step
+        if k + 1 in at:
+            emit(k + 1, rot, _world(rot, centre, mu))
     if want_trace:
         _deflated(rot, centre, mu, deltas[:, n_iters])
 
-    return rot, centre - (rot @ mu[..., None])[..., 0], deltas, converged, condition
+    return rot, _world(rot, centre, mu), deltas, converged, condition
 
 
 def register_p2pl(
@@ -314,10 +328,16 @@ def icp(
     after ``max_outer`` rounds or when the update step drops below the
     convergence threshold. ``source_weights`` optionally fixes per-source
     reliabilities used by every round's estimator. The report carries the
-    correspondences matched at the returned transform.
+    correspondences matched at the returned transform. Raises ValueError
+    on a negative ``max_outer`` and, for "p2pl", on ``inner_iters`` below
+    1, even when no round runs.
     """
     if method not in ("p2p", "p2pl"):
         raise ValueError("method must be 'p2p' or 'p2pl'")
+    if max_outer < 0:
+        raise ValueError(f"max_outer must be at least 0, got {max_outer}")
+    if method == "p2pl" and inner_iters < 1:
+        raise ValueError(f"inner_iters must be at least 1, got {inner_iters}")
     if source_weights is not None:
         source_weights = np.asarray(source_weights, dtype=np.float64).reshape(-1)
         if source_weights.shape[0] != len(source):

@@ -76,6 +76,16 @@ class TestSynth:
         with pytest.raises(SystemExit):
             main(["synth", "--pairs", "1", "--shape", "plane", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("pairs", ["0", "-1", "x"])
+    def test_pairs_below_one_is_a_usage_error(self, tmp_path, capsys, pairs):
+        # --pairs -1 used to exit 0 having written only run_config.json.
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", f"--pairs={pairs}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--pairs: must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):

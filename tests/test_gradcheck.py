@@ -5,6 +5,7 @@ import pytest
 
 import tracemalloc
 
+import p2plreg.cli as cli
 from p2plreg.correspond import exact_correspond
 from p2plreg.gradcheck import (
     INPUT_KINDS,
@@ -16,6 +17,7 @@ from p2plreg.gradcheck import (
     make_instance,
 )
 from p2plreg.geometry import to_gvector
+from p2plreg.seeding import derived_seed
 from p2plreg.gradient import PerInput, backward, residual_coeffs, rigid_motion_loss
 from p2plreg.solver import _accumulate_batch, _moments, register_p2pl
 from p2plreg.synth import draw_rigid, synth_shape
@@ -171,6 +173,79 @@ class TestFdJacobian:
         corr, cloud, _ = make_instance(6, 8)
         with pytest.raises(ValueError):
             fd_jacobian(corr, cloud, "weights", 0, FDConfig())
+
+
+def _assert_blocks_equal(got, want, msg=""):
+    for kind in INPUT_KINDS:
+        field = f"wrt_{kind}"
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=msg)
+
+
+class TestOnePassSweep:
+    # fd_bundle runs its rounds once, to cfg.n_iters_forward, and reads the
+    # blocks at each also_at count on the way.
+
+    @pytest.mark.parametrize("n_pairs", [64, 256])
+    def test_counts_match_separate_calls(self, n_pairs):
+        # At N = 64 the 1280 perturbed copies run as one batched job; at
+        # N = 256 the 5120 copies run as three.
+        corr, cloud, _ = make_instance(n_pairs, n_pairs, noise=1e-3)
+        counts = (1, 2, 5, 10)
+        sweep = fd_bundle(corr, cloud, FDConfig(n_iters_forward=10), also_at=counts)
+        assert sorted(sweep.also) == list(counts)
+        for count in counts:
+            alone = fd_bundle(corr, cloud, FDConfig(n_iters_forward=count))
+            _assert_blocks_equal(sweep.also[count], alone, f"n_iters={count}")
+        _assert_blocks_equal(sweep, sweep.also[10])
+
+    def test_no_counts_is_the_plain_bundle(self):
+        corr, cloud, _ = make_instance(5, 12, noise=1e-3)
+        cfg = FDConfig(n_iters_forward=3)
+        plain = fd_bundle(corr, cloud, cfg)
+        assert plain.also == {}
+        _assert_blocks_equal(fd_bundle(corr, cloud, cfg, also_at=(1, 2)), plain)
+
+    @pytest.mark.parametrize("count", [0, -1, 4])
+    def test_count_outside_the_run_rejected(self, count):
+        corr, cloud, _ = make_instance(5, 8, noise=1e-3)
+        with pytest.raises(ValueError, match=r"also_at counts must be in \[1, 3\]"):
+            fd_bundle(corr, cloud, FDConfig(n_iters_forward=3), also_at=(1, count))
+
+    def test_cli_keeps_count_order_and_duplicates(self, tmp_path, monkeypatch):
+        # The CSV must equal the rows built from one fd_bundle call per count.
+        monkeypatch.setenv("P2PL_THREADS", "1")
+        iters = [10, 1, 10, 2]
+        out = tmp_path / "gc"
+        assert cli.main(["gradcheck", "--n", "16", "--cases", "2", "--seed", "4",
+                         "--iters", ",".join(map(str, iters)), "--out", str(out)]) == 0
+        rows = []
+        for case in range(2):
+            corr, cloud, gt = make_instance(derived_seed(4, case), 16, noise=1e-4)
+            for n_iters in iters:
+                g = to_gvector(register_p2pl(corr, cloud, n_iters=n_iters).transform)
+                fd = fd_bundle(corr, cloud, FDConfig(n_iters_forward=n_iters))
+                _, dldg = rigid_motion_loss(g, gt)
+                err = compare(backward(corr, cloud, g), fd, dldg, n_iters)
+                for kind in INPUT_KINDS:
+                    rows.append([case, kind, *err.per_input[kind], n_iters])
+                rows.append([case, "all", err.mse, err.rel_mse, n_iters])
+        header = ["instance_id", "input_kind", "mse", "rel_mse", "n_iters"]
+        cli._write_csv(tmp_path / "want.csv", header, rows)
+        got = (out / "gradcheck.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert len(got.splitlines()) == 1 + 2 * 5 * len(iters)
+
+    def test_cli_calls_the_oracle_once_per_case(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(corr, source, cfg, **kwargs):
+            calls.append((cfg.n_iters_forward, tuple(kwargs.get("also_at", ()))))
+            return fd_bundle(corr, source, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "fd_bundle", counted)
+        assert cli.main(["gradcheck", "--n", "12", "--cases", "3", "--iters", "2,5,1",
+                         "--out", str(tmp_path / "gc")]) == 0
+        assert calls == [(5, (2, 5, 1))] * 3
 
 
 class TestCompare:

@@ -16,6 +16,7 @@ from p2plreg.geometry import (
 from p2plreg.solver import (
     DegenerateConfiguration,
     SingularSystem,
+    _accumulate_batch,
     _moments,
     _system_from_moments,
     energy,
@@ -23,6 +24,7 @@ from p2plreg.solver import (
     register_p2pl,
     register_procrustes,
 )
+from p2plreg.gradcheck import make_instance
 from p2plreg.synth import SynthConfig, draw_rigid, make_cpu_pair, synth_shape
 from p2plreg.seeding import derived_rng
 
@@ -347,6 +349,70 @@ class TestRegisterP2pl:
         assert err.value.iteration == 0
 
 
+class TestReportedCounts:
+    # _accumulate_batch can report the transform after chosen round counts;
+    # asking for them must not change the run, and each report must be the
+    # transform a run of that many rounds returns.
+
+    @staticmethod
+    def _stacked_moments(seeds, n_pairs=96):
+        parts = []
+        for seed in seeds:
+            corr, cloud, _ = make_instance(seed, n_pairs, noise=1e-3)
+            parts.append(_moments(cloud.positions, corr.targets, corr.normals, corr.weights))
+        mu, _, _, m, q0 = (np.stack(a) for a in zip(*parts))
+        return m, q0, mu
+
+    @pytest.mark.parametrize("seeds", [(0,), (1, 2, 3, 4, 5, 6)], ids=["B=1", "B=6"])
+    def test_reports_match_separate_runs(self, seeds):
+        m, q0, mu = self._stacked_moments(seeds)
+        seen = {}
+
+        def record(count, rot, trans):
+            assert count not in seen
+            seen[count] = (rot.copy(), trans.copy())
+
+        swept = _accumulate_batch(m, q0, mu, 7, 1e-6, True, at=(1, 3, 7), emit=record)
+        plain = _accumulate_batch(m, q0, mu, 7, 1e-6, True)
+        for got, want in zip(swept, plain):
+            np.testing.assert_array_equal(got, want)
+        assert sorted(seen) == [1, 3, 7]
+        for count, (rot, trans) in seen.items():
+            alone = _accumulate_batch(m, q0, mu, count, 1e-6)
+            np.testing.assert_array_equal(rot, alone[0])
+            np.testing.assert_array_equal(trans, alone[1])
+
+    def test_register_p2pl_and_icp_unchanged_by_reports(self, monkeypatch):
+        # register_p2pl, and icp through it, run the shared kernel; a kernel
+        # asked to report every round must return the same results bitwise.
+        import p2plreg.solver as solver
+
+        base = synth_shape("blob", 1024, seed=22)
+        cfg = SynthConfig(seed=22, n_sample=256, n_partial=192, rot_max_deg=30.0,
+                          trans_max=0.2, compose_count=1)
+        pair = make_cpu_pair([base], cfg)
+        corr, cloud, _ = make_instance(3, 128, noise=1e-3)
+        runs = []
+        for sweep in (False, True):
+            if sweep:
+                kernel = solver._accumulate_batch
+
+                def every_round(m, q0, mu, n_iters, *args, **kwargs):
+                    at, emit = range(1, n_iters + 1), lambda *_: None
+                    return kernel(m, q0, mu, n_iters, *args, **kwargs, at=at, emit=emit)
+
+                monkeypatch.setattr(solver, "_accumulate_batch", every_round)
+            reg = register_p2pl(corr, cloud, n_iters=10)
+            rep = icp(pair.source, pair.target, max_outer=30)
+            runs.append((reg, rep))
+        (reg_a, icp_a), (reg_b, icp_b) = runs
+        for a, b in ((reg_a, reg_b), (icp_a, icp_b)):
+            np.testing.assert_array_equal(a.transform.rotation, b.transform.rotation)
+            np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
+            assert a.energy_trace == b.energy_trace
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
 class TestProcrustes:
     def test_self_alignment_is_identity(self):
         cloud = synth_shape("blob", 64, seed=15)
@@ -523,3 +589,25 @@ class TestIcp:
         cloud = synth_shape("blob", 32, seed=21)
         with pytest.raises(ValueError):
             icp(cloud, cloud, method="plane")
+
+    @pytest.mark.parametrize("method", ["p2pl", "p2p"])
+    def test_negative_max_outer_rejected(self, method):
+        # It used to run 0 rounds and return the identity.
+        cloud = synth_shape("blob", 32, seed=21)
+        with pytest.raises(ValueError, match="max_outer must be at least 0, got -1"):
+            icp(cloud, cloud, method=method, max_outer=-1)
+
+    @pytest.mark.parametrize("max_outer", [0, 3])
+    def test_p2pl_inner_iters_below_one_rejected(self, max_outer):
+        # Checked at entry, so a run of zero rounds cannot hide it.
+        cloud = synth_shape("blob", 32, seed=21)
+        with pytest.raises(ValueError, match="inner_iters must be at least 1, got 0"):
+            icp(cloud, cloud, max_outer=max_outer, inner_iters=0)
+
+    def test_zero_rounds_and_p2p_inner_iters_accepted(self):
+        # Zero rounds is the identity; p2p runs no inner accumulation.
+        cloud = synth_shape("blob", 32, seed=21)
+        rep = icp(cloud, cloud, max_outer=0)
+        assert rep.iterations == 0 and len(rep.energy_trace) == 1
+        np.testing.assert_array_equal(rep.transform.rotation, np.eye(3))
+        assert icp(cloud, cloud, method="p2p", max_outer=2, inner_iters=0).iterations >= 1
