@@ -15,8 +15,9 @@ not depend on how many accumulation rounds produced the transform, and
 J H^{-1} J^T does not depend on the chart's pivot. H is twice the 6x6
 system the forward would factor next at g, that is at (R, t + R mu)
 (``solver._moments`` and ``solver._system_from_moments``), checked by the
-forward's own pivot rule (``solver._factor_batch``), so the two passes
-share one chart, one Hessian formula and one singularity criterion.
+forward's own Cholesky factor and pivot rule (``solver._factor``), so the
+two passes share one chart, one Hessian formula and one singularity
+criterion.
 
 ``backward`` forms the moments, H and the lifted inverse J H^{-1} J^T and
 stops there: its one O(N) pass is the moments. The bundle keeps the inputs
@@ -55,7 +56,7 @@ from .geometry import RigidTransform, from_gvector, residual_coeffs, step_jacobi
 from .solver import (
     SingularSystem,
     _check_sizes,
-    _factor_batch,
+    _factor,
     _moments,
     _plane_offsets,
     _system_from_moments,
@@ -65,10 +66,11 @@ from .solver import (
 class SingularHessian(np.linalg.LinAlgError):
     """The 6x6 chart Hessian of the plane energy is singular.
 
-    Raised under the forward solver's own pivot rule (``_factor_batch``):
-    the geometry leaves a step direction unconstrained, for example planar
-    points whose normals are all parallel. Callers can retry after solving
-    with damping to regularize the forward geometry.
+    Raised under the forward solver's own Cholesky factor and pivot rule
+    (``solver._factor``): the geometry leaves a step direction
+    unconstrained, for example planar points whose normals are all
+    parallel. Callers can retry after solving with damping to regularize
+    the forward geometry.
     """
 
 
@@ -274,7 +276,7 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     h = 2.0 * a[0]
     jac = step_jacobian(t.rotation, -r_mu)
     try:
-        _, condition = _factor_batch(h[None], None)
+        _, condition = _factor(h[None], None)
     except SingularSystem as exc:
         raise SingularHessian(f"chart Hessian: {exc}") from None
     # The explicit inverse, not a solve: chain_loss and the materialized

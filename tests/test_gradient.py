@@ -393,7 +393,7 @@ class TestBackward:
         pts = np.column_stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20), np.zeros(20)])
         normals = np.tile([0.0, 0.0, 1.0], (20, 1))
         corr = CorrespondenceSet(pts, normals, np.ones(20))
-        with pytest.raises(SingularHessian):
+        with pytest.raises(SingularHessian, match="chart Hessian: singular 6x6 system"):
             backward(corr, PointCloud(pts), to_gvector(RigidTransform.identity()))
 
     def test_non_finite_transform_vector_rejected(self):

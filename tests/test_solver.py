@@ -14,10 +14,13 @@ from p2plreg.geometry import (
     to_gvector,
 )
 from p2plreg.solver import (
+    CONDITION_LIMIT,
     DegenerateConfiguration,
     SingularSystem,
     _accumulate_batch,
+    _factor,
     _moments,
+    _solve_batch,
     _system_from_moments,
     energy,
     icp,
@@ -213,13 +216,15 @@ class TestSolveStep:
 
 
 @pytest.mark.parametrize("damping", [np.nan, np.inf, -1.0])
-@pytest.mark.parametrize("solve", ["register_p2pl", "icp"])
+@pytest.mark.parametrize("solve", ["register_p2pl", "icp", "icp_no_rounds"])
 def test_invalid_damping_rejected(solve, damping):
+    # icp checks damping at entry, so a run of zero rounds cannot hide it.
     cloud = synth_shape("blob", 64, seed=5)
     corr = exact_correspond(cloud, draw_rigid(derived_rng(5, "gt"), 15.0, 0.1))
     call = {
         "register_p2pl": lambda: register_p2pl(corr, cloud, n_iters=3, damping=damping),
         "icp": lambda: icp(cloud, cloud, method="p2pl", max_outer=2, damping=damping),
+        "icp_no_rounds": lambda: icp(cloud, cloud, method="p2pl", max_outer=0, damping=damping),
     }[solve]
     with pytest.raises(ValueError, match="damping must be finite and non-negative"):
         call()
@@ -411,6 +416,108 @@ class TestReportedCounts:
             np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
             assert a.energy_trace == b.energy_trace
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
+def _ldl_batch(rng, pivots):
+    """Symmetric systems L D L^T, one per row of the (B, 6) ``pivots``, with
+    a random unit lower L: their squared Cholesky pivots are D up to
+    rounding."""
+    b_dim = pivots.shape[0]
+    low = np.tril(rng.uniform(-1.0, 1.0, (b_dim, 6, 6)), -1) + np.eye(6)
+    a = (low * pivots[:, None, :]) @ low.swapaxes(1, 2)
+    return 0.5 * (a + a.swapaxes(1, 2))
+
+
+def _gram_batch(rng, b_dim):
+    """Well-conditioned symmetric positive definite systems and right-hand
+    sides: Gram matrices of (20, 6) Gaussian rows."""
+    rows = rng.standard_normal((b_dim, 20, 6))
+    a = rows.swapaxes(1, 2) @ rows
+    return 0.5 * (a + a.swapaxes(1, 2)), rng.standard_normal((b_dim, 6))
+
+
+@pytest.mark.filterwarnings("error")
+class TestCholeskySolve:
+    # The 6x6 solve is one entry-wise Cholesky factor, the pivot rule and
+    # two substitutions; warnings are errors, so a bad pivot must not reach
+    # a square root that warns.
+
+    @pytest.mark.parametrize("b_dim", [1, 7, 1280])
+    def test_matches_lapack_solve(self, b_dim):
+        # The Gram systems have condition numbers below 30; Cholesky and
+        # LU then agree to a few eps of |x| (measured 1.1e-15 at B = 1280).
+        a, b = _gram_batch(np.random.default_rng(b_dim), b_dim)
+        got, condition = _solve_batch(a, b, 0.0, 0)
+        want = np.linalg.solve(a, b[..., None])[..., 0]
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-14
+        assert condition is False
+
+    def test_solution_independent_of_batch(self):
+        # Bitwise, for any BLAS thread count: the kernel makes no LAPACK call.
+        a, b = _gram_batch(np.random.default_rng(3), 1280)
+        whole, _ = _solve_batch(a, b, 1e-6, 0)
+        for i in range(1280):
+            alone, _ = _solve_batch(a[i : i + 1], b[i : i + 1], 1e-6, 0)
+            np.testing.assert_array_equal(alone[0], whole[i])
+        for start in range(0, 1280, 7):
+            part, _ = _solve_batch(a[start : start + 7], b[start : start + 7], 1e-6, 0)
+            np.testing.assert_array_equal(part, whole[start : start + 7])
+
+    def test_register_p2pl_is_its_batch_item(self):
+        seeds = range(6)
+        m, q0, mu = TestReportedCounts._stacked_moments(seeds)
+        rot, trans, _, _, _ = _accumulate_batch(m, q0, mu, 10)
+        for k, seed in enumerate(seeds):
+            corr, cloud, _ = make_instance(seed, 96, noise=1e-3)
+            got = register_p2pl(corr, cloud, n_iters=10).transform
+            np.testing.assert_array_equal(got.rotation, rot[k])
+            np.testing.assert_array_equal(got.translation, trans[k])
+
+    @pytest.mark.parametrize("b_dim", [1, 7, 1280])
+    @pytest.mark.parametrize("spread", [1e6, 1e13])
+    def test_condition_flag_matches_lapack(self, b_dim, spread):
+        # Squared pivots spread 1e6 (clear) and 1e13 (flagged, yet above
+        # the tiny-pivot cut at 1e14); at B > 1 only item 2 has the spread.
+        rng = np.random.default_rng(b_dim)
+        pivots = np.exp(rng.uniform(-1.0, 1.0, (b_dim, 6)))
+        item = 0 if b_dim == 1 else 2
+        pivots[item, rng.permutation(6)[:2]] = (1.0, 1.0 / spread)
+        a = _ldl_batch(rng, pivots)
+        diag = np.linalg.cholesky(a).diagonal(axis1=-2, axis2=-1) ** 2
+        lapack = bool(np.any(diag.max(axis=-1) / diag.min(axis=-1) > CONDITION_LIMIT))
+        _, condition = _factor(a, 0)
+        assert condition == lapack == (spread > CONDITION_LIMIT)
+
+    @pytest.mark.parametrize("b_dim, bad", [(1, (0,)), (7, (4,)), (1280, (911, 1200))])
+    def test_indefinite_item_named(self, b_dim, bad):
+        rng = np.random.default_rng(b_dim)
+        pivots = np.exp(rng.uniform(-1.0, 1.0, (b_dim, 6)))
+        pivots[list(bad), 3] = -1.0
+        a = _ldl_batch(rng, pivots)
+        where = f"at iteration 5 \\(batch item {bad[0]}\\)"
+        with pytest.raises(SingularSystem, match=where) as err:
+            _solve_batch(a, np.ones((b_dim, 6)), 0.0, 5)
+        assert err.value.iteration == 5
+
+    @pytest.mark.parametrize("b_dim, bad", [(1, 0), (7, 6), (1280, 37)])
+    def test_nan_item_named(self, b_dim, bad):
+        a, b = _gram_batch(np.random.default_rng(b_dim), b_dim)
+        a[bad, 2, 4] = a[bad, 4, 2] = np.nan
+        with pytest.raises(SingularSystem, match=f"batch item {bad}\\)") as err:
+            _solve_batch(a, b, 0.0, 2)
+        assert err.value.iteration == 2
+
+    @pytest.mark.parametrize("b_dim", [1, 7])
+    def test_rank_deficient_is_tiny_pivot(self, b_dim):
+        # The sixth direction is 1e-16 times as stiff as the others, below
+        # working precision; its pivot is that entry exactly.
+        a, b = _gram_batch(np.random.default_rng(11), b_dim)
+        a[:, 5, :] = a[:, :, 5] = 0.0
+        a[:, 5, 5] = 1e-16 * a[:, 0, 0]
+        with pytest.raises(SingularSystem, match="tiny pivot") as err:
+            _solve_batch(a, b, 0.0, 1)
+        assert err.value.iteration == 1
 
 
 class TestProcrustes:
