@@ -170,10 +170,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
 
-    weights = None
-    if args.weights:
-        lines = Path(args.weights).read_text(encoding="utf-8").splitlines()
-        weights = np.asarray(fileio._numeric_rows(lines, 1, sep=","), dtype=np.float64)
+    weights = fileio.load_weights(args.weights) if args.weights else None
 
     def run_pair(item):
         index, pair_dir = item

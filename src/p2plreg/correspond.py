@@ -63,20 +63,41 @@ class CorrespondenceSet:
         z = np.ascontiguousarray(self.weights, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != 3 or n.shape != y.shape or z.shape != (y.shape[0],):
             raise ValueError("inconsistent correspondence array shapes")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(n)) and np.all(np.isfinite(z))):
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(n))):
             raise ValueError("correspondence arrays must be finite")
         if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > UNIT_NORMAL_TOL):
             raise ValueError("pointed normals must be unit length")
-        if np.any(z < 0.0):
-            raise ValueError("reliability weights must be nonnegative")
-        if not np.any(z > 0.0):
-            raise ValueError("at least one reliability weight must be positive")
+        _check_weights(z)
         object.__setattr__(self, "targets", _read_only(y))
         object.__setattr__(self, "normals", _read_only(n))
         object.__setattr__(self, "weights", _read_only(z))
 
+    @classmethod
+    def _derived(cls, targets, normals, weights) -> "CorrespondenceSet":
+        """A set of arrays derived from validated ones, built without the
+        checks: the caller vouches for contiguous float64 arrays of matching
+        shapes, finite rows and unit normals (rows of a validated cloud,
+        say) and weights that pass ``_check_weights``."""
+        corr = object.__new__(cls)
+        object.__setattr__(corr, "targets", _read_only(targets))
+        object.__setattr__(corr, "normals", _read_only(normals))
+        object.__setattr__(corr, "weights", _read_only(weights))
+        object.__setattr__(corr, "degenerate", None)
+        return corr
+
     def __len__(self) -> int:
         return int(self.targets.shape[0])
+
+
+def _check_weights(z: NDArray[np.float64]) -> None:
+    """Raise ValueError unless the reliabilities z are finite, nonnegative
+    and not all zero."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError("correspondence arrays must be finite")
+    if np.any(z < 0.0):
+        raise ValueError("reliability weights must be nonnegative")
+    if not np.any(z > 0.0):
+        raise ValueError("at least one reliability weight must be positive")
 
 
 def nn_correspond(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
@@ -92,7 +113,9 @@ def _nn_matcher(target: PointCloud):
 
     Returns match(points, weights=None), the correspondences of the (N, 3)
     points with unit reliabilities or the given (N,) weights, so a caller
-    that re-matches moved points (ICP) builds the tree once.
+    that re-matches moved points (ICP) builds the tree once. The sets hold
+    rows of the validated target and are built unchecked, so given weights
+    must be contiguous float64 that pass ``_check_weights``.
     """
     normals = target.require_normals()
     m = len(target)
@@ -115,7 +138,7 @@ def _nn_matcher(target: PointCloud):
             rows = rows[tied[:, -1]] if k < m else rows[:0]
         if weights is None:
             weights = np.ones(len(points))
-        return CorrespondenceSet(target.positions[idx], normals[idx], weights)
+        return CorrespondenceSet._derived(target.positions[idx], normals[idx], weights)
 
     return match
 
@@ -303,4 +326,4 @@ def load_scores_csv(path) -> NDArray[np.float64]:
     if first is None:
         raise ParseError("empty scores file", 1)
     width = len(first.split(","))
-    return np.asarray(_numeric_rows(lines, width, sep=","), dtype=np.float64)
+    return _numeric_rows(lines, width, sep=",")

@@ -12,6 +12,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .geometry import RigidTransform
@@ -120,14 +121,13 @@ def _load_ply(path: Path) -> PointCloud:
     width = len(properties)
 
     body = lines[body_start:]
-    rows = _numeric_rows(body, width, body_start + 1)
-    count = len(rows)
+    data = _numeric_rows(body, width, body_start + 1)
+    count = len(data)
     if count != n_vertex:
         raise ParseError(
             f"header declares {n_vertex} vertices but body has {count}",
             body_start + 1 + len(body),
         )
-    data = np.asarray(rows, dtype=np.float64).reshape(count, width)
     normals = data[:, 3:6] if has_normals else None
     return PointCloud(data[:, :3], normals)
 
@@ -141,13 +141,40 @@ def _save_xyzn(path: Path, cloud: PointCloud) -> None:
 
 def _numeric_rows(
     lines: list[str], width: int, first: int = 1, sep: str | None = None
-) -> list[list[float]]:
-    """Rows of ``width`` floats from text lines, skipping blank lines.
+) -> NDArray[np.float64]:
+    """(rows, width) floats from text lines, skipping blank lines.
 
     Values are split on ``sep`` (whitespace when None). ``first`` is the
     file's line number of ``lines[0]``; errors report the line number of the
-    offending line.
+    offending line. The lines are parsed in one pass (``_fast_rows``); when
+    that pass declines them, ``_checked_rows``, the only path that raises
+    ``ParseError``, reads them one at a time.
     """
+    data = _fast_rows(lines, width, sep)
+    return _checked_rows(lines, width, first, sep) if data is None else data
+
+
+def _fast_rows(lines, width, sep) -> NDArray[np.float64] | None:
+    """``_numeric_rows`` in one ``np.loadtxt`` pass, or None to decline.
+
+    loadtxt reads a number to the same float as ``float`` does but accepts
+    fewer spellings (not ``1_0``, for one), so it declines on any parse
+    failure and on a width other than ``width``, and never accepts a line
+    that ``_checked_rows`` rejects. Input with no data is declined too, as
+    loadtxt warns on it.
+    """
+    if not any(map(str.strip, lines)):
+        return None
+    try:
+        data = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None, delimiter=sep)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
+
+
+def _checked_rows(lines, width, first, sep) -> NDArray[np.float64]:
+    """``_numeric_rows`` one line at a time through ``float``, raising
+    ``ParseError`` at the first bad line."""
     rows = []
     for i, raw in enumerate(lines, start=first):
         if not raw.strip():
@@ -159,14 +186,13 @@ def _numeric_rows(
             rows.append([float(v) for v in values])
         except ValueError:
             raise ParseError("non-numeric value", i) from None
-    return rows
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def _load_xyzn(path: Path) -> PointCloud:
-    rows = _numeric_rows(path.read_text(encoding="utf-8").splitlines(), 6)
-    if not rows:
+    data = _numeric_rows(path.read_text(encoding="utf-8").splitlines(), 6)
+    if len(data) == 0:
         raise ParseError("empty cloud file", 1)
-    data = np.asarray(rows, dtype=np.float64)
     return PointCloud(data[:, :3], data[:, 3:6])
 
 
@@ -178,11 +204,15 @@ def save_transform(path, t: RigidTransform) -> None:
 
 
 def load_transform(path) -> RigidTransform:
-    rows = _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 4)
-    if len(rows) != 3:
-        raise ParseError(f"expected 3 rows, found {len(rows)}", len(rows) + 1)
-    m = np.asarray(rows, dtype=np.float64)
+    m = _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 4)
+    if len(m) != 3:
+        raise ParseError(f"expected 3 rows, found {len(m)}", len(m) + 1)
     return RigidTransform(m[:, :3], m[:, 3])
+
+
+def load_weights(path) -> NDArray[np.float64]:
+    """(N,) per-source reliabilities from a header-free CSV of one column."""
+    return _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 1, sep=",")[:, 0]
 
 
 def ensure_dir(path) -> Path:

@@ -56,11 +56,41 @@ def rodrigues(axis_angle) -> Mat3:
     return rodrigues_batch(_vec3(axis_angle, "axis_angle")[None])[0]
 
 
-# Row-major entry 3 i + j of exp([a]) is (2 v)_i v_j plus entry
-# _EXP_PICK[3 i + j] of (cos(theta), 2 w v, -2 w v).
-_EXP_I = np.repeat(np.arange(3), 3)
-_EXP_J = np.tile(np.arange(3), 3)
-_EXP_PICK = np.array([0, 6, 2, 3, 0, 4, 5, 1, 0])
+def _norm3(v0, v1, v2):
+    """|v| of three entries, Python floats or (B,) rows, summed left to
+    right as ``np.add.reduce`` sums three rows."""
+    s = v0 * v0 + v1 * v1 + v2 * v2
+    return math.sqrt(s) if isinstance(s, float) else np.sqrt(s)
+
+
+def _exp_entries(a):
+    """|a| and the nine row-major entries of exp([a]) from a's three entries.
+
+    The entries are Python floats, for one rotation, or (B,) rows, for a
+    batch, as the solver's 6x6 kernels take them. Entry (i, j) is
+    (2 v_i) v_j plus cos(theta) on the diagonal and +-2 w v_k off it, for
+    the unit quaternion (v, w) of ``rodrigues_batch``. Every step is one
+    elementwise IEEE operation or a sqrt, sin or cos of one value, so a
+    rotation is bitwise the same alone or in any batch, as long as math's
+    sin and cos round as numpy's do (``tests/test_geometry.py`` checks it).
+    """
+    a0, a1, a2 = a
+    theta = _norm3(a0, a1, a2)
+    half = 0.5 * theta
+    if isinstance(theta, float):
+        k = math.sin(half) / theta if theta >= SMALL_ANGLE else 0.0
+        c, cw = math.cos(theta), 2.0 * math.cos(half)
+    else:
+        k = np.divide(np.sin(half), theta, out=np.zeros_like(theta), where=theta >= SMALL_ANGLE)
+        c, cw = np.cos(theta), 2.0 * np.cos(half)
+    v0, v1, v2 = a0 * k, a1 * k, a2 * k
+    d0, d1, d2 = v0 * cw, v1 * cw, v2 * cw
+    t0, t1, t2 = v0 + v0, v1 + v1, v2 + v2
+    return theta, (
+        t0 * v0 + c, t0 * v1 - d2, t0 * v2 + d1,
+        t1 * v0 + d2, t1 * v1 + c, t1 * v2 - d0,
+        t2 * v0 - d1, t2 * v1 + d0, t2 * v2 + c,
+    )
 
 
 def rodrigues_batch(axis_angles: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -71,22 +101,12 @@ def rodrigues_batch(axis_angles: NDArray[np.float64]) -> NDArray[np.float64]:
     ``scipy.spatial.transform.Rotation.from_rotvec(a).as_matrix()``, which
     forms the same terms, within a few ulps at every angle. Below
     SMALL_ANGLE v is 0 and cos(theta) rounds to 1, which gives exactly the
-    identity. Each pass runs over one row per component across the batch,
-    so no step mixes items.
+    identity. The entries come from ``_exp_entries`` on one row per
+    component across the batch, so no step mixes items.
     """
     at = np.asarray(axis_angles, dtype=np.float64).T
-    # |a| summed as np.linalg.norm sums it, so the identity cut agrees with it.
-    theta = np.sqrt(np.add.reduce(np.multiply(at, at, order="C")))
-    half = 0.5 * theta
-    k = np.divide(np.sin(half), theta, out=np.zeros_like(theta), where=theta >= SMALL_ANGLE)
-    v = np.multiply(at, k, order="C")
-    ext = np.empty((7,) + theta.shape)
-    np.cos(theta, out=ext[0])
-    np.multiply(v, 2.0 * np.cos(half), out=ext[1:4])
-    np.negative(ext[1:4], out=ext[4:])
-    out = (v + v)[_EXP_I] * v[_EXP_J]
-    out += ext[_EXP_PICK]
-    return np.ascontiguousarray(out.T).reshape(-1, 3, 3)
+    _, entries = _exp_entries(tuple(at))
+    return np.stack(entries, axis=-1).reshape(-1, 3, 3)
 
 
 def log_rotation(r: Mat3) -> Vec3:
@@ -149,17 +169,20 @@ def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
     )
 
 
-def apply_transform(t: RigidTransform, cloud):
+def apply_transform(t: RigidTransform, cloud, *, checked: bool = True):
     """Map a cloud through a rigid transform.
 
     Positions map as R p + t; normals rotate only, which keeps them unit
-    length and preserves every inner product n . (p - q).
+    length and preserves every inner product n . (p - q). The returned
+    cloud passes the ``PointCloud`` checks; ``checked=False`` skips them,
+    for a caller whose t is a product of exponential maps and so keeps the
+    cloud's normals unit (ICP's running transform).
     """
     from .cloud import PointCloud
 
     pos = cloud.positions @ t.rotation.T + t.translation
     nrm = None if cloud.normals is None else cloud.normals @ t.rotation.T
-    return PointCloud(pos, nrm)
+    return PointCloud(pos, nrm) if checked else PointCloud._derived(pos, nrm)
 
 
 def to_gvector(t: RigidTransform) -> NDArray[np.float64]:

@@ -84,7 +84,10 @@ def _perturbed_moments(
     old_u = np.repeat(u[pairs], 2, axis=0)
     old_s = np.repeat(s[pairs], 2)
     m_out = new_u[:, :, None] * new_u[:, None, :]
-    m_out -= old_u[:, :, None] * old_u[:, None, :]
+    # The old term leaves column by column, so no second (B, 12, 12)
+    # outer product is allocated; each entry is the same product.
+    for j in range(12):
+        m_out[:, :, j] -= old_u * old_u[:, j, None]
     m_out += m
     q_out = new_s[:, None] * new_u - old_s[:, None] * old_u
     q_out += q0

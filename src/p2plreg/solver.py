@@ -12,7 +12,7 @@ wrapper re-derives them between accumulations.
 The plane residuals are linear in the 12 transform entries, so one pass
 over the points forms their 12x12 moments (``_moments``) and every round
 after that builds its 6x6 system from the moments alone
-(``_system_from_moments``) before one damped 6x6 solve (``_solve_batch``):
+(``_system_from_moments``) before one damped 6x6 solve (``_solve_entries``):
 a round costs O(1) in the number of pairs. The kernel is batched over
 independent problems; the finite-difference oracle feeds it B perturbed
 copies whose moments are rank-two updates of the base ones.
@@ -24,7 +24,9 @@ entries are Python floats; at B > 1 each is a (B,) vector, so a batch
 costs about 170 vector operations whatever B is, and no LAPACK call is
 made per system. Every operation is elementwise IEEE arithmetic, so a
 system's solution does not depend on the batch it is solved in. The
-backward checks its chart Hessian with the same factor and rule.
+backward checks its chart Hessian with the same factor and rule. The
+round's exponential map (``geometry._exp_entries``), step norms, converged
+flag and centroid update take the solution in the same entry form.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cloud import PointCloud
-from .correspond import CorrespondenceSet, _nn_matcher
+from .correspond import CorrespondenceSet, _check_weights, _nn_matcher
 from .geometry import (
     RigidTransform,
+    _exp_entries,
+    _norm3,
     apply_transform,
     compose,
     residual_coeffs,
-    rodrigues_batch,
     rotation_angle,
     step_jacobian,
 )
@@ -272,16 +275,28 @@ def _check_damping(damping: float) -> None:
         raise ValueError(f"damping must be finite and non-negative, got {damping}")
 
 
-def _solve_batch(a, b, damping: float, iteration: int | None):
-    """Solutions (B, 6) of the damped systems (a + damping I) s = b, plus
-    the condition flag of ``_factor``: one Cholesky factor per system,
-    checked by the pivot rule, then forward and back substitution. Each
-    system's solution is bitwise independent of the batch it is in."""
+def _solve_entries(a, b, damping: float, iteration: int | None):
+    """Entries of the solutions of the damped systems (a + damping I) s = b,
+    floats at B = 1 and (B,) rows at B > 1, plus the condition flag of
+    ``_factor``: one Cholesky factor per system, checked by the pivot rule,
+    then forward and back substitution. Each system's solution is bitwise
+    independent of the batch it is in."""
     if damping:
         a = a + damping * _EYE6
     rows, condition = _factor(a, iteration)
-    x = _substitute6(rows, _entries(b))
-    return np.array(x).reshape(6, -1).T, condition
+    return _substitute6(rows, _entries(b)), condition
+
+
+def _solve_batch(a, b, damping: float, iteration: int | None):
+    """``_solve_entries`` with the solutions as a (B, 6) array."""
+    x, condition = _solve_entries(a, b, damping, iteration)
+    return _batch(x), condition
+
+
+def _batch(entries):
+    """(B, len(entries)) C-ordered array of kernel entries, the inverse of
+    ``_entries`` for a batch of vectors."""
+    return np.ascontiguousarray(np.array(entries).reshape(len(entries), -1).T)
 
 
 def _world(rot, centre, mu):
@@ -318,7 +333,7 @@ def _accumulate_batch(
     rot = np.empty((b_dim, 3, 3))
     rot[:] = _EYE3
     centre = mu
-    converged = np.zeros(b_dim, dtype=bool)
+    converged = False
     condition = False
     deltas = np.empty((b_dim, n_iters + 1, 12)) if want_trace else None
 
@@ -326,22 +341,23 @@ def _accumulate_batch(
         a_mat, b_vec, delta = _system_from_moments(m, q0, mu, rot, centre)
         if want_trace:
             deltas[:, k] = delta
-        sol, cond_k = _solve_batch(a_mat, b_vec, damping, k)
+        # The solution, exp map and step norms stay in the 6x6 kernels'
+        # entry form: Python floats at B = 1, (B,) rows at B > 1.
+        x, cond_k = _solve_entries(a_mat, b_vec, damping, k)
         condition = condition or cond_k
-        rot = rodrigues_batch(sol[:, :3]) @ rot
-        centre = centre + sol[:, 3:]
-        # |a| + |delta|, each summed in the order of np.linalg.norm.
-        step = np.sqrt(np.add.reduce((sol * sol).reshape(b_dim, 2, 3), axis=-1))
-        converged |= np.add.reduce(step, axis=-1) < STEP_TOL
+        theta, exp = _exp_entries(x[:3])
+        rot = _batch(exp).reshape(b_dim, 3, 3) @ rot
+        centre = centre + _batch(x[3:])
+        converged = converged | (theta + _norm3(*x[3:]) < STEP_TOL)
         # Only rot and centre carry over: the next round's system is formed
         # without this round's (delta is a view of the whole system buffer).
-        del a_mat, b_vec, delta, sol, step
+        del a_mat, b_vec, delta, x, exp
         if k + 1 in at:
             emit(k + 1, rot, _world(rot, centre, mu))
     if want_trace:
         _deflated(rot, centre, mu, deltas[:, n_iters])
 
-    return rot, _world(rot, centre, mu), deltas, converged, condition
+    return rot, _world(rot, centre, mu), deltas, np.full(b_dim, converged), condition
 
 
 def register_p2pl(
@@ -416,8 +432,10 @@ def icp(
     convergence threshold. ``source_weights`` optionally fixes per-source
     reliabilities used by every round's estimator. The report carries the
     correspondences matched at the returned transform. Raises ValueError
-    on a negative ``max_outer`` and, for "p2pl", on ``inner_iters`` below
-    1 or a negative or non-finite ``damping``, even when no round runs.
+    on a negative ``max_outer``, on ``source_weights`` of the wrong length
+    or that are not finite, nonnegative and not all zero, and, for "p2pl",
+    on ``inner_iters`` below 1 or a negative or non-finite ``damping``,
+    even when no round runs.
     """
     if method not in ("p2p", "p2pl"):
         raise ValueError("method must be 'p2p' or 'p2pl'")
@@ -428,10 +446,13 @@ def icp(
             raise ValueError(f"inner_iters must be at least 1, got {inner_iters}")
         _check_damping(damping)
     if source_weights is not None:
-        source_weights = np.asarray(source_weights, dtype=np.float64).reshape(-1)
+        source_weights = np.ascontiguousarray(source_weights, dtype=np.float64).reshape(-1)
         if source_weights.shape[0] != len(source):
             raise ValueError("source_weights length must match the source size")
-    # One kd-tree of the target serves every round's matching.
+        _check_weights(source_weights)
+    # One kd-tree of the target serves every round's matching. Its sets,
+    # like the moved source, derive from inputs checked once, here and at
+    # construction, so no round checks them again.
     match = _nn_matcher(target)
 
     running = RigidTransform.identity()
@@ -460,7 +481,7 @@ def icp(
         running = compose(delta, running)
         iterations += 1
 
-        moved = apply_transform(running, source)
+        moved = apply_transform(running, source, checked=False)
         corr = match(moved.positions, source_weights)
         trace.append(objective(moved, corr))
 

@@ -5,6 +5,7 @@ import pytest
 
 from p2plreg import fileio
 from p2plreg.cloud import PointCloud
+from p2plreg.correspond import load_scores_csv
 from p2plreg.fileio import ParseError
 from p2plreg.geometry import RigidTransform, random_rotation
 
@@ -151,3 +152,146 @@ class TestTransformFile:
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         fileio.load("/nonexistent/cloud.ply")
+
+
+# The body reader has a one-pass fast path (_fast_rows) and a line-by-line
+# loop (_checked_rows), the only path that raises ParseError. Where the fast
+# path reads a file, the loop must read the same bits; where the loop
+# rejects a file, the fast path must decline it.
+
+
+def _fast_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fast path declined a well-formed file")
+
+    monkeypatch.setattr(fileio, "_checked_rows", refuse)
+
+
+def _loop_only(monkeypatch):
+    monkeypatch.setattr(fileio, "_fast_rows", lambda lines, width, sep: None)
+
+
+def _arrays(value):
+    """The float arrays a reader returned, for bitwise comparison."""
+    if isinstance(value, PointCloud):
+        return [value.positions] + ([] if value.normals is None else [value.normals])
+    if isinstance(value, RigidTransform):
+        return [value.rotation, value.translation]
+    return [value]
+
+
+def _outcome(read, path):
+    """("ok", array bytes and shapes) or (error type, message, line)."""
+    try:
+        value = read(path)
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return "ok", [(a.shape, a.tobytes()) for a in _arrays(value)]
+
+
+@pytest.fixture(scope="module")
+def synth_pairs(tmp_path_factory):
+    from p2plreg.cli import main
+
+    out = tmp_path_factory.mktemp("synth") / "pairs"
+    assert main(["synth", "--pairs", "8", "--seed", "7", "--out", str(out)]) == 0
+    return out
+
+
+def test_fast_path_reads_synth_files_as_the_loop_does(synth_pairs, monkeypatch):
+    files = sorted(synth_pairs.rglob("*.ply")) + sorted(synth_pairs.rglob("gt.txt"))
+    assert len(files) == 8 * 5
+
+    def read(path):
+        return fileio.load(path) if path.suffix == ".ply" else fileio.load_transform(path)
+
+    with monkeypatch.context() as patch:
+        _fast_only(patch)
+        fast = [_outcome(read, path) for path in files]
+    with monkeypatch.context() as patch:
+        _loop_only(patch)
+        loop = [_outcome(read, path) for path in files]
+    assert all(kind == "ok" for kind, *_ in fast)
+    assert fast == loop
+
+
+def _ply_text(body):
+    head = ["ply", "format ascii 1.0", f"element vertex {len(body)}"]
+    head += [f"property float {c}" for c in ("x", "y", "z", "nx", "ny", "nz")]
+    return head + ["end_header"] + body
+
+
+def _rows(n, width, sep=" ", unit_rows=False):
+    rng = np.random.default_rng(n * 10 + width)
+    data = rng.standard_normal((n, width))
+    if unit_rows:
+        data[:, 3:] /= np.linalg.norm(data[:, 3:], axis=1, keepdims=True)
+    return [sep.join(repr(float(v)) for v in row) for row in data]
+
+
+# format -> (lines of a well-formed file, first body line index, the
+# reader's value separator (None: whitespace), reader, file name)
+_FORMATS = {
+    "ply": (_ply_text(_rows(6, 6, unit_rows=True)), 10, None, fileio.load, "c.ply"),
+    "xyzn": (_rows(6, 6, unit_rows=True), 0, None, fileio.load, "c.xyzn"),
+    "gt": (["1 0 0 0.5", "0 1 0 -2", "0 0 1 3.25"], 0, None, fileio.load_transform, "gt.txt"),
+    "scores": (_rows(5, 4, sep=","), 0, ",", load_scores_csv, "s.csv"),
+    "weights": (_rows(6, 1, sep=","), 0, ",", fileio.load_weights, "w.csv"),
+}
+
+
+def _token(line, sep, k, token):
+    values = line.split(sep)
+    values[k] = token
+    return sep.join(values)
+
+
+# mutation -> function of (lines, first body index, separator written) ->
+# lines; None marks the line-ending change, applied when the file is written.
+_MUTATIONS = {
+    "plain": lambda lines, b, sep: lines,
+    "crlf": None,
+    "blank_line": lambda lines, b, sep: lines[: b + 1] + [""] + lines[b + 1 :],
+    "whitespace_line": lambda lines, b, sep: lines[: b + 2] + [" \t "] + lines[b + 2 :],
+    "hash_token": lambda lines, b, sep: lines[: b + 1] + [lines[b + 1] + sep + "#"]
+    + lines[b + 2 :],
+    "hash_line": lambda lines, b, sep: lines[: b + 1] + ["# comment"] + lines[b + 1 :],
+    "underscore": lambda lines, b, sep: lines[:b] + [_token(lines[b], sep, 0, "1_0")]
+    + lines[b + 1 :],
+    "nan": lambda lines, b, sep: lines[: b + 1] + [_token(lines[b + 1], sep, 0, "nan")]
+    + lines[b + 2 :],
+    "inf": lambda lines, b, sep: lines[: b + 1] + [_token(lines[b + 1], sep, 0, "-inf")]
+    + lines[b + 2 :],
+    "width_change": lambda lines, b, sep: lines[: b + 2] + [lines[b + 2] + sep + "1"]
+    + lines[b + 3 :],
+    "row_count": lambda lines, b, sep: lines[:-1],
+    "every_row_wide": lambda lines, b, sep: lines[:b] + [line + sep + "1" for line in lines[b:]],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+def test_fast_path_and_loop_agree_on_token_corpus(fmt, mutation, tmp_path, monkeypatch):
+    lines, body, sep, read, name = _FORMATS[fmt]
+    edit = _MUTATIONS[mutation]
+    path = tmp_path / name
+    if edit is None:
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    else:
+        path.write_text("\n".join(edit(lines, body, sep or " ")) + "\n", encoding="utf-8")
+    both = _outcome(read, path)
+    with monkeypatch.context() as patch:
+        _loop_only(patch)
+        loop = _outcome(read, path)
+    assert both == loop
+    # The fast path alone never accepts what the loop rejects, and reads
+    # what it accepts to the same bits.
+    text = path.read_text(encoding="utf-8").splitlines()[body:]
+    width = len(lines[body].split(sep))
+    fast = fileio._fast_rows(text, width, sep)
+    try:
+        slow = fileio._checked_rows(text, width, body + 1, sep)
+    except ParseError:
+        assert fast is None
+    else:
+        assert fast is None or (fast.shape, fast.tobytes()) == (slow.shape, slow.tobytes())

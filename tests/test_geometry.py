@@ -11,6 +11,7 @@ from scipy.spatial.transform import Rotation
 from p2plreg.cloud import PointCloud
 from p2plreg.geometry import (
     RigidTransform,
+    _exp_entries,
     apply_transform,
     compose,
     from_gvector,
@@ -95,6 +96,25 @@ class TestRodrigues:
         aa = [t * axis for t in angles] + list(rng.standard_normal((200, 3)))
         for a in aa:
             np.testing.assert_array_equal(rodrigues(a), rodrigues_batch(a[None])[0])
+
+
+def test_exp_entries_of_floats_are_their_batch_row():
+    # The solver's B = 1 round takes the exp map on Python floats (math's
+    # sqrt, sin and cos), a batch on (B,) rows (numpy's); bitwise the same.
+    rng = np.random.default_rng(64)
+    axes = rng.standard_normal((1280, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([
+        [0.0, 0.5 * SMALL_ANGLE, SMALL_ANGLE, 1e-8, math.pi - 1e-6, math.pi],
+        10.0 ** rng.uniform(-10.0, 0.5, 1274),
+    ])
+    aa = angles[:, None] * axes
+    theta_b, batch = _exp_entries(tuple(aa.T))
+    batch = np.stack([theta_b, *batch], axis=1)
+    for i in range(1280):
+        theta, one = _exp_entries(tuple(aa[i].tolist()))
+        assert all(type(e) is float for e in (theta, *one))
+        assert np.array([theta, *one]).tobytes() == batch[i].tobytes()
 
 
 def _scipy_exp(aa):

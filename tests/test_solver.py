@@ -8,13 +8,16 @@ from p2plreg.correspond import CorrespondenceSet, exact_correspond, nn_correspon
 from p2plreg.geometry import (
     RigidTransform,
     apply_transform,
+    compose,
     log_rotation,
     random_rotation,
     rodrigues,
+    rotation_angle,
     to_gvector,
 )
 from p2plreg.solver import (
     CONDITION_LIMIT,
+    STEP_TOL,
     DegenerateConfiguration,
     SingularSystem,
     _accumulate_batch,
@@ -474,6 +477,24 @@ class TestCholeskySolve:
             np.testing.assert_array_equal(got.rotation, rot[k])
             np.testing.assert_array_equal(got.translation, trans[k])
 
+    def test_kernel_item_alone_is_its_batch_item(self):
+        # Bitwise, for any BLAS thread count: at B = 1 the solution, exp map
+        # and step norms are Python floats, at B = 7 (B,) rows. Seeds 0-2
+        # are noise-free and converge; the others do not.
+        noises = [0.0] * 3 + [1e-2] * 4
+        parts = []
+        for seed, noise in enumerate(noises):
+            corr, cloud, _ = make_instance(seed, 96, noise=noise)
+            parts.append(_moments(cloud.positions, corr.targets, corr.normals, corr.weights))
+        mu, _, _, m, q0 = (np.stack(a) for a in zip(*parts))
+        whole = _accumulate_batch(m, q0, mu, 10, 1e-6, True)
+        assert list(whole[3]) == [True] * 3 + [False] * 4
+        for i in range(len(noises)):
+            alone = _accumulate_batch(m[i : i + 1], q0[i : i + 1], mu[i : i + 1], 10, 1e-6, True)
+            for got, want in zip(alone[:4], whole[:4]):
+                np.testing.assert_array_equal(got[0], want[i])
+            assert alone[4] == whole[4]
+
     @pytest.mark.parametrize("b_dim", [1, 7, 1280])
     @pytest.mark.parametrize("spread", [1e6, 1e13])
     def test_condition_flag_matches_lapack(self, b_dim, spread):
@@ -679,6 +700,90 @@ class TestIcp:
         assert np.max(np.abs(rep.transform.rotation - rot)) <= 1e-15 * size
         want_t = trans + c - rot @ c
         assert np.max(np.abs(rep.transform.translation - want_t)) <= 1e-15 * size * size
+
+    @staticmethod
+    def _reference_icp(source, target, max_outer, weights=None):
+        """icp's p2pl loop built from the public, validating pieces."""
+
+        def matched(moved):
+            corr = nn_correspond(moved, target)
+            if weights is None:
+                return corr
+            return CorrespondenceSet(corr.targets, corr.normals, weights)
+
+        running = _identity()
+        corr = matched(source)
+        trace = [energy(corr, source, running)]
+        converged = condition = False
+        for _ in range(max_outer):
+            inner = register_p2pl(corr, apply_transform(running, source), n_iters=10)
+            condition = condition or inner.condition_warning
+            delta = inner.transform
+            running = compose(delta, running)
+            corr = matched(apply_transform(running, source))
+            trace.append(energy(corr, source, running))
+            step = rotation_angle(delta.rotation) + float(np.linalg.norm(delta.translation))
+            if step < STEP_TOL:
+                converged = True
+                break
+        return running, trace, converged, condition, corr
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed, rot_max_deg, converges", [(24, 30.0, False), (23, 5.0, True)])
+    def test_matches_reference_loop_bitwise(self, seed, rot_max_deg, converges, weighted):
+        # icp builds its moved clouds and matches unchecked; a loop that
+        # checks every one must give the same bits, both on a run that hits
+        # the round cap and on one that converges.
+        base = synth_shape("blob", 1024, seed=seed)
+        cfg = SynthConfig(seed=seed, n_sample=256, n_partial=192, rot_max_deg=rot_max_deg,
+                          trans_max=0.2, compose_count=1)
+        pair = make_cpu_pair([base], cfg)
+        w = derived_rng(seed, "w").uniform(0.5, 1.5, 192) if weighted else None
+        rep = icp(pair.source, pair.target, max_outer=30, source_weights=w)
+        running, trace, converged, condition, corr = self._reference_icp(
+            pair.source, pair.target, 30, w
+        )
+        assert rep.converged == converged == converges
+        assert rep.iterations == len(trace) - 1
+        assert rep.energy_trace == trace
+        assert rep.condition_warning == condition
+        np.testing.assert_array_equal(rep.transform.rotation, running.rotation)
+        np.testing.assert_array_equal(rep.transform.translation, running.translation)
+        for field in ("targets", "normals", "weights"):
+            np.testing.assert_array_equal(getattr(rep.correspondences, field),
+                                          getattr(corr, field))
+
+    @pytest.mark.parametrize("max_outer", [0, 3])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("nan", "must be finite"),
+            ("negative", "must be nonnegative"),
+            ("zero", "at least one reliability weight must be positive"),
+            ("short", "source_weights length must match the source size"),
+        ],
+    )
+    def test_bad_source_weights_rejected_at_entry(self, bad, message, max_outer, monkeypatch):
+        # Checked once, before the kd-tree is built, since no round's
+        # matches check them again.
+        import p2plreg.correspond as correspond
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("kd-tree built before the weights were checked")
+
+        monkeypatch.setattr(correspond, "cKDTree", no_tree)
+        cloud = synth_shape("blob", 32, seed=21)
+        w = np.ones(32)
+        if bad == "nan":
+            w[5] = np.nan
+        elif bad == "negative":
+            w[5] = -1e-3
+        elif bad == "zero":
+            w[:] = 0.0
+        else:
+            w = w[:31]
+        with pytest.raises(ValueError, match=message):
+            icp(cloud, cloud, max_outer=max_outer, source_weights=w)
 
     def test_register_p2pl_reports_no_correspondences(self):
         corr = exact_correspond(synth_shape("blob", 32, seed=24), _identity())
