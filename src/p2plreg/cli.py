@@ -29,7 +29,7 @@ from .gradient import backward, chain_loss, rigid_motion_loss
 from .geometry import to_gvector
 from .metrics import chamfer, euler_zyx_angles, rotation_errors, summary
 from .seeding import derived_seed
-from .solver import SingularSystem, icp, register_p2pl
+from .solver import icp, register_p2pl
 from .synth import SHAPE_KINDS, SynthConfig, estimate_normals, make_cpu_pair, synth_shape
 
 FLOAT = "%.17g"
@@ -196,7 +196,7 @@ def cmd_register(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             _backward_and_chain(report.correspondences, source, report.transform)
             bwd_ms = (time.perf_counter() - t0) * 1e3
-        except (SingularSystem, np.linalg.LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             return index, None, f"{type(exc).__name__}: {exc}", pair
         fileio.save_transform(out / f"pair_{index:04d}_transform.txt", report.transform)
         return index, (report, fwd_ms, bwd_ms), "", pair

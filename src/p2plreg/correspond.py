@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 from . import eig3
 from .cloud import UNIT_NORMAL_TOL, PointCloud, _read_only
 from .fileio import ParseError, _numeric_rows
-from .geometry import RigidTransform
+from .geometry import RigidTransform, apply_transform
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +146,6 @@ def _nn_matcher(target: PointCloud):
 def exact_correspond(source: PointCloud, gt: RigidTransform, weights=None) -> CorrespondenceSet:
     """Noise-free correspondences obtained by pushing the source through a
     known transform. Test and benchmark fixture helper."""
-    from .geometry import apply_transform
-
     moved = apply_transform(gt, source)
     w = np.ones(len(source)) if weights is None else np.asarray(weights, dtype=np.float64)
     return CorrespondenceSet(moved.positions, moved.require_normals(), w)
@@ -164,9 +162,13 @@ def match_matrix(
 
     Row softmax of the result gives the normalized soft-assignment weights;
     beta controls hardness and alpha shifts rows without changing them.
+    Raises ValueError unless beta is finite and positive and alpha finite.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     moved = source.positions @ t.rotation.T + t.translation
     y = target.positions
     # One cdist call forms the squared distances coordinate by coordinate,
@@ -266,6 +268,8 @@ def gumbel_hard_weights(
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     u = np.asarray(scores, dtype=np.float64)
     if zero_noise:
         q = np.zeros_like(u)

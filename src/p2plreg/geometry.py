@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial.transform import Rotation
 
-from .cloud import _read_only
+from .cloud import PointCloud, _read_only
 
 Mat3 = NDArray[np.float64]
 Vec3 = NDArray[np.float64]
@@ -178,8 +178,6 @@ def apply_transform(t: RigidTransform, cloud, *, checked: bool = True):
     for a caller whose t is a product of exponential maps and so keeps the
     cloud's normals unit (ICP's running transform).
     """
-    from .cloud import PointCloud
-
     pos = cloud.positions @ t.rotation.T + t.translation
     nrm = None if cloud.normals is None else cloud.normals @ t.rotation.T
     return PointCloud(pos, nrm) if checked else PointCloud._derived(pos, nrm)

@@ -25,7 +25,7 @@ from .cloud import PointCloud
 from .correspond import CorrespondenceSet
 from .gradient import GradientBundle, PerInput, chain_blocks
 from .seeding import derived_rng
-from .solver import _accumulate_batch, _check_sizes, _moment_rows, _moments
+from .solver import _accumulate_batch, _check_sizes, _moment_rows, _moments, _world
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
@@ -110,7 +110,7 @@ def _central_diffs(
     ``INPUT_KINDS[kinds[r]]`` by +h and -h. The moments are formed once;
     the 2 len(kinds) perturbed solves are rank-two updates of them and run
     as batched jobs of at most CHUNK_ELEMS moment elements. Each job runs
-    its rounds once, to the largest count, and writes each smaller count's
+    its rounds once, to the largest count, and writes each count's
     differences into that count's rows as the kernel reaches it. Returns
     count -> (len(kinds), 12).
     """
@@ -119,21 +119,17 @@ def _central_diffs(
     mu = moments[0]
     per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
     out = {count: np.empty((len(kinds), 12)) for count in counts}
-    top = max(out)
-    smaller = set(out) - {top}
     for start in range(0, len(kinds), per_job):
         sl = slice(start, start + per_job)
         m, q0 = _perturbed_moments(moments, arrays, kinds[sl], pairs[sl], comps[sl], h)
-        b = m.shape[0]
+        mus = np.broadcast_to(mu, (m.shape[0], 3))
 
-        def write(count, rot, trans):
-            g = np.concatenate([rot.reshape(b, 9), trans], axis=1)
-            out[count][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
+        def write(k, rot, centre, delta):
+            if k in out:
+                g = np.concatenate([rot.reshape(-1, 9), _world(rot, centre, mus)], axis=1)
+                out[k][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
 
-        rot, trans, _, _, _ = _accumulate_batch(
-            m, q0, np.broadcast_to(mu, (b, 3)), top, at=smaller, emit=write
-        )
-        write(top, rot, trans)
+        _accumulate_batch(m, q0, mus, max(out), emit=write)
     return out
 
 
@@ -264,11 +260,12 @@ def make_instance(
     it, targets and normals get small Gaussian noise, and reliabilities are
     drawn away from 1 so every input kind has a live gradient.
 
-    Returns (corr, source, gt). Raises ValueError unless ``noise`` is finite
-    and non-negative.
+    Returns (corr, source, gt). Raises ValueError unless ``noise``,
+    ``rot_max_deg`` and ``trans_max`` are finite and non-negative.
     """
-    if not (math.isfinite(noise) and noise >= 0.0):
-        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    for name, value in (("noise", noise), ("rot_max_deg", rot_max_deg), ("trans_max", trans_max)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     rng = derived_rng(seed, "instance")
     cloud = synth_shape("blob", n_pairs, seed)
     gt = draw_rigid(rng, rot_max_deg, trans_max)

@@ -305,9 +305,12 @@ def chain_loss(d_loss_d_g, bundle: GradientBundle) -> PerInput:
 
     A vector-Jacobian product through the bundle's factors: the one row
     -v^T J H^{-1} J^T goes through the mixed-derivative builder with the
-    bundle's inputs, so no per-pair Jacobian is formed.
+    bundle's inputs, so no per-pair Jacobian is formed. Raises ValueError
+    unless v is finite.
     """
     v = np.asarray(d_loss_d_g, dtype=np.float64).reshape(12)
+    if not np.isfinite(v).all():
+        raise ValueError("d_loss_d_g must be finite")
     row = _mixed_blocks(
         bundle.correspondences, bundle.source, bundle.transform, -(v @ bundle.h_inv)[None]
     )

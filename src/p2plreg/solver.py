@@ -287,12 +287,6 @@ def _solve_entries(a, b, damping: float, iteration: int | None):
     return _substitute6(rows, _entries(b)), condition
 
 
-def _solve_batch(a, b, damping: float, iteration: int | None):
-    """``_solve_entries`` with the solutions as a (B, 6) array."""
-    x, condition = _solve_entries(a, b, damping, iteration)
-    return _batch(x), condition
-
-
 def _batch(entries):
     """(B, len(entries)) C-ordered array of kernel entries, the inverse of
     ``_entries`` for a batch of vectors."""
@@ -310,8 +304,6 @@ def _accumulate_batch(
     mu: NDArray[np.float64],
     n_iters: int,
     damping: float = 0.0,
-    want_trace: bool = False,
-    at=(),
     emit=None,
 ):
     """Iterative accumulation over a batch of independent problems, from moments.
@@ -319,14 +311,13 @@ def _accumulate_batch(
     Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
     ``_moments``; no round touches the points. Each round steps R and the
     moved centroid t_c = t + R mu (``_system_from_moments``); the world
-    t = t_c - R mu is formed only for a transform the kernel hands out.
-    After round k, for every count k in ``at``, ``emit(k, rotations,
-    translations)`` receives the transform that ``n_iters = k`` returns,
-    bitwise, since no round depends on ``n_iters``; the kernel keeps
-    nothing of it after the call. Returns (rotations (B, 3, 3), translations (B, 3), g - g0 before
-    every round and after the last (B, n_iters+1, 12) or None, converged
-    (B,), condition_warning bool). Runs exactly ``n_iters`` iterations;
-    convergence is informational.
+    t = t_c - R mu is formed only for the returned transform. For every
+    k = 0..n_iters, ``emit(k, rotations, centres, deltas)`` receives the
+    state after k rounds (bitwise what ``n_iters = k`` ends in, since no
+    round depends on ``n_iters``) and its deflated g - g0 (B, 12), as the
+    kernel's own arrays: copy what is kept. Returns (rotations (B, 3, 3),
+    translations (B, 3), converged (B,), condition_warning bool). Runs
+    exactly ``n_iters`` iterations; convergence is informational.
     """
     _check_damping(damping)
     b_dim = m.shape[0]
@@ -335,12 +326,11 @@ def _accumulate_batch(
     centre = mu
     converged = False
     condition = False
-    deltas = np.empty((b_dim, n_iters + 1, 12)) if want_trace else None
 
     for k in range(n_iters):
         a_mat, b_vec, delta = _system_from_moments(m, q0, mu, rot, centre)
-        if want_trace:
-            deltas[:, k] = delta
+        if emit is not None:
+            emit(k, rot, centre, delta)
         # The solution, exp map and step norms stay in the 6x6 kernels'
         # entry form: Python floats at B = 1, (B,) rows at B > 1.
         x, cond_k = _solve_entries(a_mat, b_vec, damping, k)
@@ -352,12 +342,12 @@ def _accumulate_batch(
         # Only rot and centre carry over: the next round's system is formed
         # without this round's (delta is a view of the whole system buffer).
         del a_mat, b_vec, delta, x, exp
-        if k + 1 in at:
-            emit(k + 1, rot, _world(rot, centre, mu))
-    if want_trace:
-        _deflated(rot, centre, mu, deltas[:, n_iters])
+    if emit is not None:
+        delta = np.empty((b_dim, 12))
+        _deflated(rot, centre, mu, delta)
+        emit(n_iters, rot, centre, delta)
 
-    return rot, _world(rot, centre, mu), deltas, np.full(b_dim, converged), condition
+    return rot, _world(rot, centre, mu), np.full(b_dim, converged), condition
 
 
 def register_p2pl(
@@ -378,11 +368,16 @@ def register_p2pl(
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
     mu, u, s, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
-    rot, trans, deltas, converged, condition = _accumulate_batch(
-        m[None], q0[None], mu[None], n_iters, damping, want_trace=True
+    deltas = np.empty((n_iters + 1, 12))
+
+    def record(k, rot, centre, delta):
+        deltas[k] = delta[0]
+
+    rot, trans, converged, condition = _accumulate_batch(
+        m[None], q0[None], mu[None], n_iters, damping, record
     )
     # Row k holds sqrt(zeta_i) r_i before round k, r_i = d_i . (g - g0) + r0_i.
-    res = deltas[0] @ u.T
+    res = deltas @ u.T
     res += s
     trace = np.einsum("kn,kn->k", res, res)
     return SolveReport(

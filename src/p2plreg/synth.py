@@ -45,6 +45,8 @@ class SynthConfig:
             raise ValueError("rot_max_deg must be in [0, 180]")
         if self.trans_max < 0.0:
             raise ValueError("trans_max must be nonnegative")
+        if not math.isfinite(self.trans_max):
+            raise ValueError(f"trans_max must be finite, got {self.trans_max}")
         if self.compose_count < 1:
             raise ValueError("compose_count must be at least 1")
 

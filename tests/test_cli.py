@@ -76,6 +76,13 @@ class TestSynth:
         with pytest.raises(SystemExit):
             main(["synth", "--pairs", "1", "--shape", "plane", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trans_max_is_an_error(self, tmp_path, capsys, value):
+        # It used to end in an OverflowError traceback from draw_rigid.
+        assert main(["synth", "--pairs", "1", "--trans-max", value,
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "error: trans_max must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pairs", ["0", "-1", "x"])
     def test_pairs_below_one_is_a_usage_error(self, tmp_path, capsys, pairs):
         # --pairs -1 used to exit 0 having written only run_config.json.

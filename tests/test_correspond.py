@@ -238,6 +238,14 @@ class TestMatchMatrix:
         with pytest.raises(ValueError):
             match_matrix(_cloud(18, 4), _cloud(19, 4), RigidTransform.identity(), 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_non_finite_scales_rejected(self, name, value):
+        # These used to return NaN or inf scores.
+        kwargs = {"alpha": 0.0, "beta": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            match_matrix(_cloud(18, 4), _cloud(19, 4), RigidTransform.identity(), **kwargs)
+
 
 class TestGumbel:
     def test_zero_noise_hook_is_argmax(self):
@@ -251,6 +259,11 @@ class TestGumbel:
         w = gumbel_hard_weights(u, tau=1.0, seed=5)
         assert set(np.unique(w)) <= {0.0, 1.0}
         np.testing.assert_array_equal(w.sum(axis=1), np.ones(64))
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            gumbel_hard_weights(np.zeros((2, 3)), tau=tau, seed=0)
 
     def test_tau_does_not_change_selection(self):
         rng = np.random.default_rng(21)

@@ -117,7 +117,7 @@ class TestFdJacobian:
             else:
                 pert[kind][pair] += sign
             mu, _, _, m, q0 = _moments(*pert)
-            rot, trans, _, _, _ = _accumulate_batch(m[None], q0[None], mu[None], 10)
+            rot, trans, _, _ = _accumulate_batch(m[None], q0[None], mu[None], 10)
             return np.concatenate([rot[0].ravel(), trans[0]])
 
         bounds = {"x": 1e-8, "y": 1e-8, "n": 1e-6, "zeta": 1e-5}
@@ -306,6 +306,14 @@ class TestMakeInstance:
         # A negative or NaN noise used to give a noise-free instance.
         with pytest.raises(ValueError, match="noise must be finite and non-negative"):
             make_instance(0, 8, noise=noise)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["rot_max_deg", "trans_max"])
+    def test_rejects_bad_motion_bounds(self, name, value):
+        # NaN and inf used to overflow in draw_rigid; a negative bound was
+        # drawn from as if it were its absolute value.
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            make_instance(0, 8, **{name: value})
 
     def test_zero_noise_is_exact(self):
         corr, cloud, gt = make_instance(0, 8, noise=0.0)

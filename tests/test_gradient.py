@@ -630,6 +630,16 @@ class TestChainLoss:
         out = chain_loss(np.zeros(12), bundle)
         assert not out.wrt_x.any() and not out.wrt_zeta.any()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_direction_rejected(self, value):
+        # NaN used to give NaN gradients, and inf gradients with a warning.
+        corr, cloud, _ = make_instance(23, 16, noise=1e-3)
+        bundle = backward(corr, cloud, register_p2pl(corr, cloud, n_iters=5).transform)
+        v = np.ones(12)
+        v[7] = value
+        with pytest.raises(ValueError, match="d_loss_d_g must be finite"):
+            chain_loss(v, bundle)
+
     def test_exactly_linear(self):
         corr, cloud, _ = make_instance(24, 16, noise=1e-3)
         bundle = backward(corr, cloud, register_p2pl(corr, cloud, n_iters=5).transform)

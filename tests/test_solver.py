@@ -21,10 +21,12 @@ from p2plreg.solver import (
     DegenerateConfiguration,
     SingularSystem,
     _accumulate_batch,
+    _batch,
     _factor,
     _moments,
-    _solve_batch,
+    _solve_entries,
     _system_from_moments,
+    _world,
     energy,
     icp,
     register_p2pl,
@@ -358,9 +360,9 @@ class TestRegisterP2pl:
 
 
 class TestReportedCounts:
-    # _accumulate_batch can report the transform after chosen round counts;
-    # asking for them must not change the run, and each report must be the
-    # transform a run of that many rounds returns.
+    # _accumulate_batch hands the state after every round to its emit hook;
+    # the hook must not change the run, and each state must be the one a
+    # run of that many rounds ends in.
 
     @staticmethod
     def _stacked_moments(seeds, n_pairs=96):
@@ -371,28 +373,45 @@ class TestReportedCounts:
         mu, _, _, m, q0 = (np.stack(a) for a in zip(*parts))
         return m, q0, mu
 
+    @staticmethod
+    def _recorded(m, q0, mu, n_iters):
+        """Kernel results and copies of every (k, rot, centre, delta) emitted."""
+        seen = []
+
+        def record(k, rot, centre, delta):
+            seen.append((k, rot.copy(), centre.copy(), delta.copy()))
+
+        return _accumulate_batch(m, q0, mu, n_iters, 1e-6, record), seen
+
     @pytest.mark.parametrize("seeds", [(0,), (1, 2, 3, 4, 5, 6)], ids=["B=1", "B=6"])
-    def test_reports_match_separate_runs(self, seeds):
+    def test_emit_reports_every_round(self, seeds):
         m, q0, mu = self._stacked_moments(seeds)
-        seen = {}
-
-        def record(count, rot, trans):
-            assert count not in seen
-            seen[count] = (rot.copy(), trans.copy())
-
-        swept = _accumulate_batch(m, q0, mu, 7, 1e-6, True, at=(1, 3, 7), emit=record)
-        plain = _accumulate_batch(m, q0, mu, 7, 1e-6, True)
+        swept, seen = self._recorded(m, q0, mu, 7)
+        assert [k for k, *_ in seen] == list(range(8))
+        plain = _accumulate_batch(m, q0, mu, 7, 1e-6)
         for got, want in zip(swept, plain):
             np.testing.assert_array_equal(got, want)
-        assert sorted(seen) == [1, 3, 7]
-        for count, (rot, trans) in seen.items():
-            alone = _accumulate_batch(m, q0, mu, count, 1e-6)
+        for k, *state in seen:
+            _, alone = self._recorded(m, q0, mu, k)
+            assert alone[-1][0] == k
+            for got, want in zip(state, alone[-1][1:]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seeds", [(0,), (1, 2, 3, 4, 5, 6)], ids=["B=1", "B=6"])
+    def test_reports_match_separate_runs(self, seeds):
+        # The oracle's read: the world transform of the state after k rounds
+        # is the transform a run of k rounds returns.
+        m, q0, mu = self._stacked_moments(seeds)
+        _, seen = self._recorded(m, q0, mu, 7)
+        for k, rot, centre, _ in seen:
+            alone = _accumulate_batch(m, q0, mu, k, 1e-6)
             np.testing.assert_array_equal(rot, alone[0])
-            np.testing.assert_array_equal(trans, alone[1])
+            np.testing.assert_array_equal(_world(rot, centre, mu), alone[1])
 
     def test_register_p2pl_and_icp_unchanged_by_reports(self, monkeypatch):
-        # register_p2pl, and icp through it, run the shared kernel; a kernel
-        # asked to report every round must return the same results bitwise.
+        # register_p2pl, and icp through it, run the shared kernel; a hook
+        # that also reads every round's world transform must leave their
+        # results unchanged bitwise.
         import p2plreg.solver as solver
 
         base = synth_shape("blob", 1024, seed=22)
@@ -405,9 +424,12 @@ class TestReportedCounts:
             if sweep:
                 kernel = solver._accumulate_batch
 
-                def every_round(m, q0, mu, n_iters, *args, **kwargs):
-                    at, emit = range(1, n_iters + 1), lambda *_: None
-                    return kernel(m, q0, mu, n_iters, *args, **kwargs, at=at, emit=emit)
+                def every_round(m, q0, mu, n_iters, damping=0.0, emit=None):
+                    def also_read(k, rot, centre, delta):
+                        _world(rot, centre, mu)
+                        emit(k, rot, centre, delta)
+
+                    return kernel(m, q0, mu, n_iters, damping, also_read)
 
                 monkeypatch.setattr(solver, "_accumulate_batch", every_round)
             reg = register_p2pl(corr, cloud, n_iters=10)
@@ -450,7 +472,8 @@ class TestCholeskySolve:
         # The Gram systems have condition numbers below 30; Cholesky and
         # LU then agree to a few eps of |x| (measured 1.1e-15 at B = 1280).
         a, b = _gram_batch(np.random.default_rng(b_dim), b_dim)
-        got, condition = _solve_batch(a, b, 0.0, 0)
+        x, condition = _solve_entries(a, b, 0.0, 0)
+        got = _batch(x)
         want = np.linalg.solve(a, b[..., None])[..., 0]
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.max(np.abs(got - want) / scale) <= 1e-14
@@ -459,18 +482,18 @@ class TestCholeskySolve:
     def test_solution_independent_of_batch(self):
         # Bitwise, for any BLAS thread count: the kernel makes no LAPACK call.
         a, b = _gram_batch(np.random.default_rng(3), 1280)
-        whole, _ = _solve_batch(a, b, 1e-6, 0)
+        whole = _batch(_solve_entries(a, b, 1e-6, 0)[0])
         for i in range(1280):
-            alone, _ = _solve_batch(a[i : i + 1], b[i : i + 1], 1e-6, 0)
+            alone = _batch(_solve_entries(a[i : i + 1], b[i : i + 1], 1e-6, 0)[0])
             np.testing.assert_array_equal(alone[0], whole[i])
         for start in range(0, 1280, 7):
-            part, _ = _solve_batch(a[start : start + 7], b[start : start + 7], 1e-6, 0)
+            part = _batch(_solve_entries(a[start : start + 7], b[start : start + 7], 1e-6, 0)[0])
             np.testing.assert_array_equal(part, whole[start : start + 7])
 
     def test_register_p2pl_is_its_batch_item(self):
         seeds = range(6)
         m, q0, mu = TestReportedCounts._stacked_moments(seeds)
-        rot, trans, _, _, _ = _accumulate_batch(m, q0, mu, 10)
+        rot, trans, _, _ = _accumulate_batch(m, q0, mu, 10)
         for k, seed in enumerate(seeds):
             corr, cloud, _ = make_instance(seed, 96, noise=1e-3)
             got = register_p2pl(corr, cloud, n_iters=10).transform
@@ -487,13 +510,19 @@ class TestCholeskySolve:
             corr, cloud, _ = make_instance(seed, 96, noise=noise)
             parts.append(_moments(cloud.positions, corr.targets, corr.normals, corr.weights))
         mu, _, _, m, q0 = (np.stack(a) for a in zip(*parts))
-        whole = _accumulate_batch(m, q0, mu, 10, 1e-6, True)
-        assert list(whole[3]) == [True] * 3 + [False] * 4
+        whole, seen = TestReportedCounts._recorded(m, q0, mu, 10)
+        assert list(whole[2]) == [True] * 3 + [False] * 4
         for i in range(len(noises)):
-            alone = _accumulate_batch(m[i : i + 1], q0[i : i + 1], mu[i : i + 1], 10, 1e-6, True)
-            for got, want in zip(alone[:4], whole[:4]):
+            alone, seen_i = TestReportedCounts._recorded(
+                m[i : i + 1], q0[i : i + 1], mu[i : i + 1], 10
+            )
+            for got, want in zip(alone[:3], whole[:3]):
                 np.testing.assert_array_equal(got[0], want[i])
-            assert alone[4] == whole[4]
+            assert alone[3] == whole[3]
+            # The deflated g - g0 of every round, as register_p2pl's trace reads it.
+            for (_, *got), (_, *want) in zip(seen_i, seen):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g[0], w[i])
 
     @pytest.mark.parametrize("b_dim", [1, 7, 1280])
     @pytest.mark.parametrize("spread", [1e6, 1e13])
@@ -518,7 +547,7 @@ class TestCholeskySolve:
         a = _ldl_batch(rng, pivots)
         where = f"at iteration 5 \\(batch item {bad[0]}\\)"
         with pytest.raises(SingularSystem, match=where) as err:
-            _solve_batch(a, np.ones((b_dim, 6)), 0.0, 5)
+            _solve_entries(a, np.ones((b_dim, 6)), 0.0, 5)
         assert err.value.iteration == 5
 
     @pytest.mark.parametrize("b_dim, bad", [(1, 0), (7, 6), (1280, 37)])
@@ -526,7 +555,7 @@ class TestCholeskySolve:
         a, b = _gram_batch(np.random.default_rng(b_dim), b_dim)
         a[bad, 2, 4] = a[bad, 4, 2] = np.nan
         with pytest.raises(SingularSystem, match=f"batch item {bad}\\)") as err:
-            _solve_batch(a, b, 0.0, 2)
+            _solve_entries(a, b, 0.0, 2)
         assert err.value.iteration == 2
 
     @pytest.mark.parametrize("b_dim", [1, 7])
@@ -537,7 +566,7 @@ class TestCholeskySolve:
         a[:, 5, :] = a[:, :, 5] = 0.0
         a[:, 5, 5] = 1e-16 * a[:, 0, 0]
         with pytest.raises(SingularSystem, match="tiny pivot") as err:
-            _solve_batch(a, b, 0.0, 1)
+            _solve_entries(a, b, 0.0, 1)
         assert err.value.iteration == 1
 
 

@@ -72,6 +72,12 @@ class TestShapes:
 
 
 class TestMakeCpuPair:
+    @pytest.mark.parametrize("trans_max", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_trans_max(self, trans_max):
+        # Both used to pass the `< 0` check and overflow in draw_rigid.
+        with pytest.raises(ValueError, match="trans_max must be finite"):
+            SynthConfig(trans_max=trans_max)
+
     def test_degenerate_config_reproduces_source(self):
         shape = synth_shape("blob", 512, seed=4)
         cfg = SynthConfig(seed=5, n_sample=256, n_partial=256, rot_max_deg=0.0,
