@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -102,6 +103,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Checked before the output directory exists, so a bad value writes nothing.
+    cfg = SynthConfig(
+        n_sample=args.n_points,
+        n_partial=args.n_partial,
+        rot_max_deg=args.rot_max_deg,
+        trans_max=args.trans_max,
+        compose_count=args.compose,
+    )
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
 
@@ -116,15 +125,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             synth_shape(kind, 2 * args.n_points, derived_seed(pair_seed, j))
             for j, kind in enumerate(kinds)
         ]
-        cfg = SynthConfig(
-            seed=pair_seed,
-            n_sample=args.n_points,
-            n_partial=args.n_partial,
-            rot_max_deg=args.rot_max_deg,
-            trans_max=args.trans_max,
-            compose_count=args.compose,
-        )
-        pair = make_cpu_pair(shapes, cfg)
+        pair = make_cpu_pair(shapes, dataclasses.replace(cfg, seed=pair_seed))
         pair_dir = fileio.ensure_dir(out / f"pair_{index:04d}")
         fileio.save(pair_dir / "source.ply", pair.source)
         fileio.save(pair_dir / "target.ply", pair.target)
@@ -173,6 +174,8 @@ def cmd_register(args: argparse.Namespace) -> int:
     weights = fileio.load_weights(args.weights) if args.weights else None
 
     def run_pair(item):
+        """The pair's metrics.csv row and, when it has a ground truth and
+        registers, its terms of ``summary``."""
         index, pair_dir = item
         pair = _load_pair(pair_dir)
         source, target = pair.source, pair.target
@@ -197,47 +200,32 @@ def cmd_register(args: argparse.Namespace) -> int:
             _backward_and_chain(report.correspondences, source, report.transform)
             bwd_ms = (time.perf_counter() - t0) * 1e3
         except (np.linalg.LinAlgError, ValueError) as exc:
-            return index, None, f"{type(exc).__name__}: {exc}", pair
+            return [index] + [""] * 10 + [f"{type(exc).__name__}: {exc}"], None
         fileio.save_transform(out / f"pair_{index:04d}_transform.txt", report.transform)
-        return index, (report, fwd_ms, bwd_ms), "", pair
+        if pair.gt is None:
+            return [index] + [""] * 8 + [fwd_ms, bwd_ms, ""], None
+        errs = rotation_errors(report.transform, pair.gt)
+        tres = report.transform.translation - pair.gt.translation
+        cd = chamfer(report.transform, pair)
+        row = [index, *errs.per_axis_deg, errs.geodesic_deg, *tres, cd, fwd_ms, bwd_ms, ""]
+        gt_euler = euler_zyx_angles(pair.gt.rotation)
+        return row, (errs.per_axis_deg, gt_euler, tres, pair.gt.translation, cd)
 
     results = _pool_map(run_pair, list(enumerate(pair_dirs)))
+    rows = [row for row, _ in results]
+    terms = [t for _, t in results if t is not None]
 
     header = [
         "case_id", "rot_res_x_deg", "rot_res_y_deg", "rot_res_z_deg", "geodesic_deg",
         "trans_res_x", "trans_res_y", "trans_res_z", "chamfer", "fwd_ms", "bwd_ms", "error",
     ]
-    rows = []
-    rot_res, gt_eulers, trans_res, gt_trans, chamfers = [], [], [], [], []
-    failures = 0
-    for index, payload, err, pair in results:
-        if err:
-            failures += 1
-            rows.append([index] + [""] * 9 + ["", err])
-            continue
-        report, fwd_ms, bwd_ms = payload
-        if pair.gt is not None:
-            errs = rotation_errors(report.transform, pair.gt)
-            tres = report.transform.translation - pair.gt.translation
-            cd = chamfer(report.transform, pair)
-            rot_res.append(errs.per_axis_deg)
-            gt_eulers.append(euler_zyx_angles(pair.gt.rotation))
-            trans_res.append(tres)
-            gt_trans.append(pair.gt.translation)
-            chamfers.append(cd)
-            rows.append(
-                [index, *errs.per_axis_deg, errs.geodesic_deg, *tres, cd, fwd_ms, bwd_ms, ""]
-            )
-        else:
-            rows.append([index] + [""] * 8 + [fwd_ms, bwd_ms, ""])
-
     _write_csv(out / "metrics.csv", header, rows)
-    if len(chamfers) >= 2:
-        record = summary(rot_res, gt_eulers, trans_res, gt_trans, chamfers)
+    if len(terms) >= 2:
+        record = summary(*zip(*terms))
         (out / "summary.json").write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    if failures and args.strict:
+    if args.strict and any(row[-1] for row in rows):
         return 2
     return 0
 

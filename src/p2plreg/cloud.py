@@ -1,9 +1,8 @@
 """Point cloud containers shared by every other module.
 
 A cloud is an (N, 3) float64 position array plus optional per-point unit
-normals. Validation happens at construction so downstream code can assume
-finite positions and unit-length normals; only ``PointCloud._derived``,
-for arrays computed from validated ones, skips it.
+normals. Every cloud is validated at construction, so downstream code can
+assume finite positions and unit-length normals.
 """
 
 from __future__ import annotations
@@ -64,16 +63,6 @@ class PointCloud:
                 worst = float(np.max(np.abs(lengths - 1.0)))
                 raise ValueError(f"normals must be unit length (worst deviation {worst:.3e})")
             object.__setattr__(self, "normals", _read_only(nrm))
-
-    @classmethod
-    def _derived(cls, positions, normals=None) -> "PointCloud":
-        """A cloud of arrays derived from validated ones, built without the
-        checks: the caller vouches for (N, 3) float64 contiguous arrays,
-        finite positions and unit normals (rotated ones, say)."""
-        cloud = object.__new__(cls)
-        object.__setattr__(cloud, "positions", _read_only(positions))
-        object.__setattr__(cloud, "normals", None if normals is None else _read_only(normals))
-        return cloud
 
     def __len__(self) -> int:
         return int(self.positions.shape[0])

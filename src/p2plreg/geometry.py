@@ -169,18 +169,16 @@ def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
     )
 
 
-def apply_transform(t: RigidTransform, cloud, *, checked: bool = True):
+def apply_transform(t: RigidTransform, cloud):
     """Map a cloud through a rigid transform.
 
     Positions map as R p + t; normals rotate only, which keeps them unit
     length and preserves every inner product n . (p - q). The returned
-    cloud passes the ``PointCloud`` checks; ``checked=False`` skips them,
-    for a caller whose t is a product of exponential maps and so keeps the
-    cloud's normals unit (ICP's running transform).
+    cloud passes the ``PointCloud`` checks.
     """
     pos = cloud.positions @ t.rotation.T + t.translation
     nrm = None if cloud.normals is None else cloud.normals @ t.rotation.T
-    return PointCloud(pos, nrm) if checked else PointCloud._derived(pos, nrm)
+    return PointCloud(pos, nrm)
 
 
 def to_gvector(t: RigidTransform) -> NDArray[np.float64]:

@@ -445,16 +445,16 @@ def icp(
         if source_weights.shape[0] != len(source):
             raise ValueError("source_weights length must match the source size")
         _check_weights(source_weights)
-    # One kd-tree of the target serves every round's matching. Its sets,
-    # like the moved source, derive from inputs checked once, here and at
-    # construction, so no round checks them again.
+    # One kd-tree of the target serves every round's matching. Its sets
+    # derive from inputs checked once, here and at construction, so no
+    # round checks them again. Neither round estimator reads the source's
+    # normals, so the source moves as bare positions.
     match = _nn_matcher(target)
+    bare = PointCloud(source.positions)
 
     running = RigidTransform.identity()
-    trace: list[float] = []
     converged = False
     condition = False
-    iterations = 0
 
     def objective(moved: PointCloud, corr: CorrespondenceSet) -> float:
         if method == "p2pl":
@@ -462,9 +462,9 @@ def icp(
         diff = moved.positions - corr.targets
         return float(np.sum(corr.weights * np.einsum("ni,ni->n", diff, diff)))
 
-    moved = source
+    moved = bare
     corr = match(moved.positions, source_weights)
-    trace.append(objective(moved, corr))
+    trace = [objective(moved, corr)]
 
     for _ in range(max_outer):
         if method == "p2p":
@@ -474,9 +474,8 @@ def icp(
             condition = condition or inner.condition_warning
             delta = inner.transform
         running = compose(delta, running)
-        iterations += 1
 
-        moved = apply_transform(running, source, checked=False)
+        moved = apply_transform(running, bare)
         corr = match(moved.positions, source_weights)
         trace.append(objective(moved, corr))
 
@@ -488,7 +487,7 @@ def icp(
     return SolveReport(
         transform=running,
         energy_trace=trace,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
         condition_warning=condition,
         correspondences=corr,

@@ -83,6 +83,19 @@ class TestSynth:
                      "--out", str(tmp_path / "x")]) == 1
         assert "error: trans_max must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        ["--trans-max", "nan"],
+        ["--rot-max-deg", "nan"],
+        ["--compose", "0"],
+        ["--n-points", "64", "--n-partial", "96"],
+    ], ids=["trans-max-nan", "rot-max-deg-nan", "compose-0", "partial-above-points"])
+    def test_bad_config_fails_before_writing(self, tmp_path, capsys, bad):
+        # Each used to leave an output directory holding run_config.json.
+        out = tmp_path / "x"
+        assert main(["synth", "--pairs", "1", *bad, "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("pairs", ["0", "-1", "x"])
     def test_pairs_below_one_is_a_usage_error(self, tmp_path, capsys, pairs):
         # --pairs -1 used to exit 0 having written only run_config.json.
@@ -182,16 +195,20 @@ class TestRegister:
             np.testing.assert_allclose(hits[0].rotation, saved.rotation, atol=1e-12)
             np.testing.assert_allclose(hits[0].translation, saved.translation, atol=1e-12)
 
-    def test_plane_failure_row_and_strict_exit(self, tmp_path):
+    @staticmethod
+    def _plane_pair(pair_dir):
+        """A pair whose p2pl registration raises SingularSystem."""
         from p2plreg.cloud import PointCloud
 
-        pair_dir = tmp_path / "planes" / "pair_0000"
         pair_dir.mkdir(parents=True)
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(-1, 1, 128), rng.uniform(-1, 1, 128), np.zeros(128)])
         plane = PointCloud(pts, np.tile([0.0, 0.0, 1.0], (128, 1)))
         fileio.save(pair_dir / "source.ply", PointCloud(pts + [0.02, 0.0, 0.1]))
         fileio.save(pair_dir / "target.ply", plane)
+
+    def test_plane_failure_row_and_strict_exit(self, tmp_path):
+        self._plane_pair(tmp_path / "planes" / "pair_0000")
 
         out = tmp_path / "regp"
         assert main(["register", "--in", str(tmp_path / "planes"), "--method", "p2pl",
@@ -228,6 +245,38 @@ class TestRegister:
             outs.append({p.name: p.read_bytes() for p in sorted(out.glob("pair_*_transform.txt"))})
         assert len(outs[0]) == 2
         assert outs[0] == outs[1] == outs[2]
+
+    def test_rows_and_summary_thread_invariant(self, tmp_path, monkeypatch):
+        # Pairs in order: registered, failed, no ground truth, registered.
+        data = tmp_path / "mixed"
+        assert main(["synth", "--pairs", "3", "--seed", "5", "--n-points", "128",
+                     "--n-partial", "96", "--rot-max-deg", "5", "--trans-max", "0.05",
+                     "--compose", "1", "--out", str(data)]) == 0
+        (data / "pair_0001").rename(data / "pair_0003")
+        self._plane_pair(data / "pair_0001")
+        (data / "pair_0002" / "gt.txt").unlink()
+
+        results = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("P2PL_THREADS", threads)
+            out = tmp_path / f"reg{threads}"
+            assert main(["register", "--in", str(data), "--out", str(out)]) == 0
+            with open(out / "metrics.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            # Everything but the fwd_ms and bwd_ms timings.
+            results.append(([r[:9] + r[11:] for r in rows], (out / "summary.json").read_bytes()))
+            assert main(["register", "--in", str(data), "--strict",
+                         "--out", str(tmp_path / f"strict{threads}")]) == 2
+        assert results[0] == results[1]
+
+        rows = results[0][0][1:]
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+        assert rows[1][-1].startswith("SingularSystem: ")
+        assert rows[1][1:-1] == [""] * 8
+        assert rows[2][1:] == [""] * 9
+        for r in (rows[0], rows[3]):
+            assert all(r[1:-1]) and r[-1] == ""
+        assert json.loads(results[0][1])["cases"] == 2
 
     def test_metrics_csv_quotes_cells_with_commas(self, tmp_path):
         from p2plreg.cli import _write_csv

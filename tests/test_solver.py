@@ -731,8 +731,8 @@ class TestIcp:
         assert np.max(np.abs(rep.transform.translation - want_t)) <= 1e-15 * size * size
 
     @staticmethod
-    def _reference_icp(source, target, max_outer, weights=None):
-        """icp's p2pl loop built from the public, validating pieces."""
+    def _reference_icp(source, target, max_outer, weights=None, method="p2pl"):
+        """icp's loop built from the public, validating pieces."""
 
         def matched(moved):
             corr = nn_correspond(moved, target)
@@ -740,17 +740,28 @@ class TestIcp:
                 return corr
             return CorrespondenceSet(corr.targets, corr.normals, weights)
 
+        def objective(moved, corr):
+            if method == "p2pl":
+                return energy(corr, source, running)
+            diff = moved.positions - corr.targets
+            return float(np.sum(corr.weights * np.einsum("ni,ni->n", diff, diff)))
+
         running = _identity()
-        corr = matched(source)
-        trace = [energy(corr, source, running)]
+        moved = source
+        corr = matched(moved)
+        trace = [objective(moved, corr)]
         converged = condition = False
         for _ in range(max_outer):
-            inner = register_p2pl(corr, apply_transform(running, source), n_iters=10)
-            condition = condition or inner.condition_warning
-            delta = inner.transform
+            if method == "p2p":
+                delta = register_procrustes(corr, moved)
+            else:
+                inner = register_p2pl(corr, moved, n_iters=10)
+                condition = condition or inner.condition_warning
+                delta = inner.transform
             running = compose(delta, running)
-            corr = matched(apply_transform(running, source))
-            trace.append(energy(corr, source, running))
+            moved = apply_transform(running, source)
+            corr = matched(moved)
+            trace.append(objective(moved, corr))
             step = rotation_angle(delta.rotation) + float(np.linalg.norm(delta.translation))
             if step < STEP_TOL:
                 converged = True
@@ -758,19 +769,28 @@ class TestIcp:
         return running, trace, converged, condition, corr
 
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("seed, rot_max_deg, converges", [(24, 30.0, False), (23, 5.0, True)])
-    def test_matches_reference_loop_bitwise(self, seed, rot_max_deg, converges, weighted):
-        # icp builds its moved clouds and matches unchecked; a loop that
-        # checks every one must give the same bits, both on a run that hits
-        # the round cap and on one that converges.
+    @pytest.mark.parametrize(
+        "method, seed, rot_max_deg, max_outer, converges",
+        [("p2pl", 24, 30.0, 30, False), ("p2pl", 23, 5.0, 30, True),
+         ("p2p", 24, 30.0, 10, False), ("p2p", 23, 5.0, 30, True)],
+        # p2pl, icp's default method, goes unnamed.
+        ids=["24-30.0-False", "23-5.0-True", "p2p-24-30.0-False", "p2p-23-5.0-True"],
+    )
+    def test_matches_reference_loop_bitwise(
+        self, method, seed, rot_max_deg, max_outer, converges, weighted
+    ):
+        # icp builds its matched sets unchecked; a loop that checks every
+        # one must give the same bits, for either estimator, both on a run
+        # that hits the round cap and on one that converges.
         base = synth_shape("blob", 1024, seed=seed)
         cfg = SynthConfig(seed=seed, n_sample=256, n_partial=192, rot_max_deg=rot_max_deg,
                           trans_max=0.2, compose_count=1)
         pair = make_cpu_pair([base], cfg)
         w = derived_rng(seed, "w").uniform(0.5, 1.5, 192) if weighted else None
-        rep = icp(pair.source, pair.target, max_outer=30, source_weights=w)
+        rep = icp(pair.source, pair.target, method=method, max_outer=max_outer,
+                  source_weights=w)
         running, trace, converged, condition, corr = self._reference_icp(
-            pair.source, pair.target, 30, w
+            pair.source, pair.target, max_outer, w, method
         )
         assert rep.converged == converged == converges
         assert rep.iterations == len(trace) - 1
