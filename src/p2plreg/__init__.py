@@ -29,7 +29,7 @@ from .geometry import (
     skew,
     to_gvector,
 )
-from .gradcheck import FDConfig, GradErrorReport, compare, fd_bundle, fd_jacobian
+from .gradcheck import FDConfig, GradErrorReport, compare, fd_bundle
 from .gradient import (
     GradientBundle,
     SingularHessian,
@@ -100,7 +100,6 @@ __all__ = [
     "backward",
     "chain_loss",
     "rigid_motion_loss",
-    "fd_jacobian",
     "fd_bundle",
     "compare",
     "rotation_errors",

@@ -83,9 +83,18 @@ def _checked(convert, ok, what: str):
     return parse
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer of at least ``low``."""
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and non-negative")
-_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+# synth_shape needs at least 8 points: gradcheck and bench sample --n and
+# --n-points of them, synth samples 2 --n-points per shape.
+_shape_points = _int_at_least(8)
+_synth_points = _int_at_least(4)
 # estimate_normals needs the point and at least two neighbours.
 _normals_k = _checked(int, lambda v: v == 0 or v >= 3, "0 (off) or an integer >= 3")
 
@@ -168,10 +177,9 @@ def cmd_register(args: argparse.Namespace) -> int:
     if not pair_dirs:
         print(f"no pair_* directories under {in_dir}", file=sys.stderr)
         return 1
+    weights = fileio.load_weights(args.weights) if args.weights else None
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
-
-    weights = fileio.load_weights(args.weights) if args.weights else None
 
     def run_pair(item):
         """The pair's metrics.csv row and, when it has a ground truth and
@@ -335,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shape", choices=SHAPE_KINDS + ("mixed",), default="blob")
-    p.add_argument("--n-points", type=int, default=1024)
-    p.add_argument("--n-partial", type=int, default=768)
+    p.add_argument("--n-points", type=_synth_points, default=1024)
+    p.add_argument("--n-partial", type=_positive_int, default=768)
     p.add_argument("--rot-max-deg", type=float, default=45.0)
     p.add_argument("--trans-max", type=float, default=0.5)
     p.add_argument("--compose", type=int, default=3)
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients to the FD oracle")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_shape_points, default=64)
     p.add_argument("--cases", type=int, default=50)
     p.add_argument("--iters", default="1,2,5,10")
     p.add_argument("--fd-step", type=float, default=1e-5)
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time forward/backward phases and the FD oracle")
-    p.add_argument("--n-points", type=int, default=1024)
+    p.add_argument("--n-points", type=_shape_points, default=1024)
     p.add_argument("--iters-list", default="1,5,10,20")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--out", required=True)

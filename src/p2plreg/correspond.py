@@ -253,30 +253,20 @@ def naive_vector_pointers(scores: NDArray[np.float64], target: PointCloud):
     return c @ target.require_normals()
 
 
-def gumbel_hard_weights(
-    scores: NDArray[np.float64],
-    tau: float,
-    seed: int,
-    *,
-    zero_noise: bool = False,
-) -> NDArray[np.float64]:
+def gumbel_hard_weights(scores: NDArray[np.float64], tau: float, seed: int) -> NDArray[np.float64]:
     """One-hot rows at argmax_j (u_ij + q_ij) with standard Gumbel noise q.
 
     The temperature only rescales the softmax inside the argmax, so any
     tau > 0 selects the same entries; it is accepted for API parity.
-    ``zero_noise`` is a test hook that skips the noise draw.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     u = np.asarray(scores, dtype=np.float64)
-    if zero_noise:
-        q = np.zeros_like(u)
-    else:
-        # Clamp away from 0 and 1 so the double log stays finite.
-        draw = np.clip(np.random.default_rng(seed).random(u.shape), 1e-12, 1.0 - 1e-12)
-        q = -np.log(-np.log(draw))
+    # Clamp away from 0 and 1 so the double log stays finite.
+    draw = np.clip(np.random.default_rng(seed).random(u.shape), 1e-12, 1.0 - 1e-12)
+    q = -np.log(-np.log(draw))
     pick = np.argmax(u + q, axis=1)
     out = np.zeros_like(u)
     out[np.arange(u.shape[0]), pick] = 1.0

@@ -94,73 +94,6 @@ def _perturbed_moments(
     return m_out, q_out
 
 
-def _central_diffs(
-    corr: CorrespondenceSet,
-    source: PointCloud,
-    kinds: NDArray[np.intp],
-    pairs: NDArray[np.intp],
-    comps: NDArray[np.intp],
-    h: float,
-    counts,
-) -> dict[int, NDArray[np.float64]]:
-    """Central differences of the solved 12-vector, one row per input, after
-    each forward round count in ``counts``.
-
-    Row r perturbs coordinate ``comps[r]`` of pair ``pairs[r]``'s input
-    ``INPUT_KINDS[kinds[r]]`` by +h and -h. The moments are formed once;
-    the 2 len(kinds) perturbed solves are rank-two updates of them and run
-    as batched jobs of at most CHUNK_ELEMS moment elements. Each job runs
-    its rounds once, to the largest count, and writes each count's
-    differences into that count's rows as the kernel reaches it. Returns
-    count -> (len(kinds), 12).
-    """
-    arrays = (source.positions, corr.targets, corr.normals, corr.weights)
-    moments = _moments(*arrays)
-    mu = moments[0]
-    per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
-    out = {count: np.empty((len(kinds), 12)) for count in counts}
-    for start in range(0, len(kinds), per_job):
-        sl = slice(start, start + per_job)
-        m, q0 = _perturbed_moments(moments, arrays, kinds[sl], pairs[sl], comps[sl], h)
-        mus = np.broadcast_to(mu, (m.shape[0], 3))
-
-        def write(k, rot, centre, delta):
-            if k in out:
-                g = np.concatenate([rot.reshape(-1, 9), _world(rot, centre, mus)], axis=1)
-                out[k][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
-
-        _accumulate_batch(m, q0, mus, max(out), emit=write)
-    return out
-
-
-def fd_jacobian(
-    corr: CorrespondenceSet,
-    source: PointCloud,
-    which: str,
-    index: int,
-    cfg: FDConfig,
-) -> NDArray[np.float64]:
-    """Central differences of the solved transform for one pair's input.
-
-    Returns a (12, 3) block, or (12, 1) for the scalar reliability weight.
-    Perturbed normals are fed to the solver as raw coordinates, matching
-    the unconstrained derivative. The derivative along the unit sphere is
-    its tangent projection:
-    ``fd_jacobian(corr, source, "n", i, cfg) @ (I - n_i n_i^T)``.
-    """
-    _check_sizes(corr, source)
-    if which not in INPUT_KINDS:
-        raise ValueError(f"which must be one of {INPUT_KINDS}")
-    if not 0 <= index < len(corr):
-        raise ValueError(f"index must be in [0, {len(corr)}), got {index}")
-    width = 1 if which == "zeta" else 3
-    kinds = np.full(width, INPUT_KINDS.index(which))
-    pairs = np.full(width, index)
-    n_iters = cfg.n_iters_forward
-    diffs = _central_diffs(corr, source, kinds, pairs, np.arange(width), cfg.step, (n_iters,))
-    return diffs[n_iters].T
-
-
 @dataclass(frozen=True)
 class FDBlocks(PerInput):
     """Oracle blocks at ``FDConfig.n_iters_forward``; ``also`` maps each
@@ -181,11 +114,18 @@ def fd_bundle(
 ) -> FDBlocks:
     """Oracle (N, 12, 3) and (N, 12) Jacobians for all pairs and inputs at once.
 
-    Needs 2 (9 N + N) perturbed solves, ordered by kind, pair and
-    coordinate; they run as one chunked batched job of
-    ``cfg.n_iters_forward`` rounds. The blocks at each count in ``also_at``
-    (at most that many rounds) are read on the way, bitwise equal to a
-    separate call at that count, and returned in the result's ``also``.
+    Row (kind, pair, coordinate) perturbs that coordinate of the pair's input
+    by +h and -h, h = ``cfg.step``. The moments are formed once; the
+    2 (9 N + N) perturbed solves are rank-two updates of them and run as
+    batched jobs of at most CHUNK_ELEMS moment elements. Each job runs its
+    rounds once, to ``cfg.n_iters_forward``, and writes the differences at
+    each count in ``also_at`` (at most that many rounds) as the kernel
+    reaches it; those blocks, bitwise equal to a separate call at that count,
+    are returned in the result's ``also``.
+
+    Perturbed normals are fed to the solver as raw coordinates, matching the
+    unconstrained derivative. The derivative along the unit sphere is its
+    tangent projection: ``fd_bundle(corr, source, cfg).wrt_n[i] @ (I - n_i n_i^T)``.
     """
     _check_sizes(corr, source)
     top = cfg.n_iters_forward
@@ -197,7 +137,23 @@ def fd_bundle(
     kinds = np.repeat(np.arange(len(INPUT_KINDS)), [3 * n_pairs] * 3 + [n_pairs])
     pairs = np.concatenate([np.repeat(pair, 3)] * 3 + [pair])
     comps = np.concatenate([np.tile(np.arange(3), 3 * n_pairs), np.zeros(n_pairs, np.intp)])
-    diffs = _central_diffs(corr, source, kinds, pairs, comps, cfg.step, {top, *also_at})
+    h = cfg.step
+    arrays = (source.positions, corr.targets, corr.normals, corr.weights)
+    moments = _moments(*arrays)
+    mu = moments[0]
+    per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
+    diffs = {count: np.empty((len(kinds), 12)) for count in {top, *also_at}}
+    for start in range(0, len(kinds), per_job):
+        sl = slice(start, start + per_job)
+        m, q0 = _perturbed_moments(moments, arrays, kinds[sl], pairs[sl], comps[sl], h)
+        mus = np.broadcast_to(mu, (m.shape[0], 3))
+
+        def write(k, rot, centre, delta):
+            if k in diffs:
+                g = np.concatenate([rot.reshape(-1, 9), _world(rot, centre, mus)], axis=1)
+                diffs[k][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
+
+        _accumulate_batch(m, q0, mus, top, emit=write)
     blocks = {count: _blocks(d, n_pairs) for count, d in diffs.items()}
     main = blocks[top]
     return FDBlocks(
@@ -245,36 +201,28 @@ def compare(
     return GradErrorReport(sq_sum / count, _relative(sq_sum, ref_sum), per_input, n_iters)
 
 
-def make_instance(
-    seed: int,
-    n_pairs: int = 64,
-    *,
-    noise: float = 1e-3,
-    rot_max_deg: float = 45.0,
-    trans_max: float = 0.5,
-    weighted: bool = True,
-):
+def make_instance(seed: int, n_pairs: int = 64, *, noise: float = 1e-3):
     """Seeded correspondence instance for gradient checks and benchmarks.
 
-    A blob surface provides rich normals; the ground-truth transform moves
-    it, targets and normals get small Gaussian noise, and reliabilities are
-    drawn away from 1 so every input kind has a live gradient.
+    A blob surface provides rich normals; a ground-truth transform (per-axis
+    rotations up to 45 deg, translation up to 0.5) moves it, targets and
+    normals get Gaussian noise of scale ``noise``, and reliabilities are
+    drawn last, uniform in [0.5, 1.5] and so away from 1, so every input kind
+    has a live gradient.
 
-    Returns (corr, source, gt). Raises ValueError unless ``noise``,
-    ``rot_max_deg`` and ``trans_max`` are finite and non-negative.
+    Returns (corr, source, gt). Raises ValueError unless ``noise`` is finite
+    and non-negative.
     """
-    for name, value in (("noise", noise), ("rot_max_deg", rot_max_deg), ("trans_max", trans_max)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = derived_rng(seed, "instance")
     cloud = synth_shape("blob", n_pairs, seed)
-    gt = draw_rigid(rng, rot_max_deg, trans_max)
+    gt = draw_rigid(rng, 45.0, 0.5)
     y = cloud.positions @ gt.rotation.T + gt.translation
     n = cloud.require_normals() @ gt.rotation.T
     if noise > 0.0:
         y = y + noise * rng.standard_normal(y.shape)
         n = n + noise * rng.standard_normal(n.shape)
         n = n / np.linalg.norm(n, axis=1, keepdims=True)
-    zeta = rng.uniform(0.5, 1.5, size=n_pairs) if weighted else np.ones(n_pairs)
-    corr = CorrespondenceSet(y, n, zeta)
+    corr = CorrespondenceSet(y, n, rng.uniform(0.5, 1.5, size=n_pairs))
     return corr, cloud, gt

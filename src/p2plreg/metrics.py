@@ -67,16 +67,14 @@ class QuantityStats:
 
 
 def batch_stats(residuals, gt_values) -> QuantityStats:
-    """Statistics over (C, k) residuals against (C, k) ground-truth values.
+    """Statistics over (C, k) or (C,) residuals against ground-truth values
+    of the same shape.
 
     R^2 compares predicted = truth - residual to the per-component truth
     means, with the component sums pooled into one coefficient.
     """
     res = np.asarray(residuals, dtype=np.float64)
     gt = np.asarray(gt_values, dtype=np.float64)
-    if res.ndim == 1:
-        res = res[:, None]
-        gt = gt[:, None]
     if res.shape != gt.shape:
         raise ValueError("residuals and ground-truth values must have equal shapes")
     if res.shape[0] < 2:

@@ -28,5 +28,5 @@ def derived_rng(*parts) -> np.random.Generator:
 
 
 def derived_seed(*parts) -> int:
-    """Stable 63-bit child seed for handing to APIs that take one integer."""
-    return int(seed_sequence(*parts).generate_state(2, np.uint32)[0])
+    """Stable 32-bit child seed for handing to APIs that take one integer."""
+    return int(seed_sequence(*parts).generate_state(1, np.uint32)[0])

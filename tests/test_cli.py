@@ -460,3 +460,39 @@ class TestBenchCmd:
 
         with pytest.raises(ValueError, match="--iters-list needs one or more counts >= 1"):
             _counts(text, "--iters-list")
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRejectedRunWritesNothing:
+    # Each bad run used to exit 1 having written only run_config.json.
+    @pytest.mark.parametrize("argv, code, message", [
+        (["synth", "--n-points", "3", "--n-partial", "2"], 2,
+         "--n-points: must be an integer >= 4"),
+        (["synth", "--n-partial", "0"], 2, "--n-partial: must be an integer >= 1"),
+        (["gradcheck", "--n", "7"], 2, "--n: must be an integer >= 8"),
+        (["bench", "--n-points", "7"], 2, "--n-points: must be an integer >= 8"),
+        (["register", "--weights", "missing.csv"], 1, "No such file or directory"),
+    ], ids=["synth-n-points-3", "synth-n-partial-0", "gradcheck-n-7", "bench-n-points-7",
+            "register-missing-weights"])
+    def test_exit_code_and_no_output(self, dataset, tmp_path, capsys, argv, code, message):
+        if argv[0] == "register":
+            argv = ["register", "--in", str(dataset), "--weights", str(tmp_path / argv[-1])]
+        out = tmp_path / "out"
+        assert _exit_code([*argv, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n-points", "4", "--n-partial", "1"],
+        ["gradcheck", "--n", "8", "--cases", "1"],
+        ["bench", "--n-points", "8", "--reps", "1"],
+    ], ids=["synth", "gradcheck", "bench"])
+    def test_smallest_sizes_run(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0

@@ -109,6 +109,18 @@ class TestNearestNeighbor:
 
 
 class TestSoftPointers:
+    @pytest.mark.parametrize("shape", [(4, 11), (4, 13), (12,)])
+    def test_rejects_scores_not_matching_target(self, shape):
+        with pytest.raises(ValueError, match="score matrix columns must match the target size"):
+            soft_pointers(np.zeros(shape), _cloud(7, 12))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, value):
+        u = np.zeros((4, 12))
+        u[2, 5] = value
+        with pytest.raises(ValueError, match="score matrix must be finite"):
+            soft_pointers(u, _cloud(7, 12))
+
     def test_saturated_scores_pick_one_target(self):
         target = _cloud(7, 12)
         u = np.zeros((4, 12))
@@ -249,9 +261,12 @@ class TestMatchMatrix:
 
 class TestGumbel:
     def test_zero_noise_hook_is_argmax(self):
-        u = np.array([[0.1, 3.0, -1.0], [5.0, 4.0, 4.9]])
-        w = gumbel_hard_weights(u, tau=0.7, seed=0, zero_noise=True)
-        np.testing.assert_array_equal(w, [[0, 1, 0], [1, 0, 0]])
+        # The clipped draw keeps the Gumbel noise in [-3.32, 27.63], so a row
+        # whose best score leads by more than 31 keeps its argmax.
+        u = np.array([[0.1, 33.0, -1.0], [36.0, 4.0, 4.9]])
+        for seed in range(8):
+            w = gumbel_hard_weights(u, tau=0.7, seed=seed)
+            np.testing.assert_array_equal(w, [[0, 1, 0], [1, 0, 0]])
 
     def test_rows_exactly_one_hot(self):
         rng = np.random.default_rng(20)
@@ -259,6 +274,11 @@ class TestGumbel:
         w = gumbel_hard_weights(u, tau=1.0, seed=5)
         assert set(np.unique(w)) <= {0.0, 1.0}
         np.testing.assert_array_equal(w.sum(axis=1), np.ones(64))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_non_positive_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            gumbel_hard_weights(np.zeros((2, 3)), tau=tau, seed=0)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_non_finite_tau_rejected(self, tau):
@@ -370,8 +390,23 @@ class TestTopK:
         with pytest.raises(ValueError):
             topk_keypoints([3.0, 1.0, 2.0], -1)
 
+    def test_rejects_unknown_order(self):
+        with pytest.raises(ValueError, match="order must be 'asc' or 'desc'"):
+            topk_keypoints([3.0, 1.0, 2.0], 2, order="ascending")
+
 
 class TestCorrespondenceSet:
+    @pytest.mark.parametrize("targets, normals, weights", [
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2)),
+        (np.zeros(3), np.array([0.0, 0.0, 1.0]), np.ones(1)),
+        (np.zeros((2, 3)), np.tile([0.0, 0.0, 1.0], (3, 1)), np.ones(2)),
+        (np.zeros((2, 3)), np.tile([0.0, 0.0, 1.0], (2, 1)), np.ones(3)),
+        (np.zeros((2, 3)), np.tile([0.0, 0.0, 1.0], (2, 1)), np.ones((2, 1))),
+    ], ids=["two-columns", "one-dimensional", "normals-rows", "weights-length", "weights-2d"])
+    def test_rejects_inconsistent_shapes(self, targets, normals, weights):
+        with pytest.raises(ValueError, match="inconsistent correspondence array shapes"):
+            CorrespondenceSet(targets, normals, weights)
+
     def test_rejects_nonunit_normals(self):
         with pytest.raises(ValueError):
             CorrespondenceSet(np.zeros((2, 3)), np.full((2, 3), 0.5), np.ones(2))

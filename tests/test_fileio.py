@@ -20,6 +20,13 @@ def _random_cloud(seed, n=40, with_normals=True):
     return PointCloud(pts, nrm)
 
 
+# A one-vertex PLY file, header and body.
+PLY = [
+    "ply", "format ascii 1.0", "element vertex 1",
+    "property float x", "property float y", "property float z", "end_header", "1 2 3",
+]
+
+
 class TestPly:
     def test_save_load_save_byte_identical(self, tmp_path):
         cloud = _random_cloud(1)
@@ -89,6 +96,31 @@ class TestPly:
         with pytest.raises(ParseError, match="ascii"):
             fileio.load(path)
 
+    def test_comment_and_blank_header_lines_skipped(self, tmp_path):
+        path = tmp_path / "comment.ply"
+        path.write_text("\n".join(PLY[:2] + ["comment written by hand", ""] + PLY[2:]) + "\n")
+        np.testing.assert_array_equal(fileio.load(path).positions, [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("lines, message, line", [
+        (PLY[:2] + ["element vertex"] + PLY[3:], "malformed element declaration", 3),
+        (PLY[:6] + ["element face 2", "property list uchar int vertex_indices"] + PLY[6:],
+         "unsupported non-empty element 'face'", 7),
+        (PLY[:6] + ["property uchar red"] + PLY[6:], "unsupported vertex property", 7),
+        (PLY[:6] + ["property float"] + PLY[6:], "unsupported vertex property", 7),
+        (PLY[:2] + ["obj_info scanner"] + PLY[2:], "unexpected header token 'obj_info'", 3),
+        (PLY[:6], "missing end_header", 6),
+        (PLY[:2] + PLY[6:], "missing 'element vertex' declaration", 3),
+        (PLY[:3] + ["property float y", "property float x"] + PLY[5:],
+         "vertex properties must start with x y z", 7),
+    ], ids=["malformed-element", "non-empty-face", "uchar-property", "short-property",
+            "unknown-token", "no-end-header", "no-vertex-element", "y-before-x"])
+    def test_bad_header_reports_line(self, tmp_path, lines, message, line):
+        path = tmp_path / "bad_head.ply"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as err:
+            fileio.load(path)
+        assert err.value.line == line
+
 
 class TestXyzn:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -105,6 +137,12 @@ class TestXyzn:
         with pytest.raises(ParseError) as err:
             fileio.load(path)
         assert err.value.line == 2
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.xyzn"
+        path.write_text("\n\n")
+        with pytest.raises(ParseError, match="line 1: empty cloud file"):
+            fileio.load(path)
 
     def test_xyzn_requires_normals_to_save(self, tmp_path):
         with pytest.raises(ValueError):

@@ -296,6 +296,21 @@ class TestGVector:
         with pytest.raises(ValueError):
             from_gvector(np.zeros(11))
 
+    @pytest.mark.parametrize("rotation, translation, message", [
+        (np.eye(3), np.zeros(4), r"translation must be a 3-vector, got shape \(4,\)"),
+        (np.eye(3), np.zeros((2, 3)), r"translation must be a 3-vector, got shape \(6,\)"),
+        (np.eye(4), np.zeros(3), r"rotation must be 3x3, got \(4, 4\)"),
+        (np.eye(3).reshape(9), np.zeros(3), r"rotation must be 3x3, got \(9,\)"),
+    ])
+    def test_rejects_bad_shapes(self, rotation, translation, message):
+        with pytest.raises(ValueError, match=message):
+            RigidTransform(rotation, translation)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_translation(self, value):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            RigidTransform(np.eye(3), np.array([0.0, value, 0.0]))
+
     def test_rejects_non_finite_rotation(self):
         with pytest.raises(ValueError, match="rotation must be finite"):
             RigidTransform(np.full((3, 3), np.nan), np.zeros(3))

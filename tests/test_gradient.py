@@ -12,7 +12,7 @@ from p2plreg.geometry import (
     step_jacobian,
     to_gvector,
 )
-from p2plreg.gradcheck import FDConfig, fd_bundle, fd_jacobian, make_instance
+from p2plreg.gradcheck import FDConfig, fd_bundle, make_instance
 from p2plreg.gradient import (
     SingularHessian,
     _plane_offsets,
@@ -351,10 +351,9 @@ class TestBackward:
             lambda corr, src, g: cross_derivs(corr, src, g),
             lambda corr, src, g: energy_gradient(corr, src, g),
             lambda corr, src, g: hessian(corr, src, g, 0.0),
-            lambda corr, src, g: fd_jacobian(corr, src, "x", 0, FDConfig(n_iters_forward=2)),
             lambda corr, src, g: fd_bundle(corr, src, FDConfig(n_iters_forward=2)),
         ],
-        ids=["backward", "cross_derivs", "energy_gradient", "hessian", "fd_jacobian", "fd_bundle"],
+        ids=["backward", "cross_derivs", "energy_gradient", "hessian", "fd_bundle"],
     )
     def test_size_mismatch_rejected(self, call):
         corr, cloud, gt = make_instance(45, 16, noise=1e-3)

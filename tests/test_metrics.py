@@ -98,6 +98,8 @@ class TestBatchStats:
         ss_res = np.sum(flat**2)
         ss_tot = sum(np.sum((gt[:, j] - gt[:, j].mean()) ** 2) for j in range(3))
         assert stats.r2 == pytest.approx(1 - ss_res / ss_tot, rel=1e-12)
+        # One component given as (C,) vectors is the (C, 1) case.
+        assert batch_stats(res[:, 0], gt[:, 0]) == batch_stats(res[:, :1], gt[:, :1])
 
     def test_internal_consistency(self):
         rng = np.random.default_rng(9)
@@ -108,6 +110,11 @@ class TestBatchStats:
     def test_constant_target_undefined_r2(self):
         stats = batch_stats(np.ones((5, 3)), np.zeros((5, 3)))
         assert stats.r2 is None
+
+    @pytest.mark.parametrize("gt_shape", [(10, 2), (10,), (9, 3)])
+    def test_rejects_shape_mismatch(self, gt_shape):
+        with pytest.raises(ValueError, match="residuals and ground-truth values must have equal"):
+            batch_stats(np.zeros((10, 3)), np.zeros(gt_shape))
 
     def test_requires_two_cases(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,12 @@ def test_invalid_damping_rejected(solve, damping):
 
 
 class TestRegisterP2pl:
+    @pytest.mark.parametrize("n_iters", [0, -1])
+    def test_rejects_fewer_than_one_round(self, n_iters):
+        cloud = synth_shape("blob", 16, seed=11)
+        with pytest.raises(ValueError, match="n_iters must be at least 1"):
+            register_p2pl(exact_correspond(cloud, _identity()), cloud, n_iters=n_iters)
+
     def test_identity_converges_immediately(self):
         cloud = synth_shape("blob", 64, seed=11)
         corr = exact_correspond(cloud, _identity())
@@ -603,6 +609,13 @@ class TestProcrustes:
         corr = exact_correspond(cloud, gt, weights=rng.uniform(0.1, 3.0, 96))
         t = register_procrustes(corr, cloud)
         assert np.linalg.norm(t.rotation - gt.rotation) <= 1e-10
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_fewer_than_three_pairs_degenerate(self, n_pairs):
+        pts = np.eye(3)[:n_pairs]
+        corr = CorrespondenceSet(pts, np.tile([0.0, 0.0, 1.0], (n_pairs, 1)), np.ones(n_pairs))
+        with pytest.raises(DegenerateConfiguration, match="at least 3 pairs are required"):
+            register_procrustes(corr, PointCloud(pts))
 
     def test_collinear_degenerate(self):
         line = np.linspace(0, 1, 10)[:, None] * np.array([1.0, 1.0, 0.0])

@@ -78,6 +78,24 @@ class TestMakeCpuPair:
         with pytest.raises(ValueError, match="trans_max must be finite"):
             SynthConfig(trans_max=trans_max)
 
+    def test_config_rejects_negative_trans_max(self):
+        with pytest.raises(ValueError, match="trans_max must be nonnegative"):
+            SynthConfig(trans_max=-0.1)
+
+    def test_rejects_empty_shapes(self):
+        with pytest.raises(ValueError, match="shapes must be nonempty"):
+            make_cpu_pair([], SynthConfig(n_sample=64, n_partial=64))
+
+    @pytest.mark.parametrize("sizes, compose, message", [
+        ([100, 300], 2, "shape 0 has 100 points, need at least 256"),
+        ([300], 1, "composite has 300 points, unduplicated sampling needs 512"),
+    ], ids=["per-shape", "composite"])
+    def test_insufficient_points_named(self, sizes, compose, message):
+        shapes = [synth_shape("blob", n, seed=11) for n in sizes]
+        cfg = SynthConfig(seed=11, n_sample=256, n_partial=128, compose_count=compose)
+        with pytest.raises(InsufficientPoints, match=message):
+            make_cpu_pair(shapes, cfg)
+
     def test_degenerate_config_reproduces_source(self):
         shape = synth_shape("blob", 512, seed=4)
         cfg = SynthConfig(seed=5, n_sample=256, n_partial=256, rot_max_deg=0.0,
