@@ -178,14 +178,24 @@ def cmd_register(args: argparse.Namespace) -> int:
         print(f"no pair_* directories under {in_dir}", file=sys.stderr)
         return 1
     weights = fileio.load_weights(args.weights) if args.weights else None
+    # Every pair is loaded once, before the output exists, so a weights file
+    # that fits no source fails the run here; one that fits some pairs
+    # leaves an error row for each of the others.
+    pairs = _pool_map(_load_pair, pair_dirs)
+    if weights is not None:
+        sizes = sorted({len(pair.source) for pair in pairs})
+        if len(weights) not in sizes:
+            raise ValueError(
+                f"--weights file {args.weights} holds {len(weights)} values, but the "
+                f"sources hold {', '.join(map(str, sizes))} points"
+            )
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
 
     def run_pair(item):
         """The pair's metrics.csv row and, when it has a ground truth and
         registers, its terms of ``summary``."""
-        index, pair_dir = item
-        pair = _load_pair(pair_dir)
+        index, pair = item
         source, target = pair.source, pair.target
         try:
             if args.estimate_normals:
@@ -219,7 +229,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         gt_euler = euler_zyx_angles(pair.gt.rotation)
         return row, (errs.per_axis_deg, gt_euler, tres, pair.gt.translation, cd)
 
-    results = _pool_map(run_pair, list(enumerate(pair_dirs)))
+    results = _pool_map(run_pair, list(enumerate(pairs)))
     rows = [row for row, _ in results]
     terms = [t for _, t in results if t is not None]
 

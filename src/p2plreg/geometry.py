@@ -193,16 +193,28 @@ def from_gvector(g) -> RigidTransform:
     return RigidTransform(g[:9].reshape(3, 3), g[9:])
 
 
+def _coeff_rows(xt, nt, out) -> None:
+    """Write the 12 coefficient rows of ``residual_coeffs`` pair-minor into
+    the (12, N) out, from (3, N) rows xt of x and nt of n: row 3 a + b is
+    n_a x_b, one product per entry, and rows 9-11 are n. Each product is
+    of two (N,) rows; a broadcast one would make numpy buffer its inputs."""
+    for a in range(3):
+        for b in range(3):
+            np.multiply(nt[a], xt[b], out=out[3 * a + b])
+    out[9:] = nt
+
+
 def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[np.float64]:
     """Per-pair 12-vectors d with d . g == (R x + t) . n for any g.
 
     d = (n_0 x, n_1 x, n_2 x, n); rows are the gradients of the plane
-    residuals in transform coordinates.
+    residuals in transform coordinates. Returns a C-ordered (N, 12) array.
     """
     x = np.asarray(x, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
-    top = (n[:, :, None] * x[:, None, :]).reshape(x.shape[0], 9)
-    return np.concatenate([top, n], axis=1)
+    d = np.empty((x.shape[0], 12))
+    _coeff_rows(x.T, n.T, d.T)
+    return d
 
 
 def _step_picks():

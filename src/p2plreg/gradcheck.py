@@ -80,7 +80,9 @@ def _perturbed_moments(
         r = np.flatnonzero(kinds == k)[:, None]
         idx = (r, [0, 1]) + ((comps[r],) if arr.ndim == 2 else ())
         arr.reshape(len(kinds), 2, *arr.shape[1:])[idx] += [h, -h]
-    new_u, new_s = _moment_rows(*pert, mu)
+    rows = _moment_rows(*pert, mu)
+    # The outer products below read each copy's 12 entries together.
+    new_u, new_s = np.ascontiguousarray(rows[:12].T), rows[12]
     old_u = np.repeat(u[pairs], 2, axis=0)
     old_s = np.repeat(s[pairs], 2)
     m_out = new_u[:, :, None] * new_u[:, None, :]

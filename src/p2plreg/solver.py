@@ -41,11 +41,11 @@ from .cloud import PointCloud
 from .correspond import CorrespondenceSet, _check_weights, _nn_matcher
 from .geometry import (
     RigidTransform,
+    _coeff_rows,
     _exp_entries,
     _norm3,
     apply_transform,
     compose,
-    residual_coeffs,
     rotation_angle,
     step_jacobian,
 )
@@ -119,23 +119,36 @@ def _moments(x, y, n, zeta):
     weighted rows u_i = sqrt(zeta_i) d_i (the coefficients of the weighted
     normal, as d is linear in n) and s_i = sqrt(zeta_i) r0_i, the 12x12
     m = u^T u = sum zeta_i d_i d_i^T, a Gram product and so symmetric
-    bitwise, and q0 = u^T s = sum zeta_i r0_i d_i.
+    bitwise, and q0 = u^T s = sum zeta_i r0_i d_i. u and s are views of
+    the pair-minor (13, N) buffer of ``_moment_rows``: u is the F-ordered
+    (N, 12) ``buf[:12].T``, so u.T is C-ordered, and s is ``buf[12]``.
     """
     mu = (zeta @ x) / zeta.sum()
-    u, s = _moment_rows(x, y, n, zeta, mu)
+    buf = _moment_rows(x, y, n, zeta, mu)
+    u, s = buf[:12].T, buf[12]
     return mu, u, s, u.T @ u, s @ u
 
 
 def _moment_rows(x, y, n, zeta, mu):
-    """Weighted rows (u, s) of ``_moments`` for pairs centered at mu.
+    """Weighted rows of ``_moments`` for pairs centered at mu, pair-minor.
 
-    u_i = ``residual_coeffs(x_i - mu, sqrt(zeta_i) n_i)`` and
-    s_i = sqrt(zeta_i) (x_i - y_i) . n_i.
+    Returns one C-ordered (13, N) buffer: rows 0-11 hold u^T, the rows of
+    ``geometry._coeff_rows`` for x - mu and sqrt(zeta) n, so column i is
+    u_i = ``residual_coeffs(x_i - mu, sqrt(zeta_i) n_i)``, and row 12 holds
+    s_i = sqrt(zeta_i) (x_i - y_i) . n_i. Each row is formed from
+    contiguous (N,) rows; no (N, 3, 3) product or concatenated copy is made.
     """
     root = np.sqrt(zeta)
-    u = residual_coeffs(x - mu, root[:, None] * n)
-    s = root * np.einsum("ni,ni->n", x - y, n)
-    return u, s
+    buf = np.empty((13, root.shape[0]))
+    # s first, and root freed, before the (3, N) inputs of the rows exist:
+    # the peak is then the buffer and two (3, N) rows, about 19 N doubles.
+    s = buf[12]
+    np.einsum("ni,ni->n", x - y, n, out=s)
+    s *= root
+    nt = np.multiply(n.T, root, order="C")
+    del root
+    _coeff_rows(np.subtract(x.T, mu[:, None], order="C"), nt, buf[:12])
+    return buf
 
 
 def _deflated(rot, centre, mu, out):

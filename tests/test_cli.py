@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from p2plreg import fileio
+from p2plreg.cloud import PointCloud
 from p2plreg.cli import main
 from p2plreg.gradient import GradientBundle, PerInput
 from p2plreg.metrics import euler_zyx_angles
@@ -158,16 +159,62 @@ class TestRegister:
         assert (out / "summary.json").exists()
 
     def test_weights_csv(self, dataset, tmp_path):
+        # One value per source point: the sources hold 256 points.
         w = tmp_path / "w.csv"
-        w.write_text("\n".join(["1.0"] * 224) + "\n")
+        w.write_text("\n".join(["1.0"] * 256) + "\n")
         out = tmp_path / "reg5"
         assert main(["register", "--in", str(dataset), "--weights", str(w),
                      "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == ["", ""]
+
+    def test_weights_fitting_no_source_fail_the_run(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        # Such a file used to exit 0 with an error row for every pair.
+        loads = []
+        real_load = fileio.load
+
+        def counting_load(path):
+            loads.append(Path(path))
+            return real_load(path)
+
+        monkeypatch.setattr(fileio, "load", counting_load)
+        w = tmp_path / "w.csv"
+        w.write_text("1.0\n1.0\n")
+        out = tmp_path / "reg5w"
+        assert main(["register", "--in", str(dataset), "--weights", str(w),
+                     "--out", str(out)]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(err) == 1
+        assert "holds 2 values" in err[0] and "sources hold 256 points" in err[0]
+        assert not out.exists()
+        assert loads and len(set(loads)) == len(loads), "a file was loaded twice"
+
+    def test_weights_fitting_some_pairs_keep_per_pair_rows(self, dataset, tmp_path):
+        data = tmp_path / "mixed"
+        for index in range(2):
+            src, dst = dataset / f"pair_{index:04d}", data / f"pair_{index:04d}"
+            dst.mkdir(parents=True)
+            for f in src.iterdir():
+                (dst / f.name).write_bytes(f.read_bytes())
+        short = data / "pair_0001" / "source.ply"
+        cloud = fileio.load(short)
+        fileio.save(short, PointCloud(cloud.positions[:200], cloud.normals[:200]))
+        w = tmp_path / "w.csv"
+        w.write_text("\n".join(["1.0"] * 256) + "\n")
+        out = tmp_path / "reg5m"
+        assert main(["register", "--in", str(data), "--weights", str(w),
+                     "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "ValueError: source_weights length must match the source size"
 
     def test_two_column_weights_fail_with_line_number(self, dataset, tmp_path, capsys):
-        # 112 rows of 2 values hold as many numbers as the 224 source points.
+        # 128 rows of 2 values hold as many numbers as the 256 source points.
         w = tmp_path / "w2.csv"
-        w.write_text("\n".join(["1.0,1.0"] * 112) + "\n")
+        w.write_text("\n".join(["1.0,1.0"] * 128) + "\n")
         assert main(["register", "--in", str(dataset), "--weights", str(w),
                      "--out", str(tmp_path / "reg5b")]) == 1
         assert "line 1: expected 1 values per line, found 2" in capsys.readouterr().err

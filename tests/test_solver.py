@@ -151,6 +151,57 @@ class TestAssemble:
         np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 
+class TestMoments:
+    """``_moments`` against the per-pair rows formed by a broadcast outer
+    product and a concatenate, the (N, 12) layout the pair-minor buffer
+    replaced."""
+
+    @staticmethod
+    def _oracle_rows(x, y, n, zeta, mu):
+        root = np.sqrt(zeta)
+        nw = root[:, None] * n
+        top = (nw[:, :, None] * (x - mu)[:, None, :]).reshape(len(x), 9)
+        return np.concatenate([top, nw], axis=1), root * np.einsum("ni,ni->n", x - y, n)
+
+    @pytest.mark.parametrize("n_pairs", [64, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_and_gram_match_oracle_bitwise(self, n_pairs, seed):
+        corr, cloud, _ = make_instance(seed, n_pairs)
+        arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
+        mu, u, s, m, q0 = _moments(*arrays)
+        want_u, want_s = self._oracle_rows(*arrays, mu)
+        np.testing.assert_array_equal(u, want_u)
+        np.testing.assert_array_equal(s, want_s)
+        np.testing.assert_array_equal(m, want_u.T @ want_u)
+        # The gemv sums in another order on the pair-minor rows.
+        want_q0 = want_s @ want_u
+        assert np.max(np.abs(q0 - want_q0)) <= 1e-14 * np.max(np.abs(want_q0))
+
+    def test_rows_share_one_pair_minor_buffer(self):
+        corr, cloud, _ = make_instance(0, 64)
+        _, u, s, _, _ = _moments(cloud.positions, corr.targets, corr.normals, corr.weights)
+        assert u.T.flags.c_contiguous and s.flags.c_contiguous
+        assert u.base is s.base and u.base.shape == (13, 64)
+
+    def test_peak_memory_is_at_most_21_n_doubles(self):
+        # The (13, N) buffer, the (3, N) centred positions and weighted
+        # normals, and a (N,) or (N, 3) temporary at a time: about 19 N.
+        import tracemalloc
+
+        n_pairs = 4096
+        corr, cloud, _ = make_instance(0, n_pairs)
+        arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _moments(*arrays)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21 * n_pairs * 8, peak / (8 * n_pairs)
+
+
 class TestSolveStep:
     """One accumulation round from the identity: ``register_p2pl`` with
     n_iters=1."""
