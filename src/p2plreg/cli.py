@@ -25,9 +25,9 @@ import numpy as np
 
 from . import fileio
 from .cloud import RegistrationPair
+from .correspond import _check_weights
 from .gradcheck import FDConfig, compare, fd_bundle, make_instance
 from .gradient import backward, chain_loss, rigid_motion_loss
-from .geometry import to_gvector
 from .metrics import chamfer, euler_zyx_angles, rotation_errors, summary
 from .seeding import derived_seed
 from .solver import icp, register_p2pl
@@ -179,10 +179,14 @@ def cmd_register(args: argparse.Namespace) -> int:
         return 1
     weights = fileio.load_weights(args.weights) if args.weights else None
     # Every pair is loaded once, before the output exists, so a weights file
-    # that fits no source fails the run here; one that fits some pairs
-    # leaves an error row for each of the others.
+    # with bad values or that fits no source fails the run here; one that
+    # fits some pairs leaves an error row for each of the others.
     pairs = _pool_map(_load_pair, pair_dirs)
     if weights is not None:
+        try:
+            _check_weights(weights)
+        except ValueError as exc:
+            raise ValueError(f"--weights file {args.weights}: {exc}") from None
         sizes = sorted({len(pair.source) for pair in pairs})
         if len(weights) not in sizes:
             raise ValueError(
@@ -196,16 +200,17 @@ def cmd_register(args: argparse.Namespace) -> int:
         """The pair's metrics.csv row and, when it has a ground truth and
         registers, its terms of ``summary``."""
         index, pair = item
-        source, target = pair.source, pair.target
+        target = pair.target
         try:
+            # The point-to-plane energy reads only the target's normals.
             if args.estimate_normals:
-                k = args.estimate_normals
-                flip = not args.consistent_normals
-                source = estimate_normals(source, k, derived_seed(index, "src"), random_flip=flip)
-                target = estimate_normals(target, k, derived_seed(index, "tgt"), random_flip=flip)
+                target = estimate_normals(
+                    target, args.estimate_normals, derived_seed(index, "tgt"),
+                    random_flip=not args.consistent_normals,
+                )
             t0 = time.perf_counter()
             report = icp(
-                source,
+                pair.source,
                 target,
                 method=args.method,
                 max_outer=args.outer_iters,
@@ -215,7 +220,7 @@ def cmd_register(args: argparse.Namespace) -> int:
             )
             fwd_ms = (time.perf_counter() - t0) * 1e3
             t0 = time.perf_counter()
-            _backward_and_chain(report.correspondences, source, report.transform)
+            _backward_and_chain(report.correspondences, pair.source, report.transform)
             bwd_ms = (time.perf_counter() - t0) * 1e3
         except (np.linalg.LinAlgError, ValueError) as exc:
             return [index] + [""] * 10 + [f"{type(exc).__name__}: {exc}"], None
@@ -267,10 +272,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         fd = fd_bundle(corr, cloud, cfg, also_at=iters_list)
         case_rows = []
         for n_iters in iters_list:
-            rep = register_p2pl(corr, cloud, n_iters=n_iters)
-            gv = to_gvector(rep.transform)
-            bundle = backward(corr, cloud, gv)
-            _, dldg = rigid_motion_loss(gv, gt)
+            t = register_p2pl(corr, cloud, n_iters=n_iters).transform
+            bundle = backward(corr, cloud, t)
+            _, dldg = rigid_motion_loss(t, gt)
             err = compare(bundle, fd.also[n_iters], dldg, n_iters)
             for kind in ("x", "y", "n", "zeta"):
                 mse, rel = err.per_input[kind]
@@ -321,7 +325,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for n_iters in iters_list:
         fwd = lambda: register_p2pl(corr, cloud, n_iters=n_iters)
         rows.append(["forward", n_iters, _median_ms(fwd, args.reps), _peak_bytes(fwd)])
-        g = to_gvector(register_p2pl(corr, cloud, n_iters=n_iters).transform)
+        g = register_p2pl(corr, cloud, n_iters=n_iters).transform
         bwd = lambda: _backward_and_chain(corr, cloud, g)
         rows.append(["backward_analytic", n_iters, _median_ms(bwd, args.reps), _peak_bytes(bwd)])
 
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate compose/partial/unduplicated pairs")
     p.add_argument("--pairs", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--shape", choices=SHAPE_KINDS + ("mixed",), default="blob")
     p.add_argument("--n-points", type=_synth_points, default=1024)
     p.add_argument("--n-partial", type=_positive_int, default=768)
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=50)
     p.add_argument("--iters", default="1,2,5,10")
     p.add_argument("--fd-step", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--noise", type=_non_negative, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)

@@ -253,16 +253,12 @@ def naive_vector_pointers(scores: NDArray[np.float64], target: PointCloud):
     return c @ target.require_normals()
 
 
-def gumbel_hard_weights(scores: NDArray[np.float64], tau: float, seed: int) -> NDArray[np.float64]:
+def gumbel_hard_weights(scores: NDArray[np.float64], seed: int) -> NDArray[np.float64]:
     """One-hot rows at argmax_j (u_ij + q_ij) with standard Gumbel noise q.
 
-    The temperature only rescales the softmax inside the argmax, so any
-    tau > 0 selects the same entries; it is accepted for API parity.
+    A temperature would only rescale the softmax inside the argmax, so the
+    hard sample takes none.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
     u = np.asarray(scores, dtype=np.float64)
     # Clamp away from 0 and 1 so the double log stays finite.
     draw = np.clip(np.random.default_rng(seed).random(u.shape), 1e-12, 1.0 - 1e-12)

@@ -45,8 +45,6 @@ def save(path, cloud: PointCloud) -> None:
 def load(path) -> PointCloud:
     """Read a PLY or XYZN cloud, chosen by the file extension."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     if path.suffix.lower() == ".ply":
         return _load_ply(path)
     return _load_xyzn(path)

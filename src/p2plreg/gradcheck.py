@@ -29,6 +29,8 @@ from .solver import _accumulate_batch, _check_sizes, _moment_rows, _moments, _wo
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
+# Columns of each input kind in the oracle's (N, 10) input table.
+_COLUMNS = (slice(0, 3), slice(3, 6), slice(6, 9), 9)
 # Moment elements (perturbed copies x 144) per batched job of the oracle.
 CHUNK_ELEMS = 300_000
 
@@ -57,30 +59,21 @@ class GradErrorReport:
     n_iters: int = 0
 
 
-def _perturbed_moments(
-    moments,
-    arrays,
-    kinds: NDArray[np.intp],
-    pairs: NDArray[np.intp],
-    comps: NDArray[np.intp],
-    h: float,
-):
-    """Moments (m, q0) of the 2 len(kinds) centrally perturbed copies.
+def _perturbed_moments(moments, table, pairs, cols, h: float):
+    """Moments (m, q0) of the 2 len(pairs) centrally perturbed copies.
 
-    ``moments`` is ``_moments`` of the unperturbed ``arrays`` (x, y,
-    n, zeta). Copy 2 r adds +h to coordinate ``comps[r]`` of pair
-    ``pairs[r]``'s input ``INPUT_KINDS[kinds[r]]``, copy 2 r + 1 adds -h.
+    ``moments`` is ``_moments`` of the unperturbed inputs, whose (N, 10)
+    ``table`` holds x, y, n and zeta as its columns (``_COLUMNS``). Copy 2 r
+    adds +h to column ``cols[r]`` of row ``pairs[r]``, copy 2 r + 1 adds -h.
     Each copy changes one pair, so its moments are the base ones with that
     pair's term swapped for the perturbed one, a rank-two update; all copies
     keep the base centroid.
     """
     mu, u, s, m, q0 = moments
-    pert = [np.repeat(a[pairs], 2, axis=0) for a in arrays]
-    for k, arr in enumerate(pert):
-        r = np.flatnonzero(kinds == k)[:, None]
-        idx = (r, [0, 1]) + ((comps[r],) if arr.ndim == 2 else ())
-        arr.reshape(len(kinds), 2, *arr.shape[1:])[idx] += [h, -h]
-    rows = _moment_rows(*pert, mu)
+    pert = np.repeat(table[pairs], 2, axis=0)
+    r = np.arange(len(pairs))[:, None]
+    pert.reshape(len(pairs), 2, -1)[r, [0, 1], cols[:, None]] += [h, -h]
+    rows = _moment_rows(*(pert[:, c] for c in _COLUMNS), mu)
     # The outer products below read each copy's 12 entries together.
     new_u, new_s = np.ascontiguousarray(rows[:12].T), rows[12]
     old_u = np.repeat(u[pairs], 2, axis=0)
@@ -104,11 +97,10 @@ class FDBlocks(PerInput):
     also: dict[int, PerInput] = field(default_factory=dict)
 
 
-def _blocks(diffs: NDArray[np.float64], n_pairs: int) -> PerInput:
-    """Rows (kind, pair, coordinate) -> blocks (kind, pair, 12, coordinate)."""
-    xyz = diffs[: 9 * n_pairs].reshape(3, n_pairs, 3, 12).transpose(0, 1, 3, 2)
-    xyz = np.ascontiguousarray(xyz)
-    return PerInput(xyz[0], xyz[1], xyz[2], diffs[9 * n_pairs :])
+def _blocks(diffs: NDArray[np.float64]) -> PerInput:
+    """Rows (pair, column) -> blocks (pair, 12, column) of each input kind."""
+    d = diffs.reshape(-1, 10, 12).transpose(0, 2, 1)
+    return PerInput(*(np.ascontiguousarray(d[..., c]) for c in _COLUMNS))
 
 
 def fd_bundle(
@@ -116,8 +108,9 @@ def fd_bundle(
 ) -> FDBlocks:
     """Oracle (N, 12, 3) and (N, 12) Jacobians for all pairs and inputs at once.
 
-    Row (kind, pair, coordinate) perturbs that coordinate of the pair's input
-    by +h and -h, h = ``cfg.step``. The moments are formed once; the
+    The inputs x, y, n and zeta are the columns of one (N, 10) table, and
+    row 10 i + c perturbs its column c of pair i by +h and -h, h =
+    ``cfg.step``. The moments are formed once; the
     2 (9 N + N) perturbed solves are rank-two updates of them and run as
     batched jobs of at most CHUNK_ELEMS moment elements. Each job runs its
     rounds once, to ``cfg.n_iters_forward``, and writes the differences at
@@ -134,20 +127,18 @@ def fd_bundle(
     bad = [c for c in also_at if not 1 <= c <= top]
     if bad:
         raise ValueError(f"also_at counts must be in [1, {top}], got {bad}")
-    n_pairs = len(corr)
-    pair = np.arange(n_pairs)
-    kinds = np.repeat(np.arange(len(INPUT_KINDS)), [3 * n_pairs] * 3 + [n_pairs])
-    pairs = np.concatenate([np.repeat(pair, 3)] * 3 + [pair])
-    comps = np.concatenate([np.tile(np.arange(3), 3 * n_pairs), np.zeros(n_pairs, np.intp)])
+    pairs = np.repeat(np.arange(len(corr)), 10)
+    cols = np.tile(np.arange(10), len(corr))
     h = cfg.step
     arrays = (source.positions, corr.targets, corr.normals, corr.weights)
+    table = np.column_stack(arrays)
     moments = _moments(*arrays)
     mu = moments[0]
     per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
-    diffs = {count: np.empty((len(kinds), 12)) for count in {top, *also_at}}
-    for start in range(0, len(kinds), per_job):
+    diffs = {count: np.empty((len(pairs), 12)) for count in {top, *also_at}}
+    for start in range(0, len(pairs), per_job):
         sl = slice(start, start + per_job)
-        m, q0 = _perturbed_moments(moments, arrays, kinds[sl], pairs[sl], comps[sl], h)
+        m, q0 = _perturbed_moments(moments, table, pairs[sl], cols[sl], h)
         mus = np.broadcast_to(mu, (m.shape[0], 3))
 
         def write(k, rot, centre, delta):
@@ -156,11 +147,8 @@ def fd_bundle(
                 diffs[k][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
 
         _accumulate_batch(m, q0, mus, top, emit=write)
-    blocks = {count: _blocks(d, n_pairs) for count, d in diffs.items()}
-    main = blocks[top]
-    return FDBlocks(
-        main.wrt_x, main.wrt_y, main.wrt_n, main.wrt_zeta, {c: blocks[c] for c in also_at}
-    )
+    blocks = {count: _blocks(d) for count, d in diffs.items()}
+    return FDBlocks(**vars(blocks[top]), also={c: blocks[c] for c in also_at})
 
 
 def _relative(sq: float, ref: float) -> float:

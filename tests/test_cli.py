@@ -191,6 +191,23 @@ class TestRegister:
         assert not out.exists()
         assert loads and len(set(loads)) == len(loads), "a file was loaded twice"
 
+    @pytest.mark.parametrize("values, rule", [
+        (["nan"] + ["1.0"] * 255, "correspondence arrays must be finite"),
+        (["1.0"] * 255 + ["-0.5"], "reliability weights must be nonnegative"),
+        (["0.0"] * 256, "at least one reliability weight must be positive"),
+    ], ids=["nan", "negative", "all-zero"])
+    def test_bad_weight_values_fail_the_run(self, dataset, tmp_path, capsys, values, rule):
+        # Such a file used to exit 0 with an error row for every pair, whose
+        # message named neither the flag nor the file.
+        w = tmp_path / "w.csv"
+        w.write_text("\n".join(values) + "\n")
+        out = tmp_path / "reg5v"
+        assert main(["register", "--in", str(dataset), "--weights", str(w),
+                     "--out", str(out)]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert err == [f"error: --weights file {w}: {rule}"]
+        assert not out.exists()
+
     def test_weights_fitting_some_pairs_keep_per_pair_rows(self, dataset, tmp_path):
         data = tmp_path / "mixed"
         for index in range(2):
@@ -281,6 +298,35 @@ class TestRegister:
         assert len(rows) == 2
         assert rows[1][-1] == "ValueError: k must be smaller than the cloud size"
         assert main(args + ["--strict", "--out", str(tmp_path / "regk2")]) == 2
+
+    def test_estimate_normals_takes_a_source_below_k(self, tmp_path):
+        # Only the target's normals are estimated, so a source with fewer
+        # points than k registers; it used to fail its pair with
+        # "ValueError: k must be smaller than the cloud size".
+        data = tmp_path / "short"
+        assert main(["synth", "--pairs", "1", "--seed", "4", "--n-points", "128",
+                     "--n-partial", "96", "--out", str(data)]) == 0
+        src = data / "pair_0000" / "source.ply"
+        cloud = fileio.load(src)
+        fileio.save(src, PointCloud(cloud.positions[:12], cloud.normals[:12]))
+        assert len(fileio.load(data / "pair_0000" / "target.ply")) == 96
+        out = tmp_path / "regs"
+        assert main(["register", "--in", str(data), "--estimate-normals", "16",
+                     "--strict", "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"] == ""
+        assert math.isfinite(float(row["geodesic_deg"]))
+        assert (out / "pair_0000_transform.txt").exists()
+
+    def test_missing_source_file_is_named(self, tmp_path, capsys):
+        # The message used to be the bare path.
+        data = tmp_path / "nosrc"
+        (data / "pair_0000").mkdir(parents=True)
+        out = tmp_path / "regm"
+        assert main(["register", "--in", str(data), "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimate_normals_thread_invariant(self, dataset, tmp_path, monkeypatch):
         outs = []
@@ -526,8 +572,10 @@ class TestRejectedRunWritesNothing:
         (["gradcheck", "--n", "7"], 2, "--n: must be an integer >= 8"),
         (["bench", "--n-points", "7"], 2, "--n-points: must be an integer >= 8"),
         (["register", "--weights", "missing.csv"], 1, "No such file or directory"),
+        (["synth", "--seed", "-1"], 2, "--seed: must be an integer >= 0"),
+        (["gradcheck", "--seed", "-1"], 2, "--seed: must be an integer >= 0"),
     ], ids=["synth-n-points-3", "synth-n-partial-0", "gradcheck-n-7", "bench-n-points-7",
-            "register-missing-weights"])
+            "register-missing-weights", "synth-seed-negative", "gradcheck-seed-negative"])
     def test_exit_code_and_no_output(self, dataset, tmp_path, capsys, argv, code, message):
         if argv[0] == "register":
             argv = ["register", "--in", str(dataset), "--weights", str(tmp_path / argv[-1])]

@@ -265,45 +265,28 @@ class TestGumbel:
         # whose best score leads by more than 31 keeps its argmax.
         u = np.array([[0.1, 33.0, -1.0], [36.0, 4.0, 4.9]])
         for seed in range(8):
-            w = gumbel_hard_weights(u, tau=0.7, seed=seed)
+            w = gumbel_hard_weights(u, seed=seed)
             np.testing.assert_array_equal(w, [[0, 1, 0], [1, 0, 0]])
 
     def test_rows_exactly_one_hot(self):
         rng = np.random.default_rng(20)
         u = rng.standard_normal((64, 9))
-        w = gumbel_hard_weights(u, tau=1.0, seed=5)
+        w = gumbel_hard_weights(u, seed=5)
         assert set(np.unique(w)) <= {0.0, 1.0}
         np.testing.assert_array_equal(w.sum(axis=1), np.ones(64))
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
-    def test_non_positive_tau_rejected(self, tau):
-        with pytest.raises(ValueError, match="tau must be positive"):
-            gumbel_hard_weights(np.zeros((2, 3)), tau=tau, seed=0)
-
-    @pytest.mark.parametrize("tau", [math.nan, math.inf])
-    def test_non_finite_tau_rejected(self, tau):
-        with pytest.raises(ValueError, match="tau must be finite"):
-            gumbel_hard_weights(np.zeros((2, 3)), tau=tau, seed=0)
-
-    def test_tau_does_not_change_selection(self):
-        rng = np.random.default_rng(21)
-        u = rng.standard_normal((32, 6))
-        a = gumbel_hard_weights(u, tau=0.01, seed=9)
-        b = gumbel_hard_weights(u, tau=100.0, seed=9)
-        np.testing.assert_array_equal(a, b)
 
     def test_constant_row_shift_invariance(self):
         rng = np.random.default_rng(22)
         u = rng.standard_normal((16, 5))
-        a = gumbel_hard_weights(u, tau=1.0, seed=11)
-        b = gumbel_hard_weights(u + 3.25, tau=1.0, seed=11)
+        a = gumbel_hard_weights(u, seed=11)
+        b = gumbel_hard_weights(u + 3.25, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_selection_frequencies_match_softmax(self):
         # The perturb-and-argmax construction samples the softmax
         # distribution; Monte-Carlo frequencies must match (1, 2, 3) / 6.
         u = np.tile(np.log(np.array([1.0, 2.0, 3.0])), (100_000, 1))
-        w = gumbel_hard_weights(u, tau=1.0, seed=123)
+        w = gumbel_hard_weights(u, seed=123)
         freq = w.mean(axis=0)
         np.testing.assert_allclose(freq, [1 / 6, 2 / 6, 3 / 6], atol=0.01)
 

@@ -41,8 +41,8 @@ class TestFdJacobian:
         assert sq / ref <= 1e-6
 
     def test_bundle_is_per_pair_jacobians_across_chunks(self, monkeypatch):
-        # At N = 250 the oracle runs several batched jobs and job boundaries
-        # fall inside the x and y kinds; every block must still be the one a
+        # At N = 250 the oracle runs 3 batched jobs and job boundaries fall
+        # inside a pair's 10 rows; every block must still be the one a
         # single job over all perturbed copies gives, bitwise.
         corr, cloud, _ = make_instance(12, 250, noise=1e-3)
         cfg = FDConfig(n_iters_forward=1)
@@ -52,28 +52,25 @@ class TestFdJacobian:
 
     def test_rank_two_moments_match_reformed_moments(self):
         # Each perturbed copy's (m, q0) is the base moments with one pair's
-        # term swapped; re-forming them from the perturbed arrays around the
-        # base centroid must agree.
+        # term swapped; re-forming them from the perturbed table around the
+        # base centroid must agree, for every column of pairs 0, 17 and 39.
         corr, cloud, _ = make_instance(10, 40, noise=1e-3)
         arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
+        table = np.column_stack(arrays)
         moments = _moments(*arrays)
         h = 1e-5
-        kinds = np.repeat(np.arange(4), 3)
-        pairs = np.array([0, 17, 39] * 4)
-        comps = np.array([0, 1, 2] * 3 + [0, 0, 0])
-        m, q0 = _perturbed_moments(moments, arrays, kinds, pairs, comps, h)
-        for row, (kind, pair, comp) in enumerate(zip(kinds, pairs, comps)):
+        pairs = np.repeat([0, 17, 39], 10)
+        cols = np.tile(np.arange(10), 3)
+        m, q0 = _perturbed_moments(moments, table, pairs, cols, h)
+        for row, (pair, col) in enumerate(zip(pairs, cols)):
             for copy, sign in ((2 * row, h), (2 * row + 1, -h)):
-                x, y, n, zeta = (a.copy() for a in arrays)
-                target = (x, y, n, zeta)[kind]
-                if target.ndim == 2:
-                    target[pair, comp] += sign
-                else:
-                    target[pair] += sign
+                pert = table.copy()
+                pert[pair, col] += sign
+                x, y, n, zeta = pert[:, :3], pert[:, 3:6], pert[:, 6:9], pert[:, 9]
                 root = np.sqrt(zeta)
                 u = root[:, None] * residual_coeffs(x - moments[0], n)
                 s = root * np.einsum("ni,ni->n", x - y, n)
-                msg = INPUT_KINDS[kind]
+                msg = f"pair {pair}, column {col}"
                 np.testing.assert_allclose(m[copy], u.T @ u, rtol=1e-12, err_msg=msg)
                 np.testing.assert_allclose(q0[copy], u.T @ s, rtol=1e-12, err_msg=msg)
 
