@@ -35,6 +35,10 @@ DEGENERATE_TENSOR_GAP = 1e-9
 # exactly 0: they sit below the rounding of any sum they enter, and
 # subnormal operands make the BLAS products ~5x slower.
 LOG_TINY = math.log(np.finfo(np.float64).tiny)
+# The score passes run over row blocks of about this many doubles (256 KiB)
+# and at least one row, so each block's passes run while it sits in the L2
+# cache and no (N, M) temporary is formed.
+_BLOCK_ELEMS = 1 << 15
 # soft_pointers averages 3 position columns and the 6 unique entries
 # n_a n_b of each normal tensor; _TENSOR_COLS maps all 9 entries (a, b) to
 # their column.
@@ -169,18 +173,30 @@ def match_matrix(
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    moved = source.positions @ t.rotation.T + t.translation
-    y = target.positions
-    # One cdist call forms the squared distances coordinate by coordinate,
-    # which keeps the exact zero at coincident points that the
+    # cdist forms the squared distances coordinate by coordinate, which
+    # keeps the exact zero at coincident points that the
     # |a|^2 + |b|^2 - 2ab GEMM expansion loses. cdist sums columns left to
     # right, so the order (0, 2, 1) adds (x^2 + z^2) + y^2, the order numpy's
     # einsum uses for the broadcast (N, M, 3) formula; the two agree bitwise.
     cols = [0, 2, 1]
-    u = cdist(moved[:, cols], y[:, cols], "sqeuclidean")
-    u *= -beta
-    u += alpha
+    a = (source.positions @ t.rotation.T + t.translation)[:, cols]
+    b = target.positions[:, cols]
+    u = np.empty((len(a), len(b)))
+    for rows in _row_blocks(u):
+        block = u[rows]
+        cdist(a[rows], b, "sqeuclidean", out=block)
+        block *= -beta
+        block += alpha
     return u
+
+
+def _row_blocks(u: np.ndarray) -> list[slice]:
+    """Slices of u's rows, each block of about _BLOCK_ELEMS entries and at
+    least one row."""
+    n = len(u)
+    # _BLOCK_ELEMS // (entries per row), without dividing by zero.
+    step = max(1, _BLOCK_ELEMS * n // max(u.size, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _masked_exp(x: NDArray[np.float64], keep: NDArray[np.bool_]) -> None:
@@ -196,6 +212,25 @@ def _masked_exp(x: NDArray[np.float64], keep: NDArray[np.bool_]) -> None:
     x *= keep
 
 
+def _softmax_rows(
+    u: NDArray[np.float64], c: NDArray[np.float64], keep: NDArray[np.bool_]
+) -> None:
+    """Write ``row_softmax(u)`` into c, using keep, a bool array of u's
+    shape, as scratch."""
+    np.subtract(u, u.max(axis=1, keepdims=True), out=c)
+    np.greater_equal(c, LOG_TINY, out=keep)
+    _masked_exp(c, keep)
+    c /= c.sum(axis=1, keepdims=True)
+    # Division by row sums in [1, M] can still push entries below tiny.
+    np.greater_equal(c, np.finfo(np.float64).tiny, out=keep)
+    c *= keep
+
+
+def _scratch(u: np.ndarray, blocks: list[slice], dtype=np.float64) -> np.ndarray:
+    """An uninitialized array shaped like u's first (largest) block."""
+    return np.empty((blocks[0].stop if blocks else 0, *u.shape[1:]), dtype=dtype)
+
+
 def row_softmax(u: NDArray[np.float64]) -> NDArray[np.float64]:
     """Row-wise softmax whose entries are each exactly 0 or >= finfo.tiny.
 
@@ -203,13 +238,11 @@ def row_softmax(u: NDArray[np.float64]) -> NDArray[np.float64]:
     other entry equals the plain formula's.
     """
     u = np.asarray(u, dtype=np.float64)
-    c = u - u.max(axis=1, keepdims=True)
-    keep = c >= LOG_TINY
-    _masked_exp(c, keep)
-    c /= c.sum(axis=1, keepdims=True)
-    # Division by row sums in [1, M] can still push entries below tiny.
-    np.greater_equal(c, np.finfo(np.float64).tiny, out=keep)
-    c *= keep
+    c = np.empty(u.shape)
+    blocks = _row_blocks(u)
+    keep = _scratch(u, blocks, bool)
+    for rows in blocks:
+        _softmax_rows(u[rows], c[rows], keep[: rows.stop - rows.start])
     return c
 
 
@@ -219,21 +252,28 @@ def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> Correspond
 
     Indices whose top two tensor eigenvalues coincide within
     DEGENERATE_TENSOR_GAP are flagged in ``degenerate``; a deterministic
-    eigenvector is still returned for them.
+    eigenvector is still returned for them. The scores are read in row
+    blocks, and no (N, M) array is formed.
     """
     u = np.asarray(scores, dtype=np.float64)
     normals = target.require_normals()
     if u.ndim != 2 or u.shape[1] != len(target):
         raise ValueError("score matrix columns must match the target size")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("score matrix must be finite")
 
-    # One GEMM gives the averaged positions and the 6 unique entries of
-    # each averaged normal tensor.
+    # One GEMM per row block gives the averaged positions and the 6 unique
+    # entries of each averaged normal tensor.
     cols = np.empty((len(target), 9))
     cols[:, :3] = target.positions
     cols[:, 3:] = normals[:, _TENSOR_A] * normals[:, _TENSOR_B]
-    avg = row_softmax(u) @ cols
+    avg = np.empty((u.shape[0], 9))
+    blocks = _row_blocks(u)
+    c, keep = _scratch(u, blocks), _scratch(u, blocks, bool)
+    for rows in blocks:
+        k = rows.stop - rows.start
+        if not np.isfinite(u[rows], out=keep[:k]).all():
+            raise ValueError("score matrix must be finite")
+        _softmax_rows(u[rows], c[:k], keep[:k])
+        np.matmul(c[:k], cols, out=avg[rows])
     y = avg[:, :3]
     tensors = avg[:, _TENSOR_COLS]
     n, _, gap = eig3.principal_direction(tensors)
@@ -275,14 +315,19 @@ def reliability_weights(scores: NDArray[np.float64]) -> NDArray[np.float64]:
     Terms that would be subnormal are flushed to 0. Rows that underflow to
     zero are kept (and logged); downstream weighted solves treat them as
     zero-confidence pairs. A NaN score raises ``ValueError``: it survives the
-    masked exp into its row sum, so the check reads the (N,) sums and forms
-    no (N, M) mask.
+    masked exp into its row sum, so the check reads the (N,) sums. The
+    scores are read in row blocks, and no (N, M) array is formed.
     """
     u = np.asarray(scores, dtype=np.float64)
-    keep = u >= LOG_TINY
-    e = np.minimum(u, SCORE_CLAMP)
-    _masked_exp(e, keep)
-    zeta = e.sum(axis=1)
+    zeta = np.empty(u.shape[0])
+    blocks = _row_blocks(u)
+    e, keep = _scratch(u, blocks), _scratch(u, blocks, bool)
+    for rows in blocks:
+        k = rows.stop - rows.start
+        np.greater_equal(u[rows], LOG_TINY, out=keep[:k])
+        np.minimum(u[rows], SCORE_CLAMP, out=e[:k])
+        _masked_exp(e[:k], keep[:k])
+        e[:k].sum(axis=1, out=zeta[rows])
     if np.isnan(zeta).any():
         raise ValueError("score matrix must not contain NaN")
     dead = zeta == 0.0
@@ -309,11 +354,13 @@ def load_scores_csv(path) -> NDArray[np.float64]:
     """Header-free CSV of N rows and M columns of assignment scores.
 
     M is the width of the first non-blank row; a row of another width or a
-    non-numeric value raises ``ParseError`` with its line number.
+    non-numeric value raises ``ParseError`` with the path and line number.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     first = next((raw for raw in lines if raw.strip()), None)
     if first is None:
-        raise ParseError("empty scores file", 1)
-    width = len(first.split(","))
-    return _numeric_rows(lines, width, sep=",")
+        raise ParseError("empty scores file", 1, path)
+    try:
+        return _numeric_rows(lines, len(first.split(",")), sep=",")
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None

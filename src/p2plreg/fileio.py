@@ -22,11 +22,15 @@ EXACT_FMT = "%.17g"
 
 
 class ParseError(ValueError):
-    """Malformed cloud file; carries the 1-based offending line number."""
+    """Malformed input file; carries the 1-based offending line number and
+    the file's path once the reader has named it."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
+        self.path = path
 
 
 def _format_row(values) -> str:
@@ -44,10 +48,13 @@ def save(path, cloud: PointCloud) -> None:
 
 def load(path) -> PointCloud:
     """Read a PLY or XYZN cloud, chosen by the file extension."""
-    path = Path(path)
-    if path.suffix.lower() == ".ply":
-        return _load_ply(path)
-    return _load_xyzn(path)
+    try:
+        file = Path(path)
+        if file.suffix.lower() == ".ply":
+            return _load_ply(file)
+        return _load_xyzn(file)
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
 
 
 def _save_ply(path: Path, cloud: PointCloud) -> None:
@@ -202,15 +209,21 @@ def save_transform(path, t: RigidTransform) -> None:
 
 
 def load_transform(path) -> RigidTransform:
-    m = _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 4)
+    try:
+        m = _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 4)
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
     if len(m) != 3:
-        raise ParseError(f"expected 3 rows, found {len(m)}", len(m) + 1)
+        raise ParseError(f"expected 3 rows, found {len(m)}", len(m) + 1, path)
     return RigidTransform(m[:, :3], m[:, 3])
 
 
 def load_weights(path) -> NDArray[np.float64]:
     """(N,) per-source reliabilities from a header-free CSV of one column."""
-    return _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 1, sep=",")[:, 0]
+    try:
+        return _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 1, sep=",")[:, 0]
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
 
 
 def ensure_dir(path) -> Path:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -235,6 +236,16 @@ class TestRegister:
         assert main(["register", "--in", str(dataset), "--weights", str(w),
                      "--out", str(tmp_path / "reg5b")]) == 1
         assert "line 1: expected 1 values per line, found 2" in capsys.readouterr().err
+
+    def test_malformed_cloud_error_names_the_file(self, dataset, tmp_path, capsys):
+        data = tmp_path / "bad"
+        shutil.copytree(dataset, data)
+        path = data / "pair_0001" / "source.ply"
+        lines = path.read_text().splitlines()
+        lines[11] = "0 zero 0 0 0 1"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["register", "--in", str(data), "--out", str(tmp_path / "reg")]) == 1
+        assert f"error: {path}: line 12: non-numeric value" in capsys.readouterr().err
 
     def test_backward_taken_at_loaded_source(self, dataset, tmp_path, monkeypatch):
         from p2plreg import cli

@@ -1,6 +1,7 @@
 """Correspondence machinery tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from p2plreg import eig3
+from p2plreg import correspond, eig3
 from p2plreg.cloud import PointCloud
 from p2plreg.correspond import (
     CorrespondenceSet,
@@ -218,6 +219,118 @@ class TestSoftKernelOracles:
         c = row_softmax(u)
         assert np.all((c == 0.0) | (c >= TINY))
         np.testing.assert_allclose(c.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+# Shapes split into row blocks: at the module's block size, 100 rows of
+# 1000 make 32-row blocks and a 4-row tail, 40000 columns exceed a block so
+# each block is one row, and one row is one block; 2100 entries make 7-row
+# blocks of 40 rows. The oracle is one block.
+BLOCKED = [(100, 1000, None), (5, 40000, None), (1, 300, None), (40, 300, 2100)]
+
+
+def _one_block(call):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correspond, "_BLOCK_ELEMS", 10**12)
+        return call()
+
+
+def _blocked_scores(n, m):
+    """Scores from -1000s up to past SCORE_CLAMP, so every row has flushed,
+    clamped or subnormal-bound terms next to normal ones."""
+    t = RigidTransform(random_rotation(np.random.default_rng(33)), np.array([0.1, 0.0, -0.2]))
+    return match_matrix(_cloud(34, n), _cloud(35, m), t, alpha=85.0, beta=30.0)
+
+
+class TestRowBlocks:
+    """The row-blocked score passes against one block."""
+
+    @pytest.fixture(params=BLOCKED, ids=lambda p: "x".join(map(str, p[:2])) + f"-{p[2]}")
+    def shape(self, request, monkeypatch):
+        n, m, elems = request.param
+        if elems is not None:
+            monkeypatch.setattr(correspond, "_BLOCK_ELEMS", elems)
+        assert n == 1 or len(correspond._row_blocks(np.empty((n, m)))) > 1
+        return n, m
+
+    def test_match_matrix_is_bitwise_one_block(self, shape):
+        n, m = shape
+        t = RigidTransform(random_rotation(np.random.default_rng(36)), np.array([0.3, 0.1, 0.0]))
+        args = (_cloud(37, n), _cloud(38, m), t, 0.7, 40.0)
+        u = match_matrix(*args)
+        assert u.tobytes() == _one_block(lambda: match_matrix(*args)).tobytes()
+
+    @pytest.mark.parametrize("fn", [row_softmax, reliability_weights])
+    def test_softmax_and_reliability_are_bitwise_one_block(self, shape, fn):
+        u = _blocked_scores(*shape)
+        assert fn(u).tobytes() == _one_block(lambda: fn(u)).tobytes()
+
+    def test_soft_pointers_match_one_block(self, shape, monkeypatch):
+        n, m = shape
+        u, target = _blocked_scores(n, m), _cloud(35, m)
+        seen = []
+        real = eig3.principal_direction
+        monkeypatch.setattr(eig3, "principal_direction", lambda t: seen.append(t) or real(t))
+        corr = soft_pointers(u, target)
+        oracle = _one_block(lambda: soft_pointers(u, target))
+        np.testing.assert_allclose(corr.targets, oracle.targets, rtol=1e-13)
+        np.testing.assert_allclose(seen[0], seen[1], rtol=1e-13, atol=1e-13 * np.abs(seen[1]).max())
+        np.testing.assert_array_equal(corr.degenerate, oracle.degenerate)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_in_last_block_raises(self, value):
+        u = np.zeros((100, 1000))
+        assert correspond._row_blocks(u)[-1].start > 0
+        u[99, 7] = value
+        with pytest.raises(ValueError, match="score matrix must be finite"):
+            soft_pointers(u, _cloud(7, 1000))
+        if np.isnan(value):
+            with pytest.raises(ValueError, match="score matrix must not contain NaN"):
+                reliability_weights(u)
+
+    def _warnings(self, call, caplog):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="p2plreg.correspond"):
+            call()
+        return [r.getMessage() for r in caplog.records]
+
+    def test_underflow_warning_counts_rows_across_blocks(self, caplog, monkeypatch):
+        u = np.zeros((7, 3))
+        u[[0, 3, 6]] = -1e9
+        call = lambda: reliability_weights(u)  # noqa: E731
+        oracle = self._warnings(call, caplog)
+        monkeypatch.setattr(correspond, "_BLOCK_ELEMS", 6)
+        assert len(correspond._row_blocks(u)) == 4
+        assert self._warnings(call, caplog) == oracle == [
+            "reliability_weights: 3 rows underflowed to zero"]
+
+    def test_degenerate_warning_counts_rows_across_blocks(self, caplog, monkeypatch):
+        # Two orthogonal normals: equal scores tie the top eigenvalues.
+        target = PointCloud(np.array([[1.0, 0, 0], [0, 1.0, 0]]), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+        u = np.tile([5.0, 0.0], (7, 1))
+        u[[0, 3, 6]] = 0.0
+        call = lambda: soft_pointers(u, target)  # noqa: E731
+        oracle = self._warnings(call, caplog)
+        monkeypatch.setattr(correspond, "_BLOCK_ELEMS", 4)
+        assert len(correspond._row_blocks(u)) == 4
+        assert self._warnings(call, caplog) == oracle == [
+            "soft_pointers: 3 degenerate normal tensors"]
+
+
+@pytest.mark.parametrize("fn", [
+    lambda u, target: soft_pointers(u, target),
+    lambda u, target: reliability_weights(u),
+], ids=["soft_pointers", "reliability_weights"])
+def test_score_passes_peak_below_one_full_matrix(fn):
+    # One (1024, 1024) array is 8 MiB; the row blocks keep the peak under 1.
+    u = _blocked_scores(1024, 1024)
+    target = _cloud(35, 1024)
+    tracemalloc.start()
+    try:
+        fn(u, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestMatchMatrix:
@@ -436,6 +549,15 @@ def test_scores_csv_rejects_ragged_rows(tmp_path):
     path.write_text("1,2\n3\n")
     with pytest.raises(ParseError, match="line 2") as info:
         load_scores_csv(path)
+    assert info.value.line == 2
+
+
+def test_scores_csv_error_names_the_file(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("1,2\n3,x\n")
+    with pytest.raises(ParseError) as info:
+        load_scores_csv(path)
+    assert str(info.value) == f"{path}: line 2: non-numeric value"
     assert info.value.line == 2
 
 

@@ -187,6 +187,33 @@ class TestTransformFile:
             fileio.load_transform(path)
 
 
+class TestErrorsNameTheFile:
+    """A ParseError from a reader puts the file's path before its line."""
+
+    def test_cloud(self, tmp_path):
+        path = tmp_path / "source.ply"
+        path.write_text("\n".join(PLY + ["0 zero 0"]) + "\n")
+        with pytest.raises(ParseError) as err:
+            fileio.load(path)
+        assert str(err.value) == f"{path}: line 9: non-numeric value"
+        assert (err.value.line, err.value.path) == (9, path)
+
+    def test_weights(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("1.0,1.0\n")
+        with pytest.raises(ParseError) as err:
+            fileio.load_weights(str(path))
+        assert str(err.value) == f"{path}: line 1: expected 1 values per line, found 2"
+        assert err.value.line == 1
+
+    def test_transform(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("1 0 0 0\n0 1 0 0\n")
+        with pytest.raises(ParseError) as err:
+            fileio.load_transform(path)
+        assert str(err.value) == f"{path}: line 3: expected 3 rows, found 2"
+
+
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         fileio.load("/nonexistent/cloud.ply")
