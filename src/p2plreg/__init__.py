@@ -11,14 +11,13 @@ from .cloud import PointCloud, RegistrationPair
 from .correspond import (
     CorrespondenceSet,
     gumbel_hard_weights,
-    load_scores_csv,
     match_matrix,
     nn_correspond,
     reliability_weights,
     soft_pointers,
     topk_keypoints,
 )
-from .fileio import ParseError, load, load_transform, save, save_transform
+from .fileio import ParseError, load, load_scores_csv, load_transform, save, save_transform
 from .geometry import (
     RigidTransform,
     apply_transform,

@@ -37,10 +37,13 @@ FLOAT = "%.17g"
 
 
 def _worker_count() -> int:
-    env = os.environ.get("P2PL_THREADS", "")
-    if env.strip():
+    env = os.environ.get("P2PL_THREADS", "").strip()
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"P2PL_THREADS must be an integer, got {env!r}") from None
 
 
 def _pool_map(fn, items):
@@ -401,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _worker_count()  # a bad P2PL_THREADS fails here, before any output
         return args.func(args)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,8 @@ class PointCloud:
             nrm = _as_points(self.normals, "normals")
             if nrm.shape[0] != pos.shape[0]:
                 raise ValueError("normals and positions must have matching length")
+            if not np.all(np.isfinite(nrm)):
+                raise ValueError("normals must be finite")
             lengths = np.linalg.norm(nrm, axis=1)
             if np.any(np.abs(lengths - 1.0) > UNIT_NORMAL_TOL):
                 worst = float(np.max(np.abs(lengths - 1.0)))

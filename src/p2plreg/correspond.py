@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,7 +21,6 @@ from scipy.spatial.distance import cdist
 
 from . import eig3
 from .cloud import UNIT_NORMAL_TOL, PointCloud, _read_only
-from .fileio import ParseError, _numeric_rows
 from .geometry import RigidTransform, apply_transform
 
 logger = logging.getLogger(__name__)
@@ -182,7 +180,7 @@ def match_matrix(
     a = (source.positions @ t.rotation.T + t.translation)[:, cols]
     b = target.positions[:, cols]
     u = np.empty((len(a), len(b)))
-    for rows in _row_blocks(u):
+    for rows, _ in _blocks(u):
         block = u[rows]
         cdist(a[rows], b, "sqeuclidean", out=block)
         block *= -beta
@@ -197,6 +195,17 @@ def _row_blocks(u: np.ndarray) -> list[slice]:
     # _BLOCK_ELEMS // (entries per row), without dividing by zero.
     step = max(1, _BLOCK_ELEMS * n // max(u.size, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _blocks(u: np.ndarray, *dtypes):
+    """Walk u's row blocks: yield each block's slice and a list of one
+    uninitialized scratch view per dtype, shaped like the block. The scratch
+    arrays are sized for the first (largest) block and reused by the rest."""
+    blocks = _row_blocks(u)
+    shape = (blocks[0].stop if blocks else 0, *u.shape[1:])
+    scratch = [np.empty(shape, dtype) for dtype in dtypes]
+    for rows in blocks:
+        yield rows, [s[: rows.stop - rows.start] for s in scratch]
 
 
 def _masked_exp(x: NDArray[np.float64], keep: NDArray[np.bool_]) -> None:
@@ -226,11 +235,6 @@ def _softmax_rows(
     c *= keep
 
 
-def _scratch(u: np.ndarray, blocks: list[slice], dtype=np.float64) -> np.ndarray:
-    """An uninitialized array shaped like u's first (largest) block."""
-    return np.empty((blocks[0].stop if blocks else 0, *u.shape[1:]), dtype=dtype)
-
-
 def row_softmax(u: NDArray[np.float64]) -> NDArray[np.float64]:
     """Row-wise softmax whose entries are each exactly 0 or >= finfo.tiny.
 
@@ -239,10 +243,8 @@ def row_softmax(u: NDArray[np.float64]) -> NDArray[np.float64]:
     """
     u = np.asarray(u, dtype=np.float64)
     c = np.empty(u.shape)
-    blocks = _row_blocks(u)
-    keep = _scratch(u, blocks, bool)
-    for rows in blocks:
-        _softmax_rows(u[rows], c[rows], keep[: rows.stop - rows.start])
+    for rows, (keep,) in _blocks(u, bool):
+        _softmax_rows(u[rows], c[rows], keep)
     return c
 
 
@@ -266,14 +268,11 @@ def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> Correspond
     cols[:, :3] = target.positions
     cols[:, 3:] = normals[:, _TENSOR_A] * normals[:, _TENSOR_B]
     avg = np.empty((u.shape[0], 9))
-    blocks = _row_blocks(u)
-    c, keep = _scratch(u, blocks), _scratch(u, blocks, bool)
-    for rows in blocks:
-        k = rows.stop - rows.start
-        if not np.isfinite(u[rows], out=keep[:k]).all():
+    for rows, (c, keep) in _blocks(u, np.float64, bool):
+        if not np.isfinite(u[rows], out=keep).all():
             raise ValueError("score matrix must be finite")
-        _softmax_rows(u[rows], c[:k], keep[:k])
-        np.matmul(c[:k], cols, out=avg[rows])
+        _softmax_rows(u[rows], c, keep)
+        np.matmul(c, cols, out=avg[rows])
     y = avg[:, :3]
     tensors = avg[:, _TENSOR_COLS]
     n, _, gap = eig3.principal_direction(tensors)
@@ -320,14 +319,11 @@ def reliability_weights(scores: NDArray[np.float64]) -> NDArray[np.float64]:
     """
     u = np.asarray(scores, dtype=np.float64)
     zeta = np.empty(u.shape[0])
-    blocks = _row_blocks(u)
-    e, keep = _scratch(u, blocks), _scratch(u, blocks, bool)
-    for rows in blocks:
-        k = rows.stop - rows.start
-        np.greater_equal(u[rows], LOG_TINY, out=keep[:k])
-        np.minimum(u[rows], SCORE_CLAMP, out=e[:k])
-        _masked_exp(e[:k], keep[:k])
-        e[:k].sum(axis=1, out=zeta[rows])
+    for rows, (e, keep) in _blocks(u, np.float64, bool):
+        np.greater_equal(u[rows], LOG_TINY, out=keep)
+        np.minimum(u[rows], SCORE_CLAMP, out=e)
+        _masked_exp(e, keep)
+        e.sum(axis=1, out=zeta[rows])
     if np.isnan(zeta).any():
         raise ValueError("score matrix must not contain NaN")
     dead = zeta == 0.0
@@ -349,18 +345,3 @@ def topk_keypoints(feature_norms, k: int, *, order: str = "asc") -> NDArray[np.i
     key = norms if order == "asc" else -norms
     return np.argsort(key, kind="stable")[:k]
 
-
-def load_scores_csv(path) -> NDArray[np.float64]:
-    """Header-free CSV of N rows and M columns of assignment scores.
-
-    M is the width of the first non-blank row; a row of another width or a
-    non-numeric value raises ``ParseError`` with the path and line number.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    first = next((raw for raw in lines if raw.strip()), None)
-    if first is None:
-        raise ParseError("empty scores file", 1, path)
-    try:
-        return _numeric_rows(lines, len(first.split(",")), sep=",")
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.line, path) from None

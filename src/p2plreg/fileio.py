@@ -1,4 +1,4 @@
-"""Point-cloud file formats: ascii PLY, XYZN text, and gt.txt transforms.
+"""File formats: ascii PLY and XYZN clouds, gt.txt transforms, weight and score CSVs.
 
 Numbers in cloud files are written with 9 significant digits, which is
 enough for the 1e-6 acceptance tolerances and makes save/load/save
@@ -9,6 +9,7 @@ digits so they survive a reload at 1e-12.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,18 @@ class ParseError(ValueError):
         self.path = path
 
 
+@contextmanager
+def _naming(path):
+    """Name ``path`` in each ValueError its reader raises: a ``ParseError``
+    keeps its line, any other gets the path in front. OSError names it already."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _format_row(values) -> str:
     return " ".join(FLOAT_FMT % v for v in values)
 
@@ -48,13 +61,11 @@ def save(path, cloud: PointCloud) -> None:
 
 def load(path) -> PointCloud:
     """Read a PLY or XYZN cloud, chosen by the file extension."""
-    try:
+    with _naming(path):
         file = Path(path)
         if file.suffix.lower() == ".ply":
             return _load_ply(file)
         return _load_xyzn(file)
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.line, path) from None
 
 
 def _save_ply(path: Path, cloud: PointCloud) -> None:
@@ -209,21 +220,31 @@ def save_transform(path, t: RigidTransform) -> None:
 
 
 def load_transform(path) -> RigidTransform:
-    try:
+    with _naming(path):
         m = _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 4)
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.line, path) from None
-    if len(m) != 3:
-        raise ParseError(f"expected 3 rows, found {len(m)}", len(m) + 1, path)
-    return RigidTransform(m[:, :3], m[:, 3])
+        if len(m) != 3:
+            raise ParseError(f"expected 3 rows, found {len(m)}", len(m) + 1)
+        return RigidTransform(m[:, :3], m[:, 3])
 
 
 def load_weights(path) -> NDArray[np.float64]:
     """(N,) per-source reliabilities from a header-free CSV of one column."""
-    try:
+    with _naming(path):
         return _numeric_rows(Path(path).read_text(encoding="utf-8").splitlines(), 1, sep=",")[:, 0]
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.line, path) from None
+
+
+def load_scores_csv(path) -> NDArray[np.float64]:
+    """Header-free CSV of N rows and M columns of assignment scores.
+
+    M is the width of the first non-blank row; a row of another width or a
+    non-numeric value raises ``ParseError`` with the path and line number.
+    """
+    with _naming(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        first = next((raw for raw in lines if raw.strip()), None)
+        if first is None:
+            raise ParseError("empty scores file", 1)
+        return _numeric_rows(lines, len(first.split(",")), sep=",")
 
 
 def ensure_dir(path) -> Path:

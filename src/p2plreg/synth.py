@@ -139,24 +139,17 @@ def _partial_scan(cloud: PointCloud, n_partial: int, rng: np.random.Generator) -
     return PointCloud(cloud.positions[keep], normals)
 
 
-def make_cpu_pair(
-    shapes: list[PointCloud],
-    cfg: SynthConfig,
-    *,
-    unduplicated: bool = True,
-) -> RegistrationPair:
+def make_cpu_pair(shapes: list[PointCloud], cfg: SynthConfig) -> RegistrationPair:
     """Build a compose/partial/unduplicated registration pair.
 
     Steps: compose the shapes under independent random rigid transforms,
-    draw the pair transform, sample ``n_sample`` points independently from
-    source and target (the same sample when ``unduplicated`` is False), and
+    draw the pair transform, sample ``n_sample`` source points and
+    ``n_sample`` target points from the indices the source left unused, and
     partial-scan each side down to ``n_partial`` points. The ground truth
     and the pre-partial clouds are recorded on the returned pair.
 
-    Unduplicated pairs draw the target sample from the indices the source
-    left unused, so no point of one set lands exactly on a point of the
-    other after alignment; this needs the composite to hold at least
-    2 * n_sample points.
+    Unduplicated sampling puts no point of one set exactly on a point of the
+    other after alignment, and needs a composite of 2 * n_sample points.
     """
     if not shapes:
         raise ValueError("shapes must be nonempty")
@@ -166,7 +159,7 @@ def make_cpu_pair(
                 f"shape {i} has {len(shape)} points, need at least {cfg.n_sample}"
             )
     total = sum(len(shapes[i % len(shapes)]) for i in range(cfg.compose_count))
-    if unduplicated and total < 2 * cfg.n_sample:
+    if total < 2 * cfg.n_sample:
         raise InsufficientPoints(
             f"composite has {total} points, unduplicated sampling needs {2 * cfg.n_sample}"
         )
@@ -186,12 +179,9 @@ def make_cpu_pair(
 
     src_rng = derived_rng(cfg.seed, "sample", 0)
     src_idx = src_rng.choice(len(x_all), size=cfg.n_sample, replace=False)
-    if unduplicated:
-        remaining = np.setdiff1d(np.arange(len(x_all)), src_idx, assume_unique=False)
-        tgt_rng = derived_rng(cfg.seed, "sample", 1)
-        tgt_idx = tgt_rng.choice(remaining, size=cfg.n_sample, replace=False)
-    else:
-        tgt_idx = src_idx
+    remaining = np.setdiff1d(np.arange(len(x_all)), src_idx, assume_unique=False)
+    tgt_rng = derived_rng(cfg.seed, "sample", 1)
+    tgt_idx = tgt_rng.choice(remaining, size=cfg.n_sample, replace=False)
     clean_source = PointCloud(x_all.positions[src_idx], x_all.require_normals()[src_idx])
     clean_target = PointCloud(y_all.positions[tgt_idx], y_all.require_normals()[tgt_idx])
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from p2plreg import fileio
 from p2plreg.cloud import PointCloud
-from p2plreg.cli import main
+from p2plreg.cli import _worker_count, main
 from p2plreg.gradient import GradientBundle, PerInput
 from p2plreg.metrics import euler_zyx_angles
 
@@ -246,6 +247,28 @@ class TestRegister:
         path.write_text("\n".join(lines) + "\n")
         assert main(["register", "--in", str(data), "--out", str(tmp_path / "reg")]) == 1
         assert f"error: {path}: line 12: non-numeric value" in capsys.readouterr().err
+
+    # Each used to print the cloud check's message with no path; the NaN
+    # normal used to pass it and fail the pair's solve as SingularSystem.
+    @pytest.mark.parametrize("name, column, message", [
+        ("source.ply", 0, "positions must be finite"),
+        ("target.ply", 3, "normals must be finite"),
+    ], ids=["nan-position", "nan-normal"])
+    def test_invalid_cloud_value_names_the_file(
+        self, dataset, tmp_path, capsys, name, column, message
+    ):
+        data = tmp_path / "bad"
+        shutil.copytree(dataset, data)
+        path = data / "pair_0001" / name
+        lines = path.read_text().splitlines()
+        values = lines[11].split()
+        values[column] = "nan"
+        lines[11] = " ".join(values)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "reg"
+        assert main(["register", "--in", str(data), "--out", str(out)]) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_backward_taken_at_loaded_source(self, dataset, tmp_path, monkeypatch):
         from p2plreg import cli
@@ -594,6 +617,25 @@ class TestRejectedRunWritesNothing:
         assert _exit_code([*argv, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # It used to fail with int()'s message, naming nothing, after writing
+    # run_config.json.
+    @pytest.mark.parametrize("command", ["synth", "register", "gradcheck", "bench"])
+    def test_non_integer_thread_count(self, dataset, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("P2PL_THREADS", "abc")
+        argv = [command, "--in", str(dataset)] if command == "register" else [command]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "error: P2PL_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, workers", [
+        ("", min(8, os.cpu_count() or 1)), (" ", min(8, os.cpu_count() or 1)),
+        ("0", 1), ("-3", 1), (" 2 ", 2),
+    ])
+    def test_thread_count_values(self, monkeypatch, value, workers):
+        monkeypatch.setenv("P2PL_THREADS", value)
+        assert _worker_count() == workers
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--n-points", "4", "--n-partial", "1"],

@@ -20,6 +20,13 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="normals and positions must have matching length"):
             PointCloud(np.zeros((3, 3)), np.tile([0.0, 0.0, 1.0], (2, 1)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_normals(self, value):
+        # A NaN length passes the unit-length test, so it needs its own.
+        normals = np.array([[value, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="normals must be finite"):
+            PointCloud(np.zeros((2, 3)), normals)
+
     def test_non_unit_normals_report_worst_deviation(self):
         normals = np.tile([0.0, 0.0, 1.0], (3, 1))
         normals[1] *= 1.5

@@ -14,7 +14,6 @@ from p2plreg.cloud import PointCloud
 from p2plreg.correspond import (
     CorrespondenceSet,
     gumbel_hard_weights,
-    load_scores_csv,
     match_matrix,
     naive_vector_pointers,
     nn_correspond,
@@ -23,7 +22,7 @@ from p2plreg.correspond import (
     soft_pointers,
     topk_keypoints,
 )
-from p2plreg.fileio import ParseError
+from p2plreg.fileio import ParseError, load_scores_csv
 from p2plreg.geometry import RigidTransform, random_rotation
 
 

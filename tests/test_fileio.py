@@ -5,8 +5,7 @@ import pytest
 
 from p2plreg import fileio
 from p2plreg.cloud import PointCloud
-from p2plreg.correspond import load_scores_csv
-from p2plreg.fileio import ParseError
+from p2plreg.fileio import ParseError, load_scores_csv
 from p2plreg.geometry import RigidTransform, random_rotation
 
 
@@ -188,7 +187,8 @@ class TestTransformFile:
 
 
 class TestErrorsNameTheFile:
-    """A ParseError from a reader puts the file's path before its line."""
+    """Every ValueError from a reader puts the file's path first; a
+    ParseError keeps its line after it."""
 
     def test_cloud(self, tmp_path):
         path = tmp_path / "source.ply"
@@ -212,6 +212,25 @@ class TestErrorsNameTheFile:
         with pytest.raises(ParseError) as err:
             fileio.load_transform(path)
         assert str(err.value) == f"{path}: line 3: expected 3 rows, found 2"
+
+    # A value the file parses but its container rejects, and bytes that are
+    # not UTF-8, are named too; each used to raise with no path.
+    @pytest.mark.parametrize("name, data, read, message", [
+        ("source.ply", "\n".join(PLY[:-1] + ["1 nan 3"]).encode(), fileio.load,
+         "positions must be finite"),
+        ("c.xyzn", b"0 0 0 0 0 2\n", fileio.load,
+         "normals must be unit length (worst deviation 1.000e+00)"),
+        ("gt.txt", b"1 0 0 inf\n0 1 0 0\n0 0 1 0\n", fileio.load_transform,
+         "translation must be finite"),
+        ("s.csv", b"1,\xff\xfe,2\n", load_scores_csv, "can't decode byte 0xff"),
+    ], ids=["ply-nan", "xyzn-non-unit", "gt-inf", "scores-non-utf8"])
+    def test_invalid_value(self, tmp_path, name, data, read, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
 
 
 def test_load_missing_file():

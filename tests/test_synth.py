@@ -96,15 +96,6 @@ class TestMakeCpuPair:
         with pytest.raises(InsufficientPoints, match=message):
             make_cpu_pair(shapes, cfg)
 
-    def test_degenerate_config_reproduces_source(self):
-        shape = synth_shape("blob", 512, seed=4)
-        cfg = SynthConfig(seed=5, n_sample=256, n_partial=256, rot_max_deg=0.0,
-                          trans_max=0.0, compose_count=1)
-        pair = make_cpu_pair([shape], cfg, unduplicated=False)
-        np.testing.assert_array_equal(pair.source.positions, pair.target.positions)
-        np.testing.assert_allclose(pair.gt.rotation, np.eye(3), atol=1e-15)
-        np.testing.assert_array_equal(pair.gt.translation, np.zeros(3))
-
     def test_unduplicated_sources_disjoint(self):
         shape = synth_shape("blob", 2048, seed=6)
         cfg = SynthConfig(seed=6, n_sample=512, n_partial=384)
