@@ -33,8 +33,6 @@ from .seeding import derived_seed
 from .solver import icp, register_p2pl
 from .synth import SHAPE_KINDS, SynthConfig, estimate_normals, make_cpu_pair, synth_shape
 
-FLOAT = "%.17g"
-
 
 def _worker_count() -> int:
     env = os.environ.get("P2PL_THREADS", "").strip()
@@ -106,7 +104,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([FLOAT % v if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(
+            [fileio.EXACT_FMT % v if isinstance(v, float) else v for v in row] for row in rows
+        )
 
 
 # ---------------------------------------------------------------------------

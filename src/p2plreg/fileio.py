@@ -3,7 +3,9 @@
 Numbers in cloud files are written with 9 significant digits, which is
 enough for the 1e-6 acceptance tolerances and makes save/load/save
 round-trips byte-identical. Ground-truth transforms use 17 significant
-digits so they survive a reload at 1e-12.
+digits so they survive a reload at 1e-12. Every numeric write goes through
+``_write_rows``, which formats a block of rows per ``%`` call; the bytes
+are those of formatting each value on its own.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .geometry import RigidTransform
 
 FLOAT_FMT = "%.9g"
 EXACT_FMT = "%.17g"
+# Rows per ``%`` call: large enough that the call overhead vanishes, small
+# enough that a block's Python floats and text stay well under a megabyte.
+_BLOCK_ROWS = 4096
 
 
 class ParseError(ValueError):
@@ -46,8 +51,13 @@ def _naming(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _format_row(values) -> str:
-    return " ".join(FLOAT_FMT % v for v in values)
+def _write_rows(fh, data: NDArray[np.float64], fmt: str) -> None:
+    """Write each row of the 2-D ``data`` as one line of ``fmt`` values
+    separated by single spaces, one block of rows per ``%`` call."""
+    line = " ".join([fmt] * data.shape[1]) + "\n"
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def save(path, cloud: PointCloud) -> None:
@@ -80,13 +90,13 @@ def _save_ply(path: Path, cloud: PointCloud) -> None:
     ]
     if cloud.has_normals:
         lines += ["property float nx", "property float ny", "property float nz"]
-    lines.append("end_header")
-    if cloud.has_normals:
         data = np.hstack([cloud.positions, cloud.normals])
     else:
         data = cloud.positions
-    lines += [_format_row(row) for row in data]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.append("end_header")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, data, FLOAT_FMT)
 
 
 def _load_ply(path: Path) -> PointCloud:
@@ -149,10 +159,9 @@ def _load_ply(path: Path) -> PointCloud:
 
 
 def _save_xyzn(path: Path, cloud: PointCloud) -> None:
-    normals = cloud.require_normals()
-    data = np.hstack([cloud.positions, normals])
-    text = "\n".join(_format_row(row) for row in data)
-    path.write_text(text + "\n", encoding="utf-8")
+    data = np.hstack([cloud.positions, cloud.require_normals()])
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_rows(fh, data, FLOAT_FMT)
 
 
 def _numeric_rows(
@@ -215,8 +224,8 @@ def _load_xyzn(path: Path) -> PointCloud:
 def save_transform(path, t: RigidTransform) -> None:
     """Write a transform as 3 lines of 4 floats, row-major [R | t]."""
     rows = np.hstack([t.rotation, t.translation.reshape(3, 1)])
-    text = "\n".join(" ".join(EXACT_FMT % v for v in row) for row in rows)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_rows(fh, rows, EXACT_FMT)
 
 
 def load_transform(path) -> RigidTransform:

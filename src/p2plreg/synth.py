@@ -8,6 +8,7 @@ pairs regardless of how many pairs are generated concurrently.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ from . import eig3
 from .cloud import PointCloud, RegistrationPair
 from .geometry import RigidTransform, apply_transform, euler_zyx_to_rotation
 from .seeding import derived_rng
+
+logger = logging.getLogger(__name__)
 
 SHAPE_KINDS = ("cube", "sphere", "torus", "blob")
 
@@ -205,9 +208,10 @@ def estimate_normals(
     the directional ambiguity of normals estimated from positions alone;
     ``random_flip=False`` orients them outward from the centroid instead.
 
-    With ``return_flags=True`` also returns a boolean mask marking
-    degenerate (rank < 2) neighborhoods, whose normals are still computed
-    from the smallest eigenvector but should not be trusted.
+    Degenerate (rank < 2) neighborhoods still get the smallest eigenvector
+    as their normal, which should not be trusted; their count is logged as
+    one warning. With ``return_flags=True`` also returns a boolean mask
+    marking them.
     """
     n = len(cloud)
     if k < 3:
@@ -224,6 +228,8 @@ def estimate_normals(
     normals, lams = eig3.smallest_direction(cov)
     scale = np.maximum(lams[:, 0], 1e-300)
     degenerate = lams[:, 1] <= 1e-12 * scale
+    if np.any(degenerate):
+        logger.warning("estimate_normals: %d degenerate neighborhoods", int(degenerate.sum()))
 
     if random_flip:
         signs = np.where(derived_rng(seed, "flip").random(n) < 0.5, -1.0, 1.0)

@@ -186,6 +186,72 @@ class TestTransformFile:
             fileio.load_transform(path)
 
 
+def _one_value_per_call(rows, fmt):
+    """Text of ``rows`` with each value formatted by its own ``%`` call."""
+    return "\n".join(" ".join(fmt % v for v in row) for row in rows) + "\n"
+
+
+# Values at the edges of %g: signed zero, the smallest subnormal, exponents
+# far from zero, integers, and more digits than %.9g keeps.
+STRESS_POSITIONS = np.array([
+    [-0.0, 5e-324, 1e-300],
+    [1e300, 3.0, -7.0],
+    [123456789.123, -123456789.123, 0.1],
+])
+STRESS_NORMALS = np.array([[-0.0, 0.0, 1.0], [5e-324, -1.0, -0.0], [0.6, 0.0, -0.8]])
+
+
+class TestWriterBytes:
+    """Every writer formats a block of rows per ``%`` call; its bytes equal
+    formatting each value on its own."""
+
+    def _cloud(self, n, with_normals):
+        rng = np.random.default_rng(n)
+        pos = rng.standard_normal((n, 3)) * 2.5
+        nrm = rng.standard_normal((n, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        k = min(n, len(STRESS_POSITIONS))
+        pos[:k] = STRESS_POSITIONS[:k]
+        nrm[:k] = STRESS_NORMALS[:k]
+        return PointCloud(pos, nrm if with_normals else None)
+
+    # (rows per block, rows): one row; exactly one block; one row past a
+    # block; several blocks and a partial one; one row past the real block.
+    @pytest.mark.parametrize("block, n", [
+        (None, 1), (4, 4), (4, 5), (4, 11), (None, fileio._BLOCK_ROWS + 1),
+    ])
+    @pytest.mark.parametrize("suffix, with_normals", [
+        (".ply", True), (".ply", False), (".xyzn", True),
+    ], ids=["ply-normals", "ply", "xyzn"])
+    def test_cloud(self, tmp_path, monkeypatch, block, n, suffix, with_normals):
+        if block is not None:
+            monkeypatch.setattr(fileio, "_BLOCK_ROWS", block)
+        cloud = self._cloud(n, with_normals)
+        data = np.hstack([cloud.positions, cloud.normals]) if with_normals else cloud.positions
+        expect = _one_value_per_call(data, fileio.FLOAT_FMT)
+        if suffix == ".ply":
+            header = ["ply", "format ascii 1.0", f"element vertex {n}"]
+            header += [f"property float {c}" for c in ("x", "y", "z")]
+            if with_normals:
+                header += [f"property float {c}" for c in ("nx", "ny", "nz")]
+            expect = "\n".join(header + ["end_header"]) + "\n" + expect
+        path = tmp_path / f"c{suffix}"
+        fileio.save(path, cloud)
+        assert path.read_bytes() == expect.encode()
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.array([[1.0, -0.0, 0.0], [-0.0, -1.0, 0.0], [0.0, -0.0, -1.0]]),
+         np.array([5e-324, 1e300, 123456789.123])),
+        (random_rotation(np.random.default_rng(8)), np.array([-0.0, 1e-300, -7.0])),
+    ], ids=["signed-zeros", "random"])
+    def test_transform(self, tmp_path, rotation, translation):
+        t = RigidTransform(rotation, translation)
+        path = tmp_path / "gt.txt"
+        fileio.save_transform(path, t)
+        rows = np.hstack([t.rotation, t.translation.reshape(3, 1)])
+        assert path.read_bytes() == _one_value_per_call(rows, fileio.EXACT_FMT).encode()
+
+
 class TestErrorsNameTheFile:
     """Every ValueError from a reader puts the file's path first; a
     ParseError keeps its line after it."""

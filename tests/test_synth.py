@@ -193,6 +193,18 @@ class TestEstimateNormals:
         assert flags.all()
         assert cloud.normals.shape == (50, 3)
 
+    def test_degenerate_neighborhoods_logged(self, caplog):
+        # Collinear points: every neighborhood is rank 1; one warning counts them.
+        line = np.linspace(0.0, 1.0, 50)[:, None] * np.array([1.0, 0.0, 0.0])
+        with caplog.at_level("WARNING", logger="p2plreg.synth"):
+            estimate_normals(PointCloud(line), k=5, seed=3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "estimate_normals: 50 degenerate neighborhoods"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="p2plreg.synth"):
+            estimate_normals(PointCloud(synth_shape("sphere", 200, seed=5).positions), k=8, seed=3)
+        assert caplog.records == []
+
     def test_consistent_orientation_flag(self):
         base = synth_shape("sphere", 600, seed=18)
         est = estimate_normals(PointCloud(base.positions), k=12, seed=4, random_flip=False)
