@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import logging
 import math
 import os
 import sys
@@ -32,6 +34,8 @@ from .metrics import chamfer, euler_zyx_angles, rotation_errors, summary
 from .seeding import derived_seed
 from .solver import icp, register_p2pl
 from .synth import SHAPE_KINDS, SynthConfig, estimate_normals, make_cpu_pair, synth_shape
+
+logger = logging.getLogger(__name__)
 
 
 def _worker_count() -> int:
@@ -54,9 +58,8 @@ def _pool_map(fn, items):
 
 
 def _echo_config(out: Path, args: argparse.Namespace) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
     (out / "run_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
+        json.dumps(vars(args), indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
     )
 
 
@@ -207,10 +210,13 @@ def cmd_register(args: argparse.Namespace) -> int:
         try:
             # The point-to-plane energy reads only the target's normals.
             if args.estimate_normals:
-                target = estimate_normals(
+                target, degenerate = estimate_normals(
                     target, args.estimate_normals, derived_seed(index, "tgt"),
-                    random_flip=not args.consistent_normals,
+                    random_flip=not args.consistent_normals, return_flags=True,
                 )
+                if degenerate.any():
+                    logger.warning("%s: estimate_normals: %d degenerate neighborhoods",
+                                   pair_dirs[index], int(degenerate.sum()))
             t0 = time.perf_counter()
             report = icp(
                 pair.source,
@@ -265,7 +271,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     iters_list = _counts(args.iters, "--iters")
     if args.cases < 1:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
-    # One oracle pass to the largest count yields the blocks at every count.
+    # One oracle pass to the largest count yields the blocks and the forward
+    # transform at every count.
     cfg = FDConfig(step=args.fd_step, n_iters_forward=max(iters_list))
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
@@ -275,7 +282,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         fd = fd_bundle(corr, cloud, cfg, also_at=iters_list)
         case_rows = []
         for n_iters in iters_list:
-            t = register_p2pl(corr, cloud, n_iters=n_iters).transform
+            t = fd.transforms[n_iters]
             bundle = backward(corr, cloud, t)
             _, dldg = rigid_motion_loss(t, gt)
             err = compare(bundle, fd.also[n_iters], dldg, n_iters)
@@ -348,7 +355,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``p2pl`` parser, built once per process and shared by every
+    ``main`` call. An argparse parser is a web of reference cycles, so one
+    built per call would stay allocated until the cyclic collector ran,
+    for part or all of the command it parsed. ``main`` looks the
+    ``cmd_<command>`` function up when it runs it, not when the parser is
+    built."""
     parser = argparse.ArgumentParser(
         prog="p2pl",
         description="Point-to-plane registration kernel: synthesis, registration, "
@@ -366,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trans-max", type=float, default=0.5)
     p.add_argument("--compose", type=int, default=3)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("register", help="run ICP over a synthesized pair directory")
     p.add_argument("--in", dest="in_dir", required=True)
@@ -380,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--damping", type=_non_negative, default=0.0)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients to the FD oracle")
     p.add_argument("--n", type=_shape_points, default=64)
@@ -390,14 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--noise", type=_non_negative, default=1e-4)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time forward/backward phases and the FD oracle")
     p.add_argument("--n-points", type=_shape_points, default=1024)
     p.add_argument("--iters-list", default="1,5,10,20")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -405,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _worker_count()  # a bad P2PL_THREADS fails here, before any output
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -217,6 +217,12 @@ def residual_coeffs(x: NDArray[np.float64], n: NDArray[np.float64]) -> NDArray[n
     return d
 
 
+# The (p, j, m) where the Levi-Civita eps[p, j, m] is nonzero, and whether
+# it is -1 there.
+_EPS_TERMS = ((0, 1, 2, False), (1, 2, 0, False), (2, 0, 1, False),
+              (0, 2, 1, True), (1, 0, 2, True), (2, 1, 0, True))
+
+
 def _step_picks():
     """Where each step_jacobian entry sits in (row-major R, t, -R, -t, 0, 1).
 
@@ -224,9 +230,8 @@ def _step_picks():
     it is eps[p, j, m] v_m, a signed copy of v_m; column 3 + j is (0, e_j).
     """
     pick = np.full((12, 6), 24)
-    # eps[p, j, m] is +1 on the first three (p, j, m), -1 on the last three.
-    for p, j, m, neg in ((0, 1, 2, 0), (1, 2, 0, 0), (2, 0, 1, 0),
-                         (0, 2, 1, 12), (1, 0, 2, 12), (2, 1, 0, 12)):
+    for p, j, m, negative in _EPS_TERMS:
+        neg = 12 * negative
         pick[[3 * p, 3 * p + 1, 3 * p + 2, 9 + p], j] = [
             neg + 3 * m, neg + 3 * m + 1, neg + 3 * m + 2, neg + 9 + m]
     pick[[9, 10, 11], [3, 4, 5]] = 25

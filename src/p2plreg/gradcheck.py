@@ -8,8 +8,11 @@ swapped in, a rank-two update; the copies then run through the solver's
 batched kernel, whose rounds never touch the points. No round depends on
 the iteration count, so one pass to the largest count also yields the
 differences at every smaller count, read as the kernel passes it
-(``fd_bundle(..., also_at=...)``). The derivative estimate itself never
-touches the analytic backward formulas; only its record,
+(``fd_bundle(..., also_at=...)``). The unperturbed problem rides in the
+first batched job as one more item, so the same pass also yields the
+forward transform at each of those counts (``FDBlocks.transforms``),
+bitwise what ``register_p2pl`` returns. The derivative estimate itself
+never touches the analytic backward formulas; only its record,
 ``gradient.PerInput``, is shared with them.
 """
 
@@ -23,6 +26,7 @@ from numpy.typing import NDArray
 
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet
+from .geometry import RigidTransform
 from .gradient import GradientBundle, PerInput, chain_blocks
 from .seeding import derived_rng
 from .solver import _accumulate_batch, _check_sizes, _moment_rows, _moments, _world
@@ -59,7 +63,7 @@ class GradErrorReport:
     n_iters: int = 0
 
 
-def _perturbed_moments(moments, table, pairs, cols, h: float):
+def _perturbed_moments(moments, table, pairs, cols, h: float, with_base: bool = False):
     """Moments (m, q0) of the 2 len(pairs) centrally perturbed copies.
 
     ``moments`` is ``_moments`` of the unperturbed inputs, whose (N, 10)
@@ -67,9 +71,11 @@ def _perturbed_moments(moments, table, pairs, cols, h: float):
     adds +h to column ``cols[r]`` of row ``pairs[r]``, copy 2 r + 1 adds -h.
     Each copy changes one pair, so its moments are the base ones with that
     pair's term swapped for the perturbed one, a rank-two update; all copies
-    keep the base centroid.
+    keep the base centroid. ``with_base`` appends the base moments as one
+    more item, after the copies.
     """
     mu, u, s, m, q0 = moments
+    n_copies = 2 * len(pairs)
     pert = np.repeat(table[pairs], 2, axis=0)
     r = np.arange(len(pairs))[:, None]
     pert.reshape(len(pairs), 2, -1)[r, [0, 1], cols[:, None]] += [h, -h]
@@ -78,23 +84,34 @@ def _perturbed_moments(moments, table, pairs, cols, h: float):
     new_u, new_s = np.ascontiguousarray(rows[:12].T), rows[12]
     old_u = np.repeat(u[pairs], 2, axis=0)
     old_s = np.repeat(s[pairs], 2)
-    m_out = new_u[:, :, None] * new_u[:, None, :]
+    m_out = np.empty((n_copies + with_base, 12, 12))
+    m_out[n_copies:] = m
+    m_pert = m_out[:n_copies]
+    np.multiply(new_u[:, :, None], new_u[:, None, :], out=m_pert)
     # The old term leaves column by column, so no second (B, 12, 12)
     # outer product is allocated; each entry is the same product.
     for j in range(12):
-        m_out[:, :, j] -= old_u * old_u[:, j, None]
-    m_out += m
-    q_out = new_s[:, None] * new_u - old_s[:, None] * old_u
-    q_out += q0
+        m_pert[:, :, j] -= old_u * old_u[:, j, None]
+    m_pert += m
+    q_out = np.empty((n_copies + with_base, 12))
+    q_out[n_copies:] = q0
+    q_pert = q_out[:n_copies]
+    np.multiply(new_s[:, None], new_u, out=q_pert)
+    q_pert -= old_s[:, None] * old_u
+    q_pert += q0
     return m_out, q_out
 
 
 @dataclass(frozen=True)
 class FDBlocks(PerInput):
     """Oracle blocks at ``FDConfig.n_iters_forward``; ``also`` maps each
-    ``also_at`` round count of ``fd_bundle`` to the blocks at that count."""
+    ``also_at`` round count of ``fd_bundle`` to the blocks at that count.
+    ``transforms`` maps each of those counts and ``n_iters_forward`` to the
+    unperturbed forward transform, bitwise
+    ``register_p2pl(corr, source, n_iters=count).transform``."""
 
     also: dict[int, PerInput] = field(default_factory=dict)
+    transforms: dict[int, RigidTransform] = field(default_factory=dict)
 
 
 def _blocks(diffs: NDArray[np.float64]) -> PerInput:
@@ -116,7 +133,11 @@ def fd_bundle(
     rounds once, to ``cfg.n_iters_forward``, and writes the differences at
     each count in ``also_at`` (at most that many rounds) as the kernel
     reaches it; those blocks, bitwise equal to a separate call at that count,
-    are returned in the result's ``also``.
+    are returned in the result's ``also``. The first job also carries the
+    unperturbed moments as one more item, so the result's ``transforms``
+    holds the forward transform at each of those counts; as the kernel
+    solves each item as it would alone, each is bitwise the transform
+    ``register_p2pl`` returns for that count.
 
     Perturbed normals are fed to the solver as raw coordinates, matching the
     unconstrained derivative. The derivative along the unit sphere is its
@@ -136,19 +157,27 @@ def fd_bundle(
     mu = moments[0]
     per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
     diffs = {count: np.empty((len(pairs), 12)) for count in {top, *also_at}}
+    transforms = {}
     for start in range(0, len(pairs), per_job):
         sl = slice(start, start + per_job)
-        m, q0 = _perturbed_moments(moments, table, pairs[sl], cols[sl], h)
+        base = start == 0
+        m, q0 = _perturbed_moments(moments, table, pairs[sl], cols[sl], h, with_base=base)
+        n_copies = m.shape[0] - base
         mus = np.broadcast_to(mu, (m.shape[0], 3))
 
         def write(k, rot, centre, delta):
             if k in diffs:
-                g = np.concatenate([rot.reshape(-1, 9), _world(rot, centre, mus)], axis=1)
-                diffs[k][sl] = (g[0::2] - g[1::2]) / (2.0 * h)
+                world = _world(rot, centre, mus)
+                g = np.concatenate([rot.reshape(-1, 9), world], axis=1)
+                diffs[k][sl] = (g[0:n_copies:2] - g[1:n_copies:2]) / (2.0 * h)
+                if base:
+                    transforms[k] = RigidTransform(rot[-1].copy(), world[-1].copy())
 
         _accumulate_batch(m, q0, mus, top, emit=write)
     blocks = {count: _blocks(d) for count, d in diffs.items()}
-    return FDBlocks(**vars(blocks[top]), also={c: blocks[c] for c in also_at})
+    return FDBlocks(
+        **vars(blocks[top]), also={c: blocks[c] for c in also_at}, transforms=transforms
+    )
 
 
 def _relative(sq: float, ref: float) -> float:

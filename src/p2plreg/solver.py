@@ -11,11 +11,19 @@ wrapper re-derives them between accumulations.
 
 The plane residuals are linear in the 12 transform entries, so one pass
 over the points forms their 12x12 moments (``_moments``) and every round
-after that builds its 6x6 system from the moments alone
-(``_system_from_moments``) before one damped 6x6 solve (``_solve_entries``):
-a round costs O(1) in the number of pairs. The kernel is batched over
-independent problems; the finite-difference oracle feeds it B perturbed
-copies whose moments are rank-two updates of the base ones.
+after that builds its 6x6 system from the moments alone before one damped
+6x6 solve: a round costs O(1) in the number of pairs. The kernel is
+batched over independent problems; the finite-difference oracle feeds it
+B perturbed copies whose moments are rank-two updates of the base ones.
+
+A run keeps one (B, 12, 7) buffer of [J | g - g0]: J's constant entries
+are written once, and each round rewrites only its six strips of signed
+rows of R, by copies and negations (``_fill_rotation``), and the deflated
+transform g - g0. Two stacked products give J^T [m J | m (g - g0) + q0],
+and the round reads the lower triangle of the symmetrized A and -b off
+that (B, 6, 7) product as entries (``_system_entries``); at B > 1 no
+(B, 6, 6) array is formed. ``_system_from_moments`` forms the same
+products and system as arrays, for the backward and the tests.
 
 The 6x6 solve is one Cholesky factor written out entry by entry
 (``_cholesky6``), the pivot rule on its squared pivots (``_pivot_rule``),
@@ -40,6 +48,7 @@ from numpy.typing import NDArray
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet, _check_weights, _nn_matcher
 from .geometry import (
+    _EPS_TERMS,
     RigidTransform,
     _coeff_rows,
     _exp_entries,
@@ -58,7 +67,8 @@ PIVOT_RATIO = 1e-14
 CONDITION_LIMIT = 1e12
 
 _EYE3 = np.eye(3)
-_EYE6 = np.eye(6)
+# step_jacobian(R, 0) at R = I; _accumulate_batch's buffer starts from it.
+_J_IDENTITY = step_jacobian(_EYE3, 0.0)
 
 
 class SingularSystem(np.linalg.LinAlgError):
@@ -158,6 +168,48 @@ def _deflated(rot, centre, mu, out):
     np.subtract(centre, mu, out=out[:, 9:])
 
 
+def _rotation_strips(jg):
+    """The six strips of the [J | g - g0] buffer jg (B, 12, 7) that
+    ``step_jacobian(R, 0)`` fills from R, as (view, m, negative).
+
+    Rows 3 p .. 3 p + 2 of column j hold eps[p, j, m] times row m of R, for
+    the (p, j, m) of ``geometry._EPS_TERMS``. J's other entries (the +0
+    strips, and the signed zeros and ones of the translation part) are the
+    same for every R.
+    """
+    return [(jg[:, 3 * p : 3 * p + 3, j], m, negative)
+            for p, j, m, negative in _EPS_TERMS]
+
+
+def _fill_rotation(strips, rot) -> None:
+    """Write R's ``_rotation_strips`` of J as copies and negations of its
+    rows, so J equals ``step_jacobian(R, 0)`` bitwise, sign bits included."""
+    for strip, m, negative in strips:
+        if negative:
+            np.negative(rot[:, m], out=strip)
+        else:
+            strip[...] = rot[:, m]
+
+
+def _step_products(m, q0, jg):
+    """(B, 6, 7) products J^T [m J | m (g - g0) + q0] of the linearized
+    step, from the (B, 12, 7) [J | g - g0] jg."""
+    mjg = m @ jg
+    mjg[..., 6] += q0
+    return jg[..., :6].swapaxes(1, 2) @ mjg
+
+
+def _system_entries(ab):
+    """The system of ``_system_from_moments`` from its (B, 6, 7) products
+    ab, in the 6x6 kernels' entry form (``_entries``): only A's lower
+    triangle, which the factor reads, with each entry its own
+    (ab_ij + ab_ji) / 2, and b's entries -ab_i6. At B > 1 each entry is
+    one (B,) row, so no (B, 6, 6) array is made."""
+    e = _entries(ab)
+    lower = [[0.5 * (e[i][j] + e[j][i]) for j in range(i + 1)] for i in range(6)]
+    return lower, [-row[6] for row in e]
+
+
 def _system_from_moments(m, q0, mu, rot, centre):
     """6x6 systems (B, 6, 6), (B, 6) of the linearized step at (rot, centre).
 
@@ -165,18 +217,16 @@ def _system_from_moments(m, q0, mu, rot, centre):
     R' = exp([a]) R, t_c' = t_c + delta rotates about t_c, so the chart's
     12x6 Jacobian J is ``step_jacobian(R, 0)`` and the system is
     A = sym(J^T m J), b = -J^T (m (g - g0) + q0): the normal equations of
-    the per-point rows [R (x_i - mu) x n_i; n_i]. Also returns the deflated
-    g - g0, (B, 12).
+    the per-point rows [R (x_i - mu) x n_i; n_i]. The products are
+    ``_accumulate_batch``'s (``_step_products``), and A and b hold the
+    bits of its ``_system_entries``; here J comes from ``step_jacobian``,
+    with no buffer kept. Also returns the deflated g - g0, (B, 12).
     """
     # Columns 0-5 hold J, column 6 holds g - g0.
     jg = np.empty((rot.shape[0], 12, 7))
     _deflated(rot, centre, mu, jg[..., 6])
     jg[..., :6] = step_jacobian(rot, 0.0)
-    mjg = m @ jg
-    mjg[..., 6] += q0
-    ab = jg[..., :6].swapaxes(1, 2) @ mjg
-    # Free the (B, 12, 7) product before the symmetrized copy is formed.
-    del mjg
+    ab = _step_products(m, q0, jg)
     a = ab[..., :6]
     return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
 
@@ -269,17 +319,24 @@ def _entries(x):
 
 
 def _factor(a, iteration: int | None):
-    """Cholesky rows of the (B, 6, 6) systems a and their condition flag.
+    """Cholesky rows of the (B, 6, 6) systems a and their condition flag
+    (``_factor_entries``)."""
+    return _factor_entries(_entries(a), iteration)
+
+
+def _factor_entries(a, iteration: int | None):
+    """Cholesky rows and condition flag of systems in entry form: ``a[i][j]``
+    for j <= i, floats or (B,) rows.
 
     Raises SingularSystem under ``_pivot_rule``. At B > 1 a bad item takes
     the root of its negative pivot and divides by its NaN root before the
     rule sees it, so numpy's warnings are off while the factor is formed.
     """
-    if len(a) == 1:
-        rows, piv = _cholesky6(_entries(a), _root)
+    if isinstance(a[0][0], float):
+        rows, piv = _cholesky6(a, _root)
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
-            rows, piv = _cholesky6(_entries(a), np.sqrt)
+            rows, piv = _cholesky6(a, np.sqrt)
     return rows, _pivot_rule(piv, iteration)
 
 
@@ -294,10 +351,18 @@ def _solve_entries(a, b, damping: float, iteration: int | None):
     ``_factor``: one Cholesky factor per system, checked by the pivot rule,
     then forward and back substitution. Each system's solution is bitwise
     independent of the batch it is in."""
+    return _solve_lower(_entries(a), _entries(b), damping, iteration)
+
+
+def _solve_lower(a, b, damping: float, iteration: int | None):
+    """``_solve_entries`` on systems in entry form: ``a[i][j]`` for j <= i
+    and b's six entries. Damping adds damping to each diagonal entry and
+    +0 to each other one, as adding damping I does."""
     if damping:
-        a = a + damping * _EYE6
-    rows, condition = _factor(a, iteration)
-    return _substitute6(rows, _entries(b)), condition
+        a = [[v + (damping if j == i else 0.0) for j, v in enumerate(row[: i + 1])]
+             for i, row in enumerate(a)]
+    rows, condition = _factor_entries(a, iteration)
+    return _substitute6(rows, b), condition
 
 
 def _batch(entries):
@@ -323,14 +388,16 @@ def _accumulate_batch(
 
     Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
     ``_moments``; no round touches the points. Each round steps R and the
-    moved centroid t_c = t + R mu (``_system_from_moments``); the world
-    t = t_c - R mu is formed only for the returned transform. For every
-    k = 0..n_iters, ``emit(k, rotations, centres, deltas)`` receives the
-    state after k rounds (bitwise what ``n_iters = k`` ends in, since no
-    round depends on ``n_iters``) and its deflated g - g0 (B, 12), as the
-    kernel's own arrays: copy what is kept. Returns (rotations (B, 3, 3),
-    translations (B, 3), converged (B,), condition_warning bool). Runs
-    exactly ``n_iters`` iterations; convergence is informational.
+    moved centroid t_c = t + R mu, with the system of
+    ``_system_from_moments`` read as entries off one [J | g - g0] buffer
+    kept for the run, bitwise the same; the world t = t_c - R mu is formed
+    only for the returned transform. For every k = 0..n_iters,
+    ``emit(k, rotations, centres, deltas)`` receives the state after k
+    rounds (bitwise what ``n_iters = k`` ends in, since no round depends
+    on ``n_iters``) and its deflated g - g0 (B, 12), as the kernel's own
+    arrays: copy what is kept. Returns (rotations (B, 3, 3), translations
+    (B, 3), converged (B,), condition_warning bool). Runs exactly
+    ``n_iters`` iterations; convergence is informational.
     """
     _check_damping(damping)
     b_dim = m.shape[0]
@@ -339,24 +406,30 @@ def _accumulate_batch(
     centre = mu
     converged = False
     condition = False
+    # [J | g - g0], kept for the run: J's constant entries are written
+    # once, and each round rewrites only its rotation strips and g - g0.
+    jg = np.empty((b_dim, 12, 7))
+    jg[..., :6] = _J_IDENTITY
+    strips = _rotation_strips(jg)
+    delta = jg[..., 6]
 
     for k in range(n_iters):
-        a_mat, b_vec, delta = _system_from_moments(m, q0, mu, rot, centre)
+        _deflated(rot, centre, mu, delta)
+        _fill_rotation(strips, rot)
+        a_low, b_vec = _system_entries(_step_products(m, q0, jg))
         if emit is not None:
             emit(k, rot, centre, delta)
-        # The solution, exp map and step norms stay in the 6x6 kernels'
-        # entry form: Python floats at B = 1, (B,) rows at B > 1.
-        x, cond_k = _solve_entries(a_mat, b_vec, damping, k)
+        # The system, solution, exp map and step norms stay in the 6x6
+        # kernels' entry form: Python floats at B = 1, (B,) rows at B > 1.
+        x, cond_k = _solve_lower(a_low, b_vec, damping, k)
         condition = condition or cond_k
         theta, exp = _exp_entries(x[:3])
         rot = _batch(exp).reshape(b_dim, 3, 3) @ rot
         centre = centre + _batch(x[3:])
         converged = converged | (theta + _norm3(*x[3:]) < STEP_TOL)
-        # Only rot and centre carry over: the next round's system is formed
-        # without this round's (delta is a view of the whole system buffer).
-        del a_mat, b_vec, delta, x, exp
+        # Only rot, centre and the [J | g - g0] buffer carry over.
+        del a_low, b_vec, x, exp
     if emit is not None:
-        delta = np.empty((b_dim, 12))
         _deflated(rot, centre, mu, delta)
         emit(n_iters, rot, centre, delta)
 

@@ -211,7 +211,8 @@ def estimate_normals(
     Degenerate (rank < 2) neighborhoods still get the smallest eigenvector
     as their normal, which should not be trusted; their count is logged as
     one warning. With ``return_flags=True`` also returns a boolean mask
-    marking them.
+    marking them, and leaves reporting them to the caller, which knows
+    where the cloud came from: nothing is logged.
     """
     n = len(cloud)
     if k < 3:
@@ -228,7 +229,7 @@ def estimate_normals(
     normals, lams = eig3.smallest_direction(cov)
     scale = np.maximum(lams[:, 0], 1e-300)
     degenerate = lams[:, 1] <= 1e-12 * scale
-    if np.any(degenerate):
+    if not return_flags and np.any(degenerate):
         logger.warning("estimate_normals: %d degenerate neighborhoods", int(degenerate.sum()))
 
     if random_flip:

@@ -362,6 +362,26 @@ class TestRegister:
         assert "No such file or directory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degenerate_normals_warning_names_the_pair(self, tmp_path, monkeypatch, caplog):
+        # Two pairs through a worker pool; pair 1's target has 40 collinear
+        # points far from the rest, so each of their 8-point neighborhoods
+        # is rank 1. One warning, naming that pair's directory.
+        data = tmp_path / "line"
+        assert main(["synth", "--pairs", "2", "--seed", "7", "--n-points", "128",
+                     "--n-partial", "96", "--out", str(data)]) == 0
+        tgt = data / "pair_0001" / "target.ply"
+        cloud = fileio.load(tgt)
+        pos = cloud.positions.copy()
+        pos[:40] = 5.0 + np.linspace(0.0, 1.0, 40)[:, None] * [1.0, 0.5, 0.25]
+        fileio.save(tgt, PointCloud(pos, cloud.normals))
+        monkeypatch.setenv("P2PL_THREADS", "2")
+        with caplog.at_level("WARNING"):
+            assert main(["register", "--in", str(data), "--estimate-normals", "8",
+                         "--out", str(tmp_path / "reg")]) == 0
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("p2plreg.cli",
+             f"{data / 'pair_0001'}: estimate_normals: 40 degenerate neighborhoods")]
+
     def test_estimate_normals_thread_invariant(self, dataset, tmp_path, monkeypatch):
         outs = []
         for threads in ("1", "4", "2"):

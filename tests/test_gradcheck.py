@@ -167,6 +167,19 @@ class TestOnePassSweep:
             _assert_blocks_equal(sweep.also[count], alone, f"n_iters={count}")
         _assert_blocks_equal(sweep, sweep.also[10])
 
+    @pytest.mark.parametrize("n_pairs", [64, 250])
+    def test_transforms_are_register_p2pl(self, n_pairs):
+        # The first job carries the unperturbed problem as one more item:
+        # at N = 64 that job is the only one, at N = 250 the first of three.
+        corr, cloud, _ = make_instance(n_pairs + 1, n_pairs, noise=1e-3)
+        sweep = fd_bundle(corr, cloud, FDConfig(n_iters_forward=10), also_at=(1, 2, 5))
+        assert sorted(sweep.transforms) == [1, 2, 5, 10]
+        for count, got in sweep.transforms.items():
+            want = register_p2pl(corr, cloud, n_iters=count).transform
+            for g, w in ((got.rotation, want.rotation), (got.translation, want.translation)):
+                np.testing.assert_array_equal(g, w, err_msg=f"n_iters={count}")
+                np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
     def test_no_counts_is_the_plain_bundle(self):
         corr, cloud, _ = make_instance(5, 12, noise=1e-3)
         cfg = FDConfig(n_iters_forward=3)

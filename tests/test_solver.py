@@ -1,5 +1,8 @@
 """Forward solver tests: energy, the 6x6 system, accumulation, ICP."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,14 @@ from p2plreg.cloud import PointCloud
 from p2plreg.correspond import CorrespondenceSet, exact_correspond, nn_correspond
 from p2plreg.geometry import (
     RigidTransform,
+    _exp_entries,
     apply_transform,
     compose,
     log_rotation,
     random_rotation,
     rodrigues,
     rotation_angle,
+    step_jacobian,
     to_gvector,
 )
 from p2plreg.solver import (
@@ -23,7 +28,9 @@ from p2plreg.solver import (
     _accumulate_batch,
     _batch,
     _factor,
+    _fill_rotation,
     _moments,
+    _rotation_strips,
     _solve_entries,
     _system_from_moments,
     _world,
@@ -32,7 +39,7 @@ from p2plreg.solver import (
     register_p2pl,
     register_procrustes,
 )
-from p2plreg.gradcheck import make_instance
+from p2plreg.gradcheck import _perturbed_moments, make_instance
 from p2plreg.synth import SynthConfig, draw_rigid, make_cpu_pair, synth_shape
 from p2plreg.seeding import derived_rng
 
@@ -625,6 +632,143 @@ class TestCholeskySolve:
         with pytest.raises(SingularSystem, match="tiny pivot") as err:
             _solve_entries(a, b, 0.0, 1)
         assert err.value.iteration == 1
+
+
+def _assert_same_bits(got, want, msg=""):
+    """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
+    np.testing.assert_array_equal(got, want, err_msg=msg)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=msg)
+
+
+def _oracle_moments(b_dim):
+    """The last b_dim of the 1281 moments the oracle runs at N = 64: 1280
+    perturbed copies, then the unperturbed problem."""
+    corr, cloud, _ = make_instance(30, 64, noise=1e-3)
+    arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
+    moments = _moments(*arrays)
+    pairs, cols = np.repeat(np.arange(64), 10), np.tile(np.arange(10), 64)
+    m, q0 = _perturbed_moments(moments, np.column_stack(arrays), pairs, cols, 1e-3, True)
+    return m[-b_dim:], q0[-b_dim:], np.broadcast_to(moments[0], (b_dim, 3))
+
+
+def _reference_rounds(m, q0, mu, n_iters, damping):
+    """The accumulation one whole system at a time: ``_system_from_moments``,
+    damping I added to the whole matrix, ``_solve_entries``, then the
+    exp-map update. Returns the final (rot, world translation) and the
+    (rot, centre, g - g0) before each round."""
+    b_dim = m.shape[0]
+    rot = np.empty((b_dim, 3, 3))
+    rot[:] = np.eye(3)
+    centre = mu
+    seen = []
+    for k in range(n_iters):
+        a, b, delta = _system_from_moments(m, q0, mu, rot, centre)
+        seen.append((rot, centre, delta.copy()))
+        if damping:
+            a = a + damping * np.eye(6)
+        x, _ = _solve_entries(a, b, 0.0, k)
+        _, exp = _exp_entries(x[:3])
+        rot = _batch(exp).reshape(b_dim, 3, 3) @ rot
+        centre = centre + _batch(x[3:])
+    return rot, _world(rot, centre, mu), seen
+
+
+class TestStepRound:
+    # A round writes J's rotation strips into a buffer kept for the run and
+    # reads the system's entries off the (B, 6, 7) product; it must give
+    # the bits of forming each round's whole system.
+
+    @staticmethod
+    def _rotations():
+        signed_perms = [
+            np.eye(3)[list(order)] * np.array(signs)[:, None]
+            for order in itertools.permutations(range(3))
+            for signs in itertools.product((1.0, -1.0), repeat=3)
+        ]
+        rng = np.random.default_rng(8)
+        return {
+            "identity": np.eye(3)[None],
+            "signed permutations": np.stack(signed_perms),
+            "random": np.stack([random_rotation(rng) for _ in range(50)]),
+        }
+
+    def test_rotation_fill_is_step_jacobian(self):
+        # Bitwise, sign bits included: R = I and the signed permutations
+        # have zero entries whose negations are -0.0.
+        rng = np.random.default_rng(9)
+        for name, rots in self._rotations().items():
+            jg = np.empty((len(rots), 12, 7))
+            jg[..., :6] = step_jacobian(np.eye(3), 0.0)
+            strips = _rotation_strips(jg)
+            # A fill over another fill must leave no trace of the first.
+            _fill_rotation(strips, np.stack([random_rotation(rng) for _ in rots]))
+            _fill_rotation(strips, rots)
+            _assert_same_bits(jg[..., :6], step_jacobian(rots, 0.0), name)
+
+    def test_system_from_moments_is_the_whole_matrix_product(self):
+        # Its bits are those of the (B, 12, 7) product with a fresh
+        # step_jacobian, symmetrized as whole arrays.
+        m, q0, mu = _oracle_moments(7)
+        rng = np.random.default_rng(10)
+        rot = np.stack([random_rotation(rng) for _ in range(7)])
+        rot[0] = np.eye(3)
+        centre = mu + rng.normal(scale=0.1, size=(7, 3))
+        jg = np.empty((7, 12, 7))
+        jg[..., 6] = np.concatenate([(rot - np.eye(3)).reshape(7, 9), centre - mu], axis=1)
+        jg[..., :6] = step_jacobian(rot, 0.0)
+        mjg = m @ jg
+        mjg[..., 6] += q0
+        ab = jg[..., :6].swapaxes(1, 2) @ mjg
+        a, b, delta = _system_from_moments(m, q0, mu, rot, centre)
+        _assert_same_bits(a, 0.5 * (ab[..., :6] + ab[..., :6].swapaxes(1, 2)))
+        _assert_same_bits(b, -ab[..., 6])
+        _assert_same_bits(delta, jg[..., 6])
+
+    @pytest.mark.parametrize("b_dim", [1, 7, 1281])
+    @pytest.mark.parametrize("damping", [0.0, 1e-6])
+    def test_kernel_is_the_reference_rounds(self, b_dim, damping):
+        m, q0, mu = _oracle_moments(b_dim)
+        seen = []
+
+        def record(k, rot, centre, delta):
+            seen.append((rot.copy(), np.array(centre), delta.copy()))
+
+        rot, trans, _, _ = _accumulate_batch(m, q0, mu, 10, damping, record)
+        want_rot, want_trans, want_seen = _reference_rounds(m, q0, mu, 10, damping)
+        _assert_same_bits(rot, want_rot)
+        _assert_same_bits(trans, want_trans)
+        assert len(seen) == 11
+        for k, (got, want) in enumerate(zip(seen, want_seen)):
+            for g, w in zip(got, want):
+                _assert_same_bits(g, w, f"round {k}")
+
+    @pytest.mark.parametrize("b_dim", [1, 3])
+    def test_damping_clears_negative_zeros_off_the_diagonal(self, b_dim):
+        # Adding damping I to the whole matrix turns an off-diagonal -0.0
+        # into +0.0, and with b = -0.0 the solution's sign bits show it.
+        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        a[~np.eye(6, dtype=bool)] = -0.0
+        a = np.repeat(a[None], b_dim, axis=0)
+        b = np.full((b_dim, 6), -0.0)
+        got = _batch(_solve_entries(a, b, 1e-6, 0)[0])
+        want = _batch(_solve_entries(a + 1e-6 * np.eye(6), b, 0.0, 0)[0])
+        _assert_same_bits(got, want)
+        assert np.signbit(got).sum() == b_dim
+
+    def test_ten_round_peak(self):
+        # The [J | g - g0] buffer kept for the run takes the place of the
+        # fresh one each round formed, so it does not lower the peak; the
+        # per-round products are freed before the next round. Forming a
+        # fresh buffer every round peaked at 2.1818 MB; the six strip views
+        # kept with the buffer add about 0.8 KB, allowed for by 2 KB.
+        m, q0, mu = _oracle_moments(1280)
+        tracemalloc.start()
+        try:
+            _accumulate_batch(m, q0, mu, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= 2.1818 + 2 * 2**-10
 
 
 class TestProcrustes:

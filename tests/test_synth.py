@@ -205,6 +205,14 @@ class TestEstimateNormals:
             estimate_normals(PointCloud(synth_shape("sphere", 200, seed=5).positions), k=8, seed=3)
         assert caplog.records == []
 
+    def test_returned_flags_are_left_to_the_caller(self, caplog):
+        # The caller that takes the mask reports it, knowing the cloud's source.
+        line = np.linspace(0.0, 1.0, 50)[:, None] * np.array([1.0, 0.0, 0.0])
+        with caplog.at_level("WARNING", logger="p2plreg.synth"):
+            _, flags = estimate_normals(PointCloud(line), k=5, seed=3, return_flags=True)
+        assert flags.all()
+        assert caplog.records == []
+
     def test_consistent_orientation_flag(self):
         base = synth_shape("sphere", 600, seed=18)
         est = estimate_normals(PointCloud(base.positions), k=12, seed=4, random_flip=False)
