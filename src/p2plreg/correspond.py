@@ -6,6 +6,10 @@ and this kernel: any caller-supplied (N, M) array of pre-softmax assignment
 scores works. Target normal directions are averaged as outer-product
 tensors rather than vectors, so randomly flipped normal signs cannot cancel
 each other out.
+
+The score passes read the (N, M) matrix in row blocks and form no (N, M)
+temporary. Soft pointers never form the softmax: each block's exp-weighted
+sums come out of one product and are divided by the block's row sums.
 """
 
 from __future__ import annotations
@@ -212,40 +216,87 @@ def _masked_exp(x: NDArray[np.float64], keep: NDArray[np.bool_]) -> None:
     """In place: x = exp(x) where keep, else 0.
 
     Entries outside keep are set to 0 before np.exp, which is ~10x slower
-    on inputs below about -708; the clamp first keeps -inf entries from
-    turning into NaN.
+    on inputs below about -708. An entry outside keep that is infinite or
+    NaN turns into NaN (inf * 0), so a caller that wants an exact 0 there
+    clamps x first.
     """
-    np.maximum(x, LOG_TINY, out=x)
     x *= keep
     np.exp(x, out=x)
     x *= keep
 
 
-def _softmax_rows(
-    u: NDArray[np.float64], c: NDArray[np.float64], keep: NDArray[np.bool_]
-) -> None:
-    """Write ``row_softmax(u)`` into c, using keep, a bool array of u's
-    shape, as scratch."""
-    np.subtract(u, u.max(axis=1, keepdims=True), out=c)
-    np.greater_equal(c, LOG_TINY, out=keep)
-    _masked_exp(c, keep)
-    c /= c.sum(axis=1, keepdims=True)
-    # Division by row sums in [1, M] can still push entries below tiny.
-    np.greater_equal(c, np.finfo(np.float64).tiny, out=keep)
-    c *= keep
+def _check_row_max(m: NDArray[np.float64], start: int) -> None:
+    """Raise ValueError, naming the case and the row, unless every row
+    maximum m (a block's, starting at row start) is finite.
+
+    np.max propagates NaN, so a NaN score shows in its row's maximum, and
+    so do a +inf score and a row whose scores are all -inf.
+    """
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    if np.isnan(m[i]):
+        case = "holds a NaN score"
+    elif m[i] > 0.0:
+        case = "holds a +inf score"
+    else:
+        case = "has no finite score"
+    raise ValueError(f"score matrix row {start + i} {case}")
 
 
 def row_softmax(u: NDArray[np.float64]) -> NDArray[np.float64]:
     """Row-wise softmax whose entries are each exactly 0 or >= finfo.tiny.
 
     Entries the plain formula would make subnormal are flushed to 0; every
-    other entry equals the plain formula's.
+    other entry equals the plain formula's. A -inf score in a row with a
+    finite maximum gets an exact 0 weight. A row that holds a NaN or +inf
+    score, or no finite score, raises ValueError naming the case.
     """
     u = np.asarray(u, dtype=np.float64)
     c = np.empty(u.shape)
     for rows, (keep,) in _blocks(u, bool):
-        _softmax_rows(u[rows], c[rows], keep)
+        m = u[rows].max(axis=1, keepdims=True)
+        _check_row_max(m[:, 0], rows.start)
+        block = c[rows]
+        np.subtract(u[rows], m, out=block)
+        np.greater_equal(block, LOG_TINY, out=keep)
+        # The clamp turns -inf entries into finite ones, so they exp to 0.
+        np.maximum(block, LOG_TINY, out=block)
+        _masked_exp(block, keep)
+        block /= block.sum(axis=1, keepdims=True)
+        # Division by row sums in [1, M] can still push entries below tiny.
+        np.greater_equal(block, np.finfo(np.float64).tiny, out=keep)
+        block *= keep
     return c
+
+
+def _softmax_averages(u: NDArray[np.float64], cols: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``row_softmax(u) @ cols`` to rounding, without forming the softmax.
+
+    Each row block's exp-weighted sums come out of one product with cols
+    and are divided by the block's row sums. Weights that would be
+    subnormal before the division are 0. The block scratch is freed on
+    return, before the caller's next step. Raises ValueError on a NaN or
+    infinite score.
+    """
+    avg = np.empty((u.shape[0], cols.shape[1]))
+    for rows, (e, keep) in _blocks(u, np.float64, bool):
+        block = u[rows]
+        with np.errstate(invalid="ignore"):
+            np.subtract(block, block.max(axis=1, keepdims=True), out=e)
+            np.greater_equal(e, LOG_TINY, out=keep)
+            # Every kept weight is >= tiny, so no subnormal reaches the
+            # GEMM. A NaN or infinite score leaves a NaN in e (inf - inf,
+            # or -inf * 0 in the masked exp) and so in its row's sum.
+            _masked_exp(e, keep)
+        s = e.sum(axis=1, keepdims=True)
+        if not np.isfinite(s).all():
+            raise ValueError("score matrix must be finite")
+        out = avg[rows]
+        np.matmul(e, cols, out=out)
+        out /= s
+    return avg
 
 
 def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> CorrespondenceSet:
@@ -255,24 +306,21 @@ def soft_pointers(scores: NDArray[np.float64], target: PointCloud) -> Correspond
     Indices whose top two tensor eigenvalues coincide within
     DEGENERATE_TENSOR_GAP are flagged in ``degenerate``; a deterministic
     eigenvector is still returned for them. The scores are read in row
-    blocks, and no (N, M) array is formed.
+    blocks, and neither an (N, M) array nor the softmax is formed
+    (``_softmax_averages``), so the averages agree with those of
+    ``row_softmax`` to rounding. A NaN or infinite score raises ValueError.
     """
     u = np.asarray(scores, dtype=np.float64)
     normals = target.require_normals()
     if u.ndim != 2 or u.shape[1] != len(target):
         raise ValueError("score matrix columns must match the target size")
 
-    # One GEMM per row block gives the averaged positions and the 6 unique
-    # entries of each averaged normal tensor.
+    # The averaged positions and the 6 unique entries of each averaged
+    # normal tensor come out of one GEMM per row block.
     cols = np.empty((len(target), 9))
     cols[:, :3] = target.positions
     cols[:, 3:] = normals[:, _TENSOR_A] * normals[:, _TENSOR_B]
-    avg = np.empty((u.shape[0], 9))
-    for rows, (c, keep) in _blocks(u, np.float64, bool):
-        if not np.isfinite(u[rows], out=keep).all():
-            raise ValueError("score matrix must be finite")
-        _softmax_rows(u[rows], c, keep)
-        np.matmul(c, cols, out=avg[rows])
+    avg = _softmax_averages(u, cols)
     y = avg[:, :3]
     tensors = avg[:, _TENSOR_COLS]
     n, _, gap = eig3.principal_direction(tensors)
@@ -321,7 +369,7 @@ def reliability_weights(scores: NDArray[np.float64]) -> NDArray[np.float64]:
     zeta = np.empty(u.shape[0])
     for rows, (e, keep) in _blocks(u, np.float64, bool):
         np.greater_equal(u[rows], LOG_TINY, out=keep)
-        np.minimum(u[rows], SCORE_CLAMP, out=e)
+        np.clip(u[rows], LOG_TINY, SCORE_CLAMP, out=e)
         _masked_exp(e, keep)
         e.sum(axis=1, out=zeta[rows])
     if np.isnan(zeta).any():

@@ -66,6 +66,10 @@ PIVOT_RATIO = 1e-14
 # Condition estimate beyond this sets the report's warning flag.
 CONDITION_LIMIT = 1e12
 
+# register_p2pl's energy trace runs through a buffer of at most this many
+# doubles (64 KiB).
+_TRACE_ELEMS = 1 << 13
+
 _EYE3 = np.eye(3)
 # step_jacobian(R, 0) at R = I; _accumulate_batch's buffer starts from it.
 _J_IDENTITY = step_jacobian(_EYE3, 0.0)
@@ -150,12 +154,14 @@ def _moment_rows(x, y, n, zeta, mu):
     """
     root = np.sqrt(zeta)
     buf = np.empty((13, root.shape[0]))
-    # s first, and root freed, before the (3, N) inputs of the rows exist:
-    # the peak is then the buffer and two (3, N) rows, about 19 N doubles.
+    # s first, and root freed, before the (3, N) input of the rows exists.
+    # sqrt(zeta) n is formed in place as rows 9-11, which ``_coeff_rows``
+    # then copies onto themselves (numpy skips that copy): the peak is the
+    # buffer and one (3, N) row, about 16 N doubles.
     s = buf[12]
     np.einsum("ni,ni->n", x - y, n, out=s)
     s *= root
-    nt = np.multiply(n.T, root, order="C")
+    nt = np.multiply(n.T, root, out=buf[9:12])
     del root
     _coeff_rows(np.subtract(x.T, mu[:, None], order="C"), nt, buf[:12])
     return buf
@@ -453,19 +459,30 @@ def register_p2pl(
     _check_sizes(corr, source)
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    mu, u, s, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
-    deltas = np.empty((n_iters + 1, 12))
+    mu, u, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    # Row k holds (g - g0, 1) before round k, so row k of deltas @ rows is
+    # sqrt(zeta_i) r_i, r_i = d_i . (g - g0) + r0_i, where rows is the (13, N)
+    # buffer [u^T; s] that u is a view of (see ``_moments``).
+    deltas = np.ones((n_iters + 1, 13))
 
     def record(k, rot, centre, delta):
-        deltas[k] = delta[0]
+        deltas[k, :12] = delta[0]
 
     rot, trans, converged, condition = _accumulate_batch(
         m[None], q0[None], mu[None], n_iters, damping, record
     )
-    # Row k holds sqrt(zeta_i) r_i before round k, r_i = d_i . (g - g0) + r0_i.
-    res = deltas @ u.T
-    res += s
-    trace = np.einsum("kn,kn->k", res, res)
+    # The trace is summed over column blocks of the pairs through one
+    # reused buffer of at most _TRACE_ELEMS doubles, so no (n_iters + 1, N)
+    # block is formed.
+    rows = u.base
+    n = rows.shape[1]
+    width = max(1, _TRACE_ELEMS // len(deltas))
+    buf = np.empty((len(deltas), min(width, n)))
+    trace = np.zeros(len(deltas))
+    for a in range(0, n, width):
+        res = buf[:, : min(width, n - a)]
+        np.matmul(deltas, rows[:, a : a + width], out=res)
+        trace += np.einsum("kn,kn->k", res, res)
     return SolveReport(
         transform=RigidTransform(rot[0], trans[0]),
         energy_trace=[float(e) for e in trace],

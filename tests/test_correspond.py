@@ -23,7 +23,8 @@ from p2plreg.correspond import (
     topk_keypoints,
 )
 from p2plreg.fileio import ParseError, load_scores_csv
-from p2plreg.geometry import RigidTransform, random_rotation
+from p2plreg.geometry import RigidTransform, compose, random_rotation, rodrigues
+from p2plreg.synth import synth_shape
 
 
 TINY = np.finfo(np.float64).tiny
@@ -330,6 +331,147 @@ def test_score_passes_peak_below_one_full_matrix(fn):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _softmax_first_pointers(u, target):
+    """soft_pointers as the softmax-first formula: row_softmax, one product
+    with the position and tensor columns, then eig3. Returns (targets,
+    normals, degenerate)."""
+    nrm = target.normals
+    cols = np.concatenate(
+        [target.positions, nrm[:, correspond._TENSOR_A] * nrm[:, correspond._TENSOR_B]], axis=1)
+    avg = row_softmax(u) @ cols
+    n, _, gap = eig3.principal_direction(avg[:, correspond._TENSOR_COLS])
+    return avg[:, :3], n, gap <= correspond.DEGENERATE_TENSOR_GAP
+
+
+def _soft_step_scores(seed):
+    """Scores shaped like a learned-correspondence step's: 1024 keypoints
+    of a 4096-point blob against their moved, noisy copies at beta = 200,
+    from a pose about a degree off the truth. Returns (scores, target)."""
+    rng = np.random.default_rng(seed)
+    cloud = synth_shape("blob", 4096, seed)
+    idx = rng.choice(4096, 1024, replace=False)
+    gt = RigidTransform(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
+    pos = cloud.positions[idx]
+    target = PointCloud(pos @ gt.rotation.T + gt.translation + 1e-3 * rng.standard_normal(pos.shape),
+                        cloud.normals[idx] @ gt.rotation.T)
+    near = RigidTransform(rodrigues(np.radians(1.0) * random_rotation(rng)[0]), np.full(3, 0.003))
+    source = PointCloud(pos, cloud.normals[idx])
+    return match_matrix(source, target, compose(near, gt), alpha=0.0, beta=200.0), target
+
+
+class TestSoftPointersParity:
+    """soft_pointers divides after the product; the softmax-first formula
+    is its oracle to rounding."""
+
+    def _assert_close(self, u, target):
+        corr = soft_pointers(u, target)
+        y, n, degenerate = _softmax_first_pointers(u, target)
+        np.testing.assert_allclose(corr.targets, y, rtol=0.0, atol=4e-15 * np.abs(y).max())
+        np.testing.assert_allclose(corr.normals, n, rtol=0.0, atol=4e-15)
+        np.testing.assert_array_equal(corr.degenerate, degenerate)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_soft_step_scores(self, seed):
+        u, target = _soft_step_scores(seed)
+        # Rows hold flushed, subnormal-bound and kept exponents.
+        e = u - u.max(axis=1, keepdims=True)
+        assert (e < correspond.LOG_TINY).any() and (e > -1.0).sum() > u.shape[0]
+        self._assert_close(u, target)
+
+    @pytest.mark.parametrize("n, m", [(100, 1000), (5, 40000), (1, 300)])
+    def test_blocked_scores(self, n, m):
+        self._assert_close(_blocked_scores(n, m), _cloud(35, m))
+
+    def test_deep_scores(self, deep_scores):
+        self._assert_close(deep_scores, _cloud(27, deep_scores.shape[1]))
+
+    def test_peak_at_1024_keypoints(self):
+        # One float and one bool block of 32 rows, the (M, 9) columns and
+        # the (N, 9) averages; the block scratch is freed before eig3's
+        # (N, 3, 3) work. 0.49 MiB; 0.65 MiB while the scratch outlived the
+        # block loop.
+        u, target = _blocked_scores(1024, 1024), _cloud(35, 1024)
+        soft_pointers(u, target)
+        tracemalloc.start()
+        try:
+            soft_pointers(u, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * 2**20, peak / 2**20
+
+    # 100 x 1000 scores make 32-row blocks: row 0 opens the first block, row
+    # 50 sits inside the second and row 99 is in the last.
+    @pytest.mark.parametrize("row", [0, 50, 99])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises_in_any_block(self, row, value):
+        u = _blocked_scores(100, 1000)
+        u[row, 7] = value
+        with pytest.raises(ValueError, match="score matrix must be finite"):
+            soft_pointers(u, _cloud(35, 1000))
+
+
+def _clamp_then_exp_reliability(u):
+    """reliability_weights as a clamp to SCORE_CLAMP, a clamp to LOG_TINY
+    and a masked exp over the whole matrix."""
+    keep = u >= correspond.LOG_TINY
+    e = np.maximum(np.minimum(u, correspond.SCORE_CLAMP), correspond.LOG_TINY) * keep
+    return (np.exp(e) * keep).sum(axis=1)
+
+
+def test_reliability_is_bitwise_two_clamps():
+    rng = np.random.default_rng(40)
+    u = rng.uniform(-1000.0, 200.0, size=(64, 500))
+    tiny = correspond.LOG_TINY
+    specials = [np.inf, -np.inf, correspond.SCORE_CLAMP, np.nextafter(correspond.SCORE_CLAMP, 0.0),
+                np.nextafter(correspond.SCORE_CLAMP, np.inf), tiny, np.nextafter(tiny, 0.0),
+                np.nextafter(tiny, -np.inf), -0.0]
+    for value in specials:
+        u[rng.random(u.shape) < 0.02] = value
+    assert reliability_weights(u).tobytes() == _clamp_then_exp_reliability(u).tobytes()
+
+
+class TestRowSoftmaxNonFinite:
+    """row_softmax reads each block's row maxima: a NaN or +inf score, or a
+    row with no finite score, raises; a -inf score in a row with a finite
+    maximum is an exact 0 weight."""
+
+    # 100 x 1000 scores make 32-row blocks: row 0 opens the first block, row
+    # 50 sits inside the second and row 99 is in the last.
+    ROWS = [0, 50, 99]
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("value, case", [(np.nan, "holds a NaN score"),
+                                             (np.inf, r"holds a \+inf score")])
+    def test_bad_score_names_case_and_row(self, row, value, case):
+        u = _blocked_scores(100, 1000)
+        u[row, 7] = value
+        with pytest.raises(ValueError, match=f"score matrix row {row} {case}"):
+            row_softmax(u)
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_row_without_finite_score(self, row):
+        u = _blocked_scores(100, 1000)
+        u[row] = -np.inf
+        with pytest.raises(ValueError, match=f"score matrix row {row} has no finite score"):
+            row_softmax(u)
+
+    def test_nan_beside_inf_is_named_nan(self):
+        u = np.zeros((3, 4))
+        u[1, :2] = [np.inf, np.nan]
+        with pytest.raises(ValueError, match="row 1 holds a NaN score"):
+            row_softmax(u)
+
+    def test_neg_inf_score_is_exact_zero(self):
+        u = _blocked_scores(100, 1000)
+        far = u.copy()
+        u[self.ROWS, 7] = -np.inf
+        far[self.ROWS, 7] = -1e6
+        c = row_softmax(u)
+        assert np.all(c[self.ROWS, 7] == 0.0)
+        assert c.tobytes() == row_softmax(far).tobytes()
 
 
 class TestMatchMatrix:

@@ -423,6 +423,37 @@ class TestRegisterP2pl:
         assert err.value.iteration == 0
 
 
+class TestEnergyTraceBlocks:
+    """register_p2pl sums its energy trace over column blocks of the pairs."""
+
+    @pytest.mark.parametrize("n_pairs, n_iters", [(2000, 4), (1638, 4), (97, 700)])
+    def test_blocked_trace_is_point_form_energy(self, n_pairs, n_iters):
+        # At the module's buffer of 8192 doubles, 5 rows make blocks of 1638
+        # pairs: 2000 pairs are a full block and a partial one, 1638 exactly
+        # one; 701 rows make blocks of 11 pairs, 97 pairs nine blocks.
+        corr, cloud, _ = make_instance(6, n_pairs, noise=1e-3)
+        rep = register_p2pl(corr, cloud, n_iters=n_iters)
+        assert len(rep.energy_trace) == n_iters + 1
+        for k in sorted({0, 1, 2, n_iters}):
+            t = register_p2pl(corr, cloud, n_iters=k).transform if k else _identity()
+            want = energy(corr, cloud, t)
+            assert rep.energy_trace[k] == pytest.approx(want, rel=1e-9)
+
+    def test_peak_is_moment_buffer_and_one_row(self):
+        # At N = 4096 the (13, N) moment buffer and one (3, N) row are 0.5
+        # MiB; the trace's buffer of at most 64 KiB is formed after the
+        # row is freed. A (11, N) trace block would take the peak to 0.82.
+        corr, cloud, _ = make_instance(0, 4096)
+        register_p2pl(corr, cloud)
+        tracemalloc.start()
+        try:
+            register_p2pl(corr, cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.55 * 2**20, peak / 2**20
+
+
 class TestReportedCounts:
     # _accumulate_batch hands the state after every round to its emit hook;
     # the hook must not change the run, and each state must be the one a
