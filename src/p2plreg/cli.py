@@ -28,7 +28,7 @@ import numpy as np
 from . import fileio
 from .cloud import RegistrationPair
 from .correspond import _check_weights
-from .gradcheck import FDConfig, compare, fd_bundle, make_instance
+from .gradcheck import INPUT_KINDS, FDConfig, compare, fd_bundle, make_instance
 from .gradient import backward, chain_loss, rigid_motion_loss
 from .metrics import chamfer, euler_zyx_angles, rotation_errors, summary
 from .seeding import derived_seed
@@ -177,6 +177,10 @@ def _backward_and_chain(corr, source, g) -> None:
     chain_loss(np.ones(12), backward(corr, source, g))
 
 
+def _error_cell(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def cmd_register(args: argparse.Namespace) -> int:
     in_dir = Path(args.in_dir)
     pair_dirs = sorted(p for p in in_dir.glob("pair_*") if p.is_dir())
@@ -228,18 +232,23 @@ def cmd_register(args: argparse.Namespace) -> int:
                 source_weights=weights,
             )
             fwd_ms = (time.perf_counter() - t0) * 1e3
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            return [index] + [""] * 10 + [_error_cell(exc)], None
+        # A backward that raises leaves the forward's transform and cells.
+        bwd_ms, error = "", ""
+        try:
             t0 = time.perf_counter()
             _backward_and_chain(report.correspondences, pair.source, report.transform)
             bwd_ms = (time.perf_counter() - t0) * 1e3
         except (np.linalg.LinAlgError, ValueError) as exc:
-            return [index] + [""] * 10 + [f"{type(exc).__name__}: {exc}"], None
+            error = _error_cell(exc)
         fileio.save_transform(out / f"pair_{index:04d}_transform.txt", report.transform)
         if pair.gt is None:
-            return [index] + [""] * 8 + [fwd_ms, bwd_ms, ""], None
+            return [index] + [""] * 8 + [fwd_ms, bwd_ms, error], None
         errs = rotation_errors(report.transform, pair.gt)
         tres = report.transform.translation - pair.gt.translation
         cd = chamfer(report.transform, pair)
-        row = [index, *errs.per_axis_deg, errs.geodesic_deg, *tres, cd, fwd_ms, bwd_ms, ""]
+        row = [index, *errs.per_axis_deg, errs.geodesic_deg, *tres, cd, fwd_ms, bwd_ms, error]
         gt_euler = euler_zyx_angles(pair.gt.rotation)
         return row, (errs.per_axis_deg, gt_euler, tres, pair.gt.translation, cd)
 
@@ -286,7 +295,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             bundle = backward(corr, cloud, t)
             _, dldg = rigid_motion_loss(t, gt)
             err = compare(bundle, fd.also[n_iters], dldg, n_iters)
-            for kind in ("x", "y", "n", "zeta"):
+            for kind in INPUT_KINDS:
                 mse, rel = err.per_input[kind]
                 case_rows.append([case, kind, mse, rel, n_iters])
             case_rows.append([case, "all", err.mse, err.rel_mse, n_iters])

@@ -242,6 +242,27 @@ _STEP_PICK = _step_picks()
 _ZERO_ONE = np.array([0.0, 1.0])
 
 
+def _rotation_picks(base):
+    """(rows, columns, e) of J's rows 0-8 that pick base + e, e < 9: R's
+    copies at base 0 and its negations at base 12."""
+    entry = _STEP_PICK[:9] - base
+    rows, cols = np.nonzero((entry >= 0) & (entry < 9))
+    return rows, cols, entry[rows, cols]
+
+
+_COPY_PICKS, _NEGATE_PICKS = _rotation_picks(0), _rotation_picks(12)
+
+
+def _fill_rotation(jac, rot) -> None:
+    """Write R's signed entries of ``step_jacobian(rot, 0)`` into jac's
+    leading (B, 12, 6), sign bits included; no other J entry depends on R."""
+    flat = rot.reshape(-1, 9)
+    rows, cols, entry = _COPY_PICKS
+    jac[:, rows, cols] = flat[:, entry]
+    rows, cols, entry = _NEGATE_PICKS
+    jac[:, rows, cols] = np.negative(flat[:, entry])
+
+
 def step_jacobian(rot, trans) -> NDArray[np.float64]:
     """(..., 12, 6) Jacobian of the 12-vector along the solver's step chart.
 

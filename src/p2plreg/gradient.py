@@ -69,8 +69,10 @@ class SingularHessian(np.linalg.LinAlgError):
     Raised under the forward solver's own Cholesky factor and pivot rule
     (``solver._factor``): the geometry leaves a step direction
     unconstrained, for example planar points whose normals are all
-    parallel. Callers can retry after solving with damping to regularize
-    the forward geometry.
+    parallel. H is formed from the pairs at the solved transform and never
+    sees the forward's damping, so solving again with damping cannot help:
+    damping regularizes the forward solve only, and a singular H means the
+    pairs do not fix the transform in that direction.
     """
 
 

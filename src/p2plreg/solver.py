@@ -17,11 +17,11 @@ batched over independent problems; the finite-difference oracle feeds it
 B perturbed copies whose moments are rank-two updates of the base ones.
 
 A run keeps one (B, 12, 7) buffer of [J | g - g0]: J's constant entries
-are written once, and each round rewrites only its six strips of signed
-rows of R, by copies and negations (``_fill_rotation``), and the deflated
-transform g - g0. Two stacked products give J^T [m J | m (g - g0) + q0],
-and the round reads the lower triangle of the symmetrized A and -b off
-that (B, 6, 7) product as entries (``_system_entries``); at B > 1 no
+are written once, and each round writes R's signed entries through
+``step_jacobian``'s pick table (``geometry._fill_rotation``) and the
+deflated transform g - g0. The round reads the lower triangle of the
+symmetrized A and -b as entries (``_system_entries``) off the (B, 6, 7)
+product J^T [m J | m (g - g0) + q0] of two stacked products; at B > 1 no
 (B, 6, 6) array is formed. ``_system_from_moments`` forms the same
 products and system as arrays, for the backward and the tests.
 
@@ -48,10 +48,10 @@ from numpy.typing import NDArray
 from .cloud import PointCloud
 from .correspond import CorrespondenceSet, _check_weights, _nn_matcher
 from .geometry import (
-    _EPS_TERMS,
     RigidTransform,
     _coeff_rows,
     _exp_entries,
+    _fill_rotation,
     _norm3,
     apply_transform,
     compose,
@@ -172,29 +172,6 @@ def _deflated(rot, centre, mu, out):
     t_c - mu."""
     np.subtract(rot.reshape(-1, 9), _EYE3.reshape(9), out=out[:, :9])
     np.subtract(centre, mu, out=out[:, 9:])
-
-
-def _rotation_strips(jg):
-    """The six strips of the [J | g - g0] buffer jg (B, 12, 7) that
-    ``step_jacobian(R, 0)`` fills from R, as (view, m, negative).
-
-    Rows 3 p .. 3 p + 2 of column j hold eps[p, j, m] times row m of R, for
-    the (p, j, m) of ``geometry._EPS_TERMS``. J's other entries (the +0
-    strips, and the signed zeros and ones of the translation part) are the
-    same for every R.
-    """
-    return [(jg[:, 3 * p : 3 * p + 3, j], m, negative)
-            for p, j, m, negative in _EPS_TERMS]
-
-
-def _fill_rotation(strips, rot) -> None:
-    """Write R's ``_rotation_strips`` of J as copies and negations of its
-    rows, so J equals ``step_jacobian(R, 0)`` bitwise, sign bits included."""
-    for strip, m, negative in strips:
-        if negative:
-            np.negative(rot[:, m], out=strip)
-        else:
-            strip[...] = rot[:, m]
 
 
 def _step_products(m, q0, jg):
@@ -413,15 +390,14 @@ def _accumulate_batch(
     converged = False
     condition = False
     # [J | g - g0], kept for the run: J's constant entries are written
-    # once, and each round rewrites only its rotation strips and g - g0.
+    # once, and each round rewrites only its R entries and g - g0.
     jg = np.empty((b_dim, 12, 7))
     jg[..., :6] = _J_IDENTITY
-    strips = _rotation_strips(jg)
     delta = jg[..., 6]
 
     for k in range(n_iters):
         _deflated(rot, centre, mu, delta)
-        _fill_rotation(strips, rot)
+        _fill_rotation(jg, rot)
         a_low, b_vec = _system_entries(_step_products(m, q0, jg))
         if emit is not None:
             emit(k, rot, centre, delta)
@@ -560,9 +536,11 @@ def icp(
     condition = False
 
     def objective(moved: PointCloud, corr: CorrespondenceSet) -> float:
-        if method == "p2pl":
-            return energy(corr, source, running)
+        # moved holds the bits of energy's R x + t, so it is not formed again.
         diff = moved.positions - corr.targets
+        if method == "p2pl":
+            res = np.einsum("ni,ni->n", diff, corr.normals)
+            return float(np.sum(corr.weights * res * res))
         return float(np.sum(corr.weights * np.einsum("ni,ni->n", diff, diff)))
 
     moved = bare

@@ -319,6 +319,31 @@ class TestRegister:
         assert main(["register", "--in", str(tmp_path / "planes"), "--method", "p2pl",
                      "--strict", "--out", str(out2)]) == 2
 
+    def test_backward_failure_keeps_the_forward_result(self, tmp_path):
+        # Damping lets the plane pairs' forward solve, but the backward's
+        # chart Hessian never sees the damping and stays singular: the
+        # pairs keep their transforms, metric cells and summary terms, and
+        # only bwd_ms is empty.
+        from p2plreg.geometry import RigidTransform
+
+        data = tmp_path / "planes"
+        for index in range(2):
+            self._plane_pair(data / f"pair_{index:04d}")
+            fileio.save_transform(data / f"pair_{index:04d}" / "gt.txt",
+                                  RigidTransform(np.eye(3), [-0.02, 0.0, -0.1]))
+        args = ["register", "--in", str(data), "--damping", "1e-6"]
+        out = tmp_path / "regd"
+        assert main(args + ["--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 2
+        for index, row in enumerate(rows):
+            assert row[-1].startswith("SingularHessian: chart Hessian: singular 6x6 system")
+            assert all(row[:10]) and row[10] == ""
+            assert (out / f"pair_{index:04d}_transform.txt").exists()
+        assert json.loads((out / "summary.json").read_text())["cases"] == 2
+        assert main(args + ["--strict", "--out", str(tmp_path / "regd2")]) == 2
+
     def test_small_cloud_normal_estimation_is_a_failure_row(self, tmp_path):
         # k above the cloud size fails that pair, not the whole job.
         data = tmp_path / "small"
