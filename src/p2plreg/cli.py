@@ -64,8 +64,11 @@ def _echo_config(out: Path, args: argparse.Namespace) -> None:
 
 
 def _counts(text: str, flag: str) -> list[int]:
-    """The comma list of an iteration-count option, each value at least 1."""
-    values = [int(v) for v in str(text).split(",") if v.strip()]
+    """The comma list of an iteration-count option, each an integer >= 1."""
+    try:
+        values = [int(v) for v in str(text).split(",") if v.strip()]
+    except ValueError:
+        values = []
     if not values or min(values) < 1:
         raise ValueError(f"{flag} needs one or more counts >= 1, got {text!r}")
     return values
@@ -282,7 +285,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ValueError(f"--cases must be at least 1, got {args.cases}")
     # One oracle pass to the largest count yields the blocks and the forward
     # transform at every count.
-    cfg = FDConfig(step=args.fd_step, n_iters_forward=max(iters_list))
+    try:
+        cfg = FDConfig(step=args.fd_step, n_iters_forward=max(iters_list))
+    except ValueError as exc:
+        raise ValueError(f"--fd-step {args.fd_step}: {exc}") from None
     out = fileio.ensure_dir(args.out)
     _echo_config(out, args)
 

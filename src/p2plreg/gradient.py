@@ -12,12 +12,12 @@ normal, source position, reliability) gives
 
 One 6x6 inverse is shared across all N pairs, so the backward cost does
 not depend on how many accumulation rounds produced the transform, and
-J H^{-1} J^T does not depend on the chart's pivot. H is twice the 6x6
-system the forward would factor next at g, that is at (R, t + R mu)
-(``solver._moments`` and ``solver._system_from_moments``), checked by the
-forward's own Cholesky factor and pivot rule (``solver._factor``), so the
-two passes share one chart, one Hessian formula and one singularity
-criterion.
+J H^{-1} J^T does not depend on the chart's pivot. H is read off the
+round's own entries: twice the 6x6 system the forward would factor next
+at g, that is at (R, t + R mu) (``solver._moments`` and
+``solver._chart_system``), checked by the forward's own Cholesky factor
+and pivot rule (``solver._factor_entries``), so the two passes share one
+chart, one Hessian formula and one singularity criterion.
 
 ``backward`` forms the moments, H and the lifted inverse J H^{-1} J^T and
 stops there: its one O(N) pass is the moments. The bundle keeps the inputs
@@ -55,24 +55,30 @@ from .correspond import CorrespondenceSet
 from .geometry import RigidTransform, from_gvector, residual_coeffs, step_jacobian
 from .solver import (
     SingularSystem,
+    _chart_system,
     _check_sizes,
-    _factor,
+    _factor_entries,
     _moments,
     _plane_offsets,
-    _system_from_moments,
+    _step_buffer,
 )
+
+# Where entry (i, j) of a symmetric 6x6 sits in its lower triangle read row by row.
+_MIRROR = np.empty((6, 6), dtype=np.intp)
+_MIRROR[np.tril_indices(6)] = _MIRROR.T[np.tril_indices(6)] = np.arange(21)
 
 
 class SingularHessian(np.linalg.LinAlgError):
     """The 6x6 chart Hessian of the plane energy is singular.
 
     Raised under the forward solver's own Cholesky factor and pivot rule
-    (``solver._factor``): the geometry leaves a step direction
-    unconstrained, for example planar points whose normals are all
-    parallel. H is formed from the pairs at the solved transform and never
-    sees the forward's damping, so solving again with damping cannot help:
-    damping regularizes the forward solve only, and a singular H means the
-    pairs do not fix the transform in that direction.
+    (``solver._factor_entries``) on H's entries, read off the round's
+    own: the geometry leaves a step direction unconstrained, for example
+    planar points whose normals are all parallel. H is formed from the
+    pairs at the solved transform and never sees the forward's damping,
+    so solving again with damping cannot help: damping regularizes the
+    forward solve only, and a singular H means the pairs do not fix the
+    transform in that direction.
     """
 
 
@@ -264,23 +270,23 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     (J = ``step_jacobian(R, -R mu)``, 12x6 at g): H = J^T H_data J is the
     Gauss-Newton Hessian of the plane energy in the six step coordinates,
     and the bundle keeps J H^{-1} J^T. H is twice the forward's own 6x6
-    system at (R, t_c), checked by the forward's pivot rule. Its one O(N)
-    pass forms the moments; the per-pair Jacobians are formed only by
-    ``GradientBundle.jacobians``. g is a RigidTransform or its 12-vector.
+    system at (R, t_c), read off the round's entries and checked by the
+    forward's pivot rule. Its one O(N) pass forms the moments; the
+    per-pair Jacobians are formed only by ``GradientBundle.jacobians``. g
+    is a RigidTransform or its 12-vector.
     """
     _check_sizes(corr, source)
     t = _as_transform(g)
     mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
     r_mu = t.rotation @ mu
-    a, _, _ = _system_from_moments(
-        m[None], q0[None], mu[None], t.rotation[None], (t.translation + r_mu)[None]
-    )
-    h = 2.0 * a[0]
-    jac = step_jacobian(t.rotation, -r_mu)
+    state = (t.rotation[None], (t.translation + r_mu)[None])
+    a_low, _ = _chart_system(m[None], q0[None], mu[None], *state, _step_buffer(1))
+    h = 2.0 * np.array([v for row in a_low for v in row])[_MIRROR]
     try:
-        _, condition = _factor(h[None], None)
+        _, condition = _factor_entries(h.tolist(), None)
     except SingularSystem as exc:
         raise SingularHessian(f"chart Hessian: {exc}") from None
+    jac = step_jacobian(t.rotation, -r_mu)
     # The explicit inverse, not a solve: chain_loss and the materialized
     # blocks then apply the same matrix and agree to rounding.
     h_inv = jac @ np.linalg.inv(h) @ jac.T

@@ -16,14 +16,15 @@ after that builds its 6x6 system from the moments alone before one damped
 batched over independent problems; the finite-difference oracle feeds it
 B perturbed copies whose moments are rank-two updates of the base ones.
 
-A run keeps one (B, 12, 7) buffer of [J | g - g0]: J's constant entries
-are written once, and each round writes R's signed entries through
-``step_jacobian``'s pick table (``geometry._fill_rotation``) and the
-deflated transform g - g0. The round reads the lower triangle of the
-symmetrized A and -b as entries (``_system_entries``) off the (B, 6, 7)
-product J^T [m J | m (g - g0) + q0] of two stacked products; at B > 1 no
-(B, 6, 6) array is formed. ``_system_from_moments`` forms the same
-products and system as arrays, for the backward and the tests.
+A run keeps one (B, 12, 7) buffer of [J | g - g0] (``_step_buffer``):
+J's constant entries are written once, and each round's system
+(``_chart_system``) writes R's signed entries through ``step_jacobian``'s
+pick table (``geometry._fill_rotation``) and the deflated transform
+g - g0, then reads the lower triangle of the symmetrized A and -b as
+entries (``_system_entries``) off the (B, 6, 7) product
+J^T [m J | m (g - g0) + q0] of two stacked products; at B > 1 no
+(B, 6, 6) array is formed. The backward reads its chart Hessian off the
+same entries, from one B = 1 call on a buffer of its own.
 
 The 6x6 solve is one Cholesky factor written out entry by entry
 (``_cholesky6``), the pivot rule on its squared pivots (``_pivot_rule``),
@@ -174,6 +175,14 @@ def _deflated(rot, centre, mu, out):
     np.subtract(centre, mu, out=out[:, 9:])
 
 
+def _step_buffer(b_dim: int):
+    """A (B, 12, 7) [J | g - g0] buffer for ``_chart_system``, holding the
+    entries of ``step_jacobian(R, 0)`` that do not depend on R."""
+    jg = np.empty((b_dim, 12, 7))
+    jg[..., :6] = _J_IDENTITY
+    return jg
+
+
 def _step_products(m, q0, jg):
     """(B, 6, 7) products J^T [m J | m (g - g0) + q0] of the linearized
     step, from the (B, 12, 7) [J | g - g0] jg."""
@@ -183,35 +192,29 @@ def _step_products(m, q0, jg):
 
 
 def _system_entries(ab):
-    """The system of ``_system_from_moments`` from its (B, 6, 7) products
-    ab, in the 6x6 kernels' entry form (``_entries``): only A's lower
-    triangle, which the factor reads, with each entry its own
-    (ab_ij + ab_ji) / 2, and b's entries -ab_i6. At B > 1 each entry is
-    one (B,) row, so no (B, 6, 6) array is made."""
+    """The system of the (B, 6, 7) products ab, in the 6x6 kernels' entry
+    form (``_entries``): only A's lower triangle, which the factor reads,
+    with each entry its own (ab_ij + ab_ji) / 2, and b's entries -ab_i6.
+    At B > 1 each entry is one (B,) row, so no (B, 6, 6) array is made."""
     e = _entries(ab)
     lower = [[0.5 * (e[i][j] + e[j][i]) for j in range(i + 1)] for i in range(6)]
     return lower, [-row[6] for row in e]
 
 
-def _system_from_moments(m, q0, mu, rot, centre):
-    """6x6 systems (B, 6, 6), (B, 6) of the linearized step at (rot, centre).
+def _chart_system(m, q0, mu, rot, centre, jg):
+    """6x6 systems of the linearized step at (rot, centre), as entries.
 
     The state is R and the moved centroid t_c = t + R mu, and the step
     R' = exp([a]) R, t_c' = t_c + delta rotates about t_c, so the chart's
     12x6 Jacobian J is ``step_jacobian(R, 0)`` and the system is
     A = sym(J^T m J), b = -J^T (m (g - g0) + q0): the normal equations of
-    the per-point rows [R (x_i - mu) x n_i; n_i]. The products are
-    ``_accumulate_batch``'s (``_step_products``), and A and b hold the
-    bits of its ``_system_entries``; here J comes from ``step_jacobian``,
-    with no buffer kept. Also returns the deflated g - g0, (B, 12).
+    the per-point rows [R (x_i - mu) x n_i; n_i]. Writes R's entries and
+    g - g0 into jg, a buffer of ``_step_buffer``, and returns A's lower
+    triangle and b in entry form (``_system_entries``).
     """
-    # Columns 0-5 hold J, column 6 holds g - g0.
-    jg = np.empty((rot.shape[0], 12, 7))
     _deflated(rot, centre, mu, jg[..., 6])
-    jg[..., :6] = step_jacobian(rot, 0.0)
-    ab = _step_products(m, q0, jg)
-    a = ab[..., :6]
-    return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
+    _fill_rotation(jg, rot)
+    return _system_entries(_step_products(m, q0, jg))
 
 
 def _singular(iteration: int | None, what: str) -> SingularSystem:
@@ -301,12 +304,6 @@ def _entries(x):
     return x[0].tolist() if len(x) == 1 else x.transpose(*range(1, x.ndim), 0)
 
 
-def _factor(a, iteration: int | None):
-    """Cholesky rows of the (B, 6, 6) systems a and their condition flag
-    (``_factor_entries``)."""
-    return _factor_entries(_entries(a), iteration)
-
-
 def _factor_entries(a, iteration: int | None):
     """Cholesky rows and condition flag of systems in entry form: ``a[i][j]``
     for j <= i, floats or (B,) rows.
@@ -328,19 +325,12 @@ def _check_damping(damping: float) -> None:
         raise ValueError(f"damping must be finite and non-negative, got {damping}")
 
 
-def _solve_entries(a, b, damping: float, iteration: int | None):
-    """Entries of the solutions of the damped systems (a + damping I) s = b,
-    floats at B = 1 and (B,) rows at B > 1, plus the condition flag of
-    ``_factor``: one Cholesky factor per system, checked by the pivot rule,
-    then forward and back substitution. Each system's solution is bitwise
-    independent of the batch it is in."""
-    return _solve_lower(_entries(a), _entries(b), damping, iteration)
-
-
 def _solve_lower(a, b, damping: float, iteration: int | None):
-    """``_solve_entries`` on systems in entry form: ``a[i][j]`` for j <= i
-    and b's six entries. Damping adds damping to each diagonal entry and
-    +0 to each other one, as adding damping I does."""
+    """Entries of the solutions of (a + damping I) s = b, from a[i][j] for
+    j <= i and b's six entries, and the condition flag of
+    ``_factor_entries``. Damping adds damping to each diagonal entry and
+    +0 to each other one, as adding damping I does. Each system's solution
+    is bitwise independent of the batch it is in."""
     if damping:
         a = [[v + (damping if j == i else 0.0) for j, v in enumerate(row[: i + 1])]
              for i, row in enumerate(a)]
@@ -371,10 +361,9 @@ def _accumulate_batch(
 
     Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
     ``_moments``; no round touches the points. Each round steps R and the
-    moved centroid t_c = t + R mu, with the system of
-    ``_system_from_moments`` read as entries off one [J | g - g0] buffer
-    kept for the run, bitwise the same; the world t = t_c - R mu is formed
-    only for the returned transform. For every k = 0..n_iters,
+    moved centroid t_c = t + R mu, with the system of ``_chart_system``
+    on one [J | g - g0] buffer kept for the run; the world t = t_c - R mu
+    is formed only for the returned transform. For every k = 0..n_iters,
     ``emit(k, rotations, centres, deltas)`` receives the state after k
     rounds (bitwise what ``n_iters = k`` ends in, since no round depends
     on ``n_iters``) and its deflated g - g0 (B, 12), as the kernel's own
@@ -389,16 +378,13 @@ def _accumulate_batch(
     centre = mu
     converged = False
     condition = False
-    # [J | g - g0], kept for the run: J's constant entries are written
-    # once, and each round rewrites only its R entries and g - g0.
-    jg = np.empty((b_dim, 12, 7))
-    jg[..., :6] = _J_IDENTITY
+    # [J | g - g0], kept for the run: each round rewrites only its R
+    # entries and g - g0.
+    jg = _step_buffer(b_dim)
     delta = jg[..., 6]
 
     for k in range(n_iters):
-        _deflated(rot, centre, mu, delta)
-        _fill_rotation(jg, rot)
-        a_low, b_vec = _system_entries(_step_products(m, q0, jg))
+        a_low, b_vec = _chart_system(m, q0, mu, rot, centre, jg)
         if emit is not None:
             emit(k, rot, centre, delta)
         # The system, solution, exp map and step norms stay in the 6x6

@@ -530,10 +530,11 @@ class TestGradcheckCmd:
         assert len(agg) == 2
         assert all(float(r.split(",")[3]) <= 1e-4 for r in agg)
 
-    def test_nan_fd_step_fails(self, tmp_path):
+    def test_nan_fd_step_fails(self, tmp_path, capsys):
         out = tmp_path / "gc"
         assert main(["gradcheck", "--n", "12", "--cases", "1", "--iters", "1",
                      "--fd-step", "nan", "--out", str(out)]) == 1
+        assert "error: --fd-step nan: step must be finite and positive" in capsys.readouterr().err
         assert not (out / "gradcheck.csv").exists()
 
     def test_empty_iters_fails(self, tmp_path, capsys):
@@ -626,7 +627,7 @@ class TestBenchCmd:
 
         assert _counts(text, "--iters-list") == [1, 2, 5, 10]
 
-    @pytest.mark.parametrize("text", ["", " , ", "1,0", "-2"])
+    @pytest.mark.parametrize("text", ["", " , ", "1,0", "-2", "1,x", "2.5"])
     def test_count_list_rejects_empty_and_below_one(self, text):
         from p2plreg.cli import _counts
 

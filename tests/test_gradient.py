@@ -27,9 +27,12 @@ from p2plreg.gradient import (
     residual_coeffs,
     rigid_motion_loss,
 )
-from p2plreg.solver import _moments, _system_from_moments, energy, register_p2pl
+from p2plreg.solver import CONDITION_LIMIT, _moments, energy, register_p2pl
 from p2plreg.synth import draw_rigid
 from p2plreg.seeding import derived_rng
+# The forward's system as whole arrays, the reference the solver tests pin
+# the kernel's rounds to.
+from test_solver import _assert_same_bits, _whole_system
 
 
 def _random_g(rng):
@@ -463,21 +466,23 @@ class TestBackward:
         assert compare(bundle, fd, dldg, 10).rel_mse <= 1e-4
 
 
-    @pytest.mark.parametrize("n_pts", [32, 1024])
-    def test_matches_explicit_solve_of_cross_derivatives(self, n_pts):
+    @pytest.mark.parametrize("n_pts", [16, 32, 64, 1024])
+    @pytest.mark.parametrize("noise", [0.0, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("n_iters", [1, 10])
+    def test_matches_explicit_solve_of_cross_derivatives(self, n_iters, noise, n_pts):
         # Textbook form in the step chart: d g*/d u = -J H^{-1} J^T
         # d(grad_g E)/du with H = J^T H_data J, one solve per block. The
         # chart rotates about the moved centroid t_c = t + R mu, so J is
         # step_jacobian(R, -R mu) in g = (R, t). The bundle's H is twice the
-        # forward's own 6x6 system at t_c, which agrees with the textbook H
-        # to rounding.
-        corr, cloud, _ = make_instance(29, n_pts, noise=1e-3)
-        t = register_p2pl(corr, cloud, n_iters=10).transform
+        # forward's own 6x6 system at t_c, sign bits included, which agrees
+        # with the textbook H to rounding.
+        corr, cloud, _ = make_instance(29, n_pts, noise=noise)
+        t = register_p2pl(corr, cloud, n_iters=n_iters).transform
         g = to_gvector(t)
         bundle = backward(corr, cloud, g)
         mu, _, _, m, q0 = _moments(cloud.positions, corr.targets, corr.normals, corr.weights)
         r_mu = t.rotation @ mu
-        forward_a = _system_from_moments(
+        forward_a = _whole_system(
             m[None], q0[None], mu[None], t.rotation[None], (t.translation + r_mu)[None]
         )[0][0]
         jac = step_jacobian(t.rotation, -r_mu)
@@ -494,7 +499,9 @@ class TestBackward:
             (jacobians.wrt_x, solved(blocks.wrt_x)),
             (jacobians.wrt_zeta, solved(blocks.wrt_zeta.T).T),
         ]
-        np.testing.assert_array_equal(bundle.hessian, 2.0 * forward_a)
+        _assert_same_bits(bundle.hessian, 2.0 * forward_a)
+        pivots = np.linalg.cholesky(bundle.hessian).diagonal() ** 2
+        assert bundle.condition_warning == (pivots.max() / pivots.min() > CONDITION_LIMIT)
         np.testing.assert_allclose(bundle.hessian, h, rtol=0, atol=1e-14 * np.abs(h).max())
         for got, expect in pairs:
             np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-12 * np.abs(expect).max())

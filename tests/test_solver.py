@@ -28,10 +28,10 @@ from p2plreg.solver import (
     SingularSystem,
     _accumulate_batch,
     _batch,
-    _factor,
+    _entries,
+    _factor_entries,
     _moments,
-    _solve_entries,
-    _system_from_moments,
+    _solve_lower,
     _world,
     energy,
     icp,
@@ -47,11 +47,32 @@ def _identity():
     return RigidTransform.identity()
 
 
+def _whole_system(m, q0, mu, rot, centre):
+    """The (B, 6, 6) A, (B, 6) b and (B, 12) g - g0 of the linearized step
+    at (rot, centre), as whole arrays: a fresh ``step_jacobian(rot, 0)``,
+    the (B, 6, 7) product J^T [m J | m (g - g0) + q0] and a whole-array
+    symmetrize. The kernel's entry-form system holds these bits."""
+    jg = np.empty((rot.shape[0], 12, 7))
+    jg[..., 6] = np.concatenate([(rot - np.eye(3)).reshape(-1, 9), centre - mu], axis=1)
+    jg[..., :6] = step_jacobian(rot, 0.0)
+    mjg = m @ jg
+    mjg[..., 6] += q0
+    ab = jg[..., :6].swapaxes(1, 2) @ mjg
+    a = ab[..., :6]
+    return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
+
+
+def _solve(a, b, damping, iteration):
+    """Entry-form solutions and condition flag of the (B, 6, 6) systems a
+    and (B, 6) right-hand sides b, through the kernel's ``_solve_lower``."""
+    return _solve_lower(_entries(a), _entries(b), damping, iteration)
+
+
 def _system_at_identity(corr, source):
     """The kernel's 6x6 system (A, b) before its first round: R = I and the
     moved centroid t_c at the weighted source centroid mu."""
     mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
-    a, b, _ = _system_from_moments(m[None], q0[None], mu[None], np.eye(3)[None], mu[None])
+    a, b, _ = _whole_system(m[None], q0[None], mu[None], np.eye(3)[None], mu[None])
     return a[0], b[0]
 
 
@@ -566,7 +587,7 @@ class TestCholeskySolve:
         # The Gram systems have condition numbers below 30; Cholesky and
         # LU then agree to a few eps of |x| (measured 1.1e-15 at B = 1280).
         a, b = _gram_batch(np.random.default_rng(b_dim), b_dim)
-        x, condition = _solve_entries(a, b, 0.0, 0)
+        x, condition = _solve(a, b, 0.0, 0)
         got = _batch(x)
         want = np.linalg.solve(a, b[..., None])[..., 0]
         scale = np.max(np.abs(want), axis=1, keepdims=True)
@@ -576,12 +597,12 @@ class TestCholeskySolve:
     def test_solution_independent_of_batch(self):
         # Bitwise, for any BLAS thread count: the kernel makes no LAPACK call.
         a, b = _gram_batch(np.random.default_rng(3), 1280)
-        whole = _batch(_solve_entries(a, b, 1e-6, 0)[0])
+        whole = _batch(_solve(a, b, 1e-6, 0)[0])
         for i in range(1280):
-            alone = _batch(_solve_entries(a[i : i + 1], b[i : i + 1], 1e-6, 0)[0])
+            alone = _batch(_solve(a[i : i + 1], b[i : i + 1], 1e-6, 0)[0])
             np.testing.assert_array_equal(alone[0], whole[i])
         for start in range(0, 1280, 7):
-            part = _batch(_solve_entries(a[start : start + 7], b[start : start + 7], 1e-6, 0)[0])
+            part = _batch(_solve(a[start : start + 7], b[start : start + 7], 1e-6, 0)[0])
             np.testing.assert_array_equal(part, whole[start : start + 7])
 
     def test_register_p2pl_is_its_batch_item(self):
@@ -630,7 +651,7 @@ class TestCholeskySolve:
         a = _ldl_batch(rng, pivots)
         diag = np.linalg.cholesky(a).diagonal(axis1=-2, axis2=-1) ** 2
         lapack = bool(np.any(diag.max(axis=-1) / diag.min(axis=-1) > CONDITION_LIMIT))
-        _, condition = _factor(a, 0)
+        _, condition = _factor_entries(_entries(a), 0)
         assert condition == lapack == (spread > CONDITION_LIMIT)
 
     @pytest.mark.parametrize("b_dim, bad", [(1, (0,)), (7, (4,)), (1280, (911, 1200))])
@@ -641,7 +662,7 @@ class TestCholeskySolve:
         a = _ldl_batch(rng, pivots)
         where = f"at iteration 5 \\(batch item {bad[0]}\\)"
         with pytest.raises(SingularSystem, match=where) as err:
-            _solve_entries(a, np.ones((b_dim, 6)), 0.0, 5)
+            _solve(a, np.ones((b_dim, 6)), 0.0, 5)
         assert err.value.iteration == 5
 
     @pytest.mark.parametrize("b_dim, bad", [(1, 0), (7, 6), (1280, 37)])
@@ -649,7 +670,7 @@ class TestCholeskySolve:
         a, b = _gram_batch(np.random.default_rng(b_dim), b_dim)
         a[bad, 2, 4] = a[bad, 4, 2] = np.nan
         with pytest.raises(SingularSystem, match=f"batch item {bad}\\)") as err:
-            _solve_entries(a, b, 0.0, 2)
+            _solve(a, b, 0.0, 2)
         assert err.value.iteration == 2
 
     @pytest.mark.parametrize("b_dim", [1, 7])
@@ -660,7 +681,7 @@ class TestCholeskySolve:
         a[:, 5, :] = a[:, :, 5] = 0.0
         a[:, 5, 5] = 1e-16 * a[:, 0, 0]
         with pytest.raises(SingularSystem, match="tiny pivot") as err:
-            _solve_entries(a, b, 0.0, 1)
+            _solve(a, b, 0.0, 1)
         assert err.value.iteration == 1
 
 
@@ -682,9 +703,9 @@ def _oracle_moments(b_dim):
 
 
 def _reference_rounds(m, q0, mu, n_iters, damping):
-    """The accumulation one whole system at a time: ``_system_from_moments``,
-    damping I added to the whole matrix, ``_solve_entries``, then the
-    exp-map update. Returns the final (rot, world translation) and the
+    """The accumulation one whole system at a time: ``_whole_system``,
+    damping I added to the whole matrix, ``_solve``, then the exp-map
+    update. Returns the final (rot, world translation) and the
     (rot, centre, g - g0) before each round."""
     b_dim = m.shape[0]
     rot = np.empty((b_dim, 3, 3))
@@ -692,11 +713,11 @@ def _reference_rounds(m, q0, mu, n_iters, damping):
     centre = mu
     seen = []
     for k in range(n_iters):
-        a, b, delta = _system_from_moments(m, q0, mu, rot, centre)
+        a, b, delta = _whole_system(m, q0, mu, rot, centre)
         seen.append((rot, centre, delta.copy()))
         if damping:
             a = a + damping * np.eye(6)
-        x, _ = _solve_entries(a, b, 0.0, k)
+        x, _ = _solve(a, b, 0.0, k)
         _, exp = _exp_entries(x[:3])
         rot = _batch(exp).reshape(b_dim, 3, 3) @ rot
         centre = centre + _batch(x[3:])
@@ -704,9 +725,10 @@ def _reference_rounds(m, q0, mu, n_iters, damping):
 
 
 class TestStepRound:
-    # A round writes J's rotation strips into a buffer kept for the run and
-    # reads the system's entries off the (B, 6, 7) product; it must give
-    # the bits of forming each round's whole system.
+    # A round scatters R's entries into a buffer kept for the run
+    # (geometry._fill_rotation) and reads the system's entries off the
+    # (B, 6, 7) product; it must give the bits of forming each round's
+    # whole system (_whole_system).
 
     @staticmethod
     def _rotations():
@@ -734,25 +756,6 @@ class TestStepRound:
             _fill_rotation(jg, rots)
             _assert_same_bits(jg[..., :6], step_jacobian(rots, 0.0), name)
 
-    def test_system_from_moments_is_the_whole_matrix_product(self):
-        # Its bits are those of the (B, 12, 7) product with a fresh
-        # step_jacobian, symmetrized as whole arrays.
-        m, q0, mu = _oracle_moments(7)
-        rng = np.random.default_rng(10)
-        rot = np.stack([random_rotation(rng) for _ in range(7)])
-        rot[0] = np.eye(3)
-        centre = mu + rng.normal(scale=0.1, size=(7, 3))
-        jg = np.empty((7, 12, 7))
-        jg[..., 6] = np.concatenate([(rot - np.eye(3)).reshape(7, 9), centre - mu], axis=1)
-        jg[..., :6] = step_jacobian(rot, 0.0)
-        mjg = m @ jg
-        mjg[..., 6] += q0
-        ab = jg[..., :6].swapaxes(1, 2) @ mjg
-        a, b, delta = _system_from_moments(m, q0, mu, rot, centre)
-        _assert_same_bits(a, 0.5 * (ab[..., :6] + ab[..., :6].swapaxes(1, 2)))
-        _assert_same_bits(b, -ab[..., 6])
-        _assert_same_bits(delta, jg[..., 6])
-
     @pytest.mark.parametrize("b_dim", [1, 7, 1281])
     @pytest.mark.parametrize("damping", [0.0, 1e-6])
     def test_kernel_is_the_reference_rounds(self, b_dim, damping):
@@ -779,8 +782,8 @@ class TestStepRound:
         a[~np.eye(6, dtype=bool)] = -0.0
         a = np.repeat(a[None], b_dim, axis=0)
         b = np.full((b_dim, 6), -0.0)
-        got = _batch(_solve_entries(a, b, 1e-6, 0)[0])
-        want = _batch(_solve_entries(a + 1e-6 * np.eye(6), b, 0.0, 0)[0])
+        got = _batch(_solve(a, b, 1e-6, 0)[0])
+        want = _batch(_solve(a + 1e-6 * np.eye(6), b, 0.0, 0)[0])
         _assert_same_bits(got, want)
         assert np.signbit(got).sum() == b_dim
 
@@ -788,8 +791,9 @@ class TestStepRound:
         # The [J | g - g0] buffer kept for the run takes the place of the
         # fresh one each round formed, so it does not lower the peak; the
         # per-round products are freed before the next round. Forming a
-        # fresh buffer every round peaked at 2.1818 MB; the six strip views
-        # kept with the buffer add about 0.8 KB, allowed for by 2 KB.
+        # fresh buffer every round peaked at 2.1818 MB. Scattering R's
+        # entries into the kept buffer (geometry._fill_rotation) leaves no
+        # array behind; the bound keeps 2 KB of slack over that figure.
         m, q0, mu = _oracle_moments(1280)
         tracemalloc.start()
         try:
