@@ -29,7 +29,7 @@ from .correspond import CorrespondenceSet
 from .geometry import RigidTransform
 from .gradient import GradientBundle, PerInput, chain_blocks
 from .seeding import derived_rng
-from .solver import _accumulate_batch, _check_sizes, _moment_rows, _moments, _world
+from .solver import _Moments, _accumulate_batch, _check_sizes, _moment_rows, _moments, _world
 from .synth import draw_rigid, synth_shape
 
 INPUT_KINDS = ("x", "y", "n", "zeta")
@@ -64,17 +64,17 @@ class GradErrorReport:
 
 
 def _perturbed_moments(moments, table, pairs, cols, h: float, with_base: bool = False):
-    """Moments (m, q0) of the 2 len(pairs) centrally perturbed copies.
+    """``_Moments`` of the 2 len(pairs) centrally perturbed copies.
 
     ``moments`` is ``_moments`` of the unperturbed inputs, whose (N, 10)
     ``table`` holds x, y, n and zeta as its columns (``_COLUMNS``). Copy 2 r
     adds +h to column ``cols[r]`` of row ``pairs[r]``, copy 2 r + 1 adds -h.
     Each copy changes one pair, so its moments are the base ones with that
     pair's term swapped for the perturbed one, a rank-two update; all copies
-    keep the base centroid. ``with_base`` appends the base moments as one
-    more item, after the copies.
+    share the base centroid, broadcast, and have no rows. ``with_base``
+    appends the base moments as one more item, after the copies.
     """
-    mu, u, s, m, q0 = moments
+    mu, m, q0, base_rows = moments
     n_copies = 2 * len(pairs)
     pert = np.repeat(table[pairs], 2, axis=0)
     r = np.arange(len(pairs))[:, None]
@@ -82,8 +82,8 @@ def _perturbed_moments(moments, table, pairs, cols, h: float, with_base: bool = 
     rows = _moment_rows(*(pert[:, c] for c in _COLUMNS), mu)
     # The outer products below read each copy's 12 entries together.
     new_u, new_s = np.ascontiguousarray(rows[:12].T), rows[12]
-    old_u = np.repeat(u[pairs], 2, axis=0)
-    old_s = np.repeat(s[pairs], 2)
+    old_u = np.repeat(base_rows[:12, pairs].T, 2, axis=0)
+    old_s = np.repeat(base_rows[12, pairs], 2)
     m_out = np.empty((n_copies + with_base, 12, 12))
     m_out[n_copies:] = m
     m_pert = m_out[:n_copies]
@@ -99,7 +99,7 @@ def _perturbed_moments(moments, table, pairs, cols, h: float, with_base: bool = 
     np.multiply(new_s[:, None], new_u, out=q_pert)
     q_pert -= old_s[:, None] * old_u
     q_pert += q0
-    return m_out, q_out
+    return _Moments(np.broadcast_to(mu, (len(m_out), 3)), m_out, q_out, None)
 
 
 @dataclass(frozen=True)
@@ -154,26 +154,24 @@ def fd_bundle(
     arrays = (source.positions, corr.targets, corr.normals, corr.weights)
     table = np.column_stack(arrays)
     moments = _moments(*arrays)
-    mu = moments[0]
-    per_job = max(1, CHUNK_ELEMS // (2 * moments[3].size))
+    per_job = max(1, CHUNK_ELEMS // (2 * moments.m.size))
     diffs = {count: np.empty((len(pairs), 12)) for count in {top, *also_at}}
     transforms = {}
     for start in range(0, len(pairs), per_job):
         sl = slice(start, start + per_job)
         base = start == 0
-        m, q0 = _perturbed_moments(moments, table, pairs[sl], cols[sl], h, with_base=base)
-        n_copies = m.shape[0] - base
-        mus = np.broadcast_to(mu, (m.shape[0], 3))
+        job = _perturbed_moments(moments, table, pairs[sl], cols[sl], h, with_base=base)
+        n_copies = len(job.m) - base
 
         def write(k, rot, centre, delta):
             if k in diffs:
-                world = _world(rot, centre, mus)
+                world = _world(rot, centre, job.mu)
                 g = np.concatenate([rot.reshape(-1, 9), world], axis=1)
                 diffs[k][sl] = (g[0:n_copies:2] - g[1:n_copies:2]) / (2.0 * h)
                 if base:
                     transforms[k] = RigidTransform(rot[-1].copy(), world[-1].copy())
 
-        _accumulate_batch(m, q0, mus, top, emit=write)
+        _accumulate_batch(job, top, emit=write)
     blocks = {count: _blocks(d) for count, d in diffs.items()}
     return FDBlocks(
         **vars(blocks[top]), also={c: blocks[c] for c in also_at}, transforms=transforms

@@ -14,12 +14,13 @@ One 6x6 inverse is shared across all N pairs, so the backward cost does
 not depend on how many accumulation rounds produced the transform, and
 J H^{-1} J^T does not depend on the chart's pivot. H is read off the
 round's own entries: twice the 6x6 system the forward would factor next
-at g, that is at (R, t + R mu) (``solver._moments`` and
-``solver._chart_system``), checked by the forward's own Cholesky factor
-and pivot rule (``solver._factor_entries``), so the two passes share one
-chart, one Hessian formula and one singularity criterion.
+at g, that is at (R, t + R mu), formed from the moments record of
+``solver._moments`` by ``solver._chart_system`` and checked by the
+forward's Cholesky factor and pivot rule (``solver._factor_entries``), so
+the two passes share one chart, one Hessian formula and one singularity
+criterion.
 
-``backward`` forms the moments, H and the lifted inverse J H^{-1} J^T and
+``backward`` forms the record, H and the lifted inverse J H^{-1} J^T and
 stops there: its one O(N) pass is the moments. The bundle keeps the inputs
 and the solved transform it was built from. Every per-pair derivative is a
 product p @ d(grad_g E)/du, for a (k, 12) matrix p, from one builder,
@@ -277,10 +278,10 @@ def backward(corr: CorrespondenceSet, source: PointCloud, g) -> GradientBundle:
     """
     _check_sizes(corr, source)
     t = _as_transform(g)
-    mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
-    r_mu = t.rotation @ mu
-    state = (t.rotation[None], (t.translation + r_mu)[None])
-    a_low, _ = _chart_system(m[None], q0[None], mu[None], *state, _step_buffer(1))
+    moments = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    r_mu = t.rotation @ moments.mu[0]
+    # The kernel reads the one (R, t_c) as a batch of one.
+    a_low, _ = _chart_system(moments, t.rotation, t.translation + r_mu, _step_buffer(1))
     h = 2.0 * np.array([v for row in a_low for v in row])[_MIRROR]
     try:
         _, condition = _factor_entries(h.tolist(), None)

@@ -10,20 +10,20 @@ Correspondences stay fixed for the whole accumulation; the classic ICP
 wrapper re-derives them between accumulations.
 
 The plane residuals are linear in the 12 transform entries, so one pass
-over the points forms their 12x12 moments (``_moments``) and every round
-after that builds its 6x6 system from the moments alone before one damped
-6x6 solve: a round costs O(1) in the number of pairs. The kernel is
-batched over independent problems; the finite-difference oracle feeds it
-B perturbed copies whose moments are rank-two updates of the base ones.
+over the points forms their 12x12 moments and every round after that
+builds its 6x6 system from the moments alone before one damped 6x6 solve:
+a round costs O(1) in the number of pairs. The kernel is batched over
+independent problems, whose moments it takes as one record (``_Moments``),
+as the backward does; the finite-difference oracle feeds it B perturbed
+copies whose moments are rank-two updates of the base ones.
 
 A run keeps one (B, 12, 7) buffer of [J | g - g0] (``_step_buffer``):
 J's constant entries are written once, and each round's system
 (``_chart_system``) writes R's signed entries through ``step_jacobian``'s
 pick table (``geometry._fill_rotation``) and the deflated transform
 g - g0, then reads the lower triangle of the symmetrized A and -b as
-entries (``_system_entries``) off the (B, 6, 7) product
-J^T [m J | m (g - g0) + q0] of two stacked products; at B > 1 no
-(B, 6, 6) array is formed. The backward reads its chart Hessian off the
+entries off the (B, 6, 7) product J^T [m J | m (g - g0) + q0]; at B > 1
+no (B, 6, 6) array is formed. The backward reads its chart Hessian off the
 same entries, from one B = 1 call on a buffer of its own.
 
 The 6x6 solve is one Cholesky factor written out entry by entry
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -123,29 +124,41 @@ def energy(corr: CorrespondenceSet, source: PointCloud, t: RigidTransform) -> fl
     return float(np.sum(corr.weights * res * res))
 
 
-def _moments(x, y, n, zeta):
+class _Moments(NamedTuple):
+    """The moments of a batch of B problems (``_moments``): (B, 3) centroids
+    mu, (B, 12, 12) m and (B, 12) q0, and the (13, N) rows [u^T; s] of a
+    problem formed from its pairs, else None."""
+
+    mu: NDArray[np.float64]
+    m: NDArray[np.float64]
+    q0: NDArray[np.float64]
+    rows: NDArray[np.float64] | None
+
+
+def _moments(x, y, n, zeta) -> _Moments:
     """Moments of the plane residuals of (N, 3) inputs and (N,) weights.
 
     The residuals are linear in the transform vector g = (row-major R, t_c)
     of the source centered at its weighted centroid mu: r_i = d_i . (g - g0)
     + r0_i, with d_i = ``residual_coeffs(x_i - mu, n_i)``, g0 = (I, mu) the
     identity and r0_i = (x_i - y_i) . n_i taken in point form, so an aligned
-    problem has exact zero residuals. Returns (mu, u, s, m, q0) with the
-    weighted rows u_i = sqrt(zeta_i) d_i (the coefficients of the weighted
-    normal, as d is linear in n) and s_i = sqrt(zeta_i) r0_i, the 12x12
+    problem has exact zero residuals. Returns the record of one problem
+    (B = 1): its rows are the pair-minor (13, N) buffer of ``_moment_rows``,
+    whose columns hold the weighted rows u_i = sqrt(zeta_i) d_i (the
+    coefficients of the weighted normal, as d is linear in n) above
+    s_i = sqrt(zeta_i) r0_i. With u = ``rows[:12].T`` and s = ``rows[12]``,
     m = u^T u = sum zeta_i d_i d_i^T, a Gram product and so symmetric
-    bitwise, and q0 = u^T s = sum zeta_i r0_i d_i. u and s are views of
-    the pair-minor (13, N) buffer of ``_moment_rows``: u is the F-ordered
-    (N, 12) ``buf[:12].T``, so u.T is C-ordered, and s is ``buf[12]``.
+    bitwise, and q0 = u^T s = sum zeta_i r0_i d_i.
     """
-    mu = (zeta @ x) / zeta.sum()
-    buf = _moment_rows(x, y, n, zeta, mu)
-    u, s = buf[:12].T, buf[12]
-    return mu, u, s, u.T @ u, s @ u
+    # Formed with their batch axis: views would add to the oracle's peak.
+    mu = (zeta @ x)[None] / zeta.sum()
+    rows = _moment_rows(x, y, n, zeta, mu)
+    u, s = rows[:12].T, rows[12]
+    return _Moments(mu, u.T[None] @ u, s[None] @ u, rows)
 
 
 def _moment_rows(x, y, n, zeta, mu):
-    """Weighted rows of ``_moments`` for pairs centered at mu, pair-minor.
+    """Weighted rows of ``_moments`` for pairs centered at (1, 3) mu, pair-minor.
 
     Returns one C-ordered (13, N) buffer: rows 0-11 hold u^T, the rows of
     ``geometry._coeff_rows`` for x - mu and sqrt(zeta) n, so column i is
@@ -164,7 +177,7 @@ def _moment_rows(x, y, n, zeta, mu):
     s *= root
     nt = np.multiply(n.T, root, out=buf[9:12])
     del root
-    _coeff_rows(np.subtract(x.T, mu[:, None], order="C"), nt, buf[:12])
+    _coeff_rows(np.subtract(x.T, mu.T, order="C"), nt, buf[:12])
     return buf
 
 
@@ -183,25 +196,7 @@ def _step_buffer(b_dim: int):
     return jg
 
 
-def _step_products(m, q0, jg):
-    """(B, 6, 7) products J^T [m J | m (g - g0) + q0] of the linearized
-    step, from the (B, 12, 7) [J | g - g0] jg."""
-    mjg = m @ jg
-    mjg[..., 6] += q0
-    return jg[..., :6].swapaxes(1, 2) @ mjg
-
-
-def _system_entries(ab):
-    """The system of the (B, 6, 7) products ab, in the 6x6 kernels' entry
-    form (``_entries``): only A's lower triangle, which the factor reads,
-    with each entry its own (ab_ij + ab_ji) / 2, and b's entries -ab_i6.
-    At B > 1 each entry is one (B,) row, so no (B, 6, 6) array is made."""
-    e = _entries(ab)
-    lower = [[0.5 * (e[i][j] + e[j][i]) for j in range(i + 1)] for i in range(6)]
-    return lower, [-row[6] for row in e]
-
-
-def _chart_system(m, q0, mu, rot, centre, jg):
+def _chart_system(moments: _Moments, rot, centre, jg):
     """6x6 systems of the linearized step at (rot, centre), as entries.
 
     The state is R and the moved centroid t_c = t + R mu, and the step
@@ -209,12 +204,26 @@ def _chart_system(m, q0, mu, rot, centre, jg):
     12x6 Jacobian J is ``step_jacobian(R, 0)`` and the system is
     A = sym(J^T m J), b = -J^T (m (g - g0) + q0): the normal equations of
     the per-point rows [R (x_i - mu) x n_i; n_i]. Writes R's entries and
-    g - g0 into jg, a buffer of ``_step_buffer``, and returns A's lower
-    triangle and b in entry form (``_system_entries``).
+    g - g0 into jg, a buffer of ``_step_buffer``, and reads the system off
+    the (B, 6, 7) product ab = J^T [m J | m (g - g0) + q0] in the 6x6
+    kernels' entry form (``_entries``): A's lower triangle, which the factor
+    reads, each entry its own (ab_ij + ab_ji) / 2, and b's entries -ab_i6.
+    At B > 1 each entry is one (B,) row, so no (B, 6, 6) array is made.
     """
-    _deflated(rot, centre, mu, jg[..., 6])
+    _deflated(rot, centre, moments.mu, jg[..., 6])
     _fill_rotation(jg, rot)
-    return _system_entries(_step_products(m, q0, jg))
+    mjg = moments.m @ jg
+    mjg[..., 6] += moments.q0
+    ab = jg[..., :6].swapaxes(1, 2) @ mjg
+    # The oracle peaks here. mjg goes before the entries are read, and plain
+    # loops read e: a comprehension would make e a closure cell on entry.
+    del mjg
+    e = _entries(ab)
+    lower = [[] for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1):
+            lower[i].append(0.5 * (e[i][j] + e[j][i]))
+    return lower, [-row[6] for row in e]
 
 
 def _singular(iteration: int | None, what: str) -> SingularSystem:
@@ -349,33 +358,26 @@ def _world(rot, centre, mu):
     return centre - (rot @ mu[..., None])[..., 0]
 
 
-def _accumulate_batch(
-    m: NDArray[np.float64],
-    q0: NDArray[np.float64],
-    mu: NDArray[np.float64],
-    n_iters: int,
-    damping: float = 0.0,
-    emit=None,
-):
+def _accumulate_batch(moments: _Moments, n_iters: int, damping: float = 0.0, emit=None):
     """Iterative accumulation over a batch of independent problems, from moments.
 
-    Inputs are the (B, 12, 12) m, (B, 12) q0 and (B, 3) mu of
-    ``_moments``; no round touches the points. Each round steps R and the
-    moved centroid t_c = t + R mu, with the system of ``_chart_system``
-    on one [J | g - g0] buffer kept for the run; the world t = t_c - R mu
-    is formed only for the returned transform. For every k = 0..n_iters,
-    ``emit(k, rotations, centres, deltas)`` receives the state after k
-    rounds (bitwise what ``n_iters = k`` ends in, since no round depends
-    on ``n_iters``) and its deflated g - g0 (B, 12), as the kernel's own
-    arrays: copy what is kept. Returns (rotations (B, 3, 3), translations
-    (B, 3), converged (B,), condition_warning bool). Runs exactly
-    ``n_iters`` iterations; convergence is informational.
+    ``moments`` is the ``_Moments`` of B problems; no round touches the
+    points. Each round steps R and the moved centroid t_c = t + R mu, with
+    the system of ``_chart_system`` on one [J | g - g0] buffer kept for the
+    run; the world t = t_c - R mu is formed only for the returned transform.
+    For every k = 0..n_iters, ``emit(k, rotations, centres, deltas)``
+    receives the state after k rounds (bitwise what ``n_iters = k`` ends
+    in, since no round depends on ``n_iters``) and its deflated g - g0
+    (B, 12), as the kernel's own arrays: copy what is kept. Returns
+    (rotations (B, 3, 3), translations (B, 3), converged (B,),
+    condition_warning bool). Runs exactly ``n_iters`` iterations;
+    convergence is informational.
     """
     _check_damping(damping)
-    b_dim = m.shape[0]
+    mu = centre = moments.mu
+    b_dim = len(mu)
     rot = np.empty((b_dim, 3, 3))
     rot[:] = _EYE3
-    centre = mu
     converged = False
     condition = False
     # [J | g - g0], kept for the run: each round rewrites only its R
@@ -384,7 +386,7 @@ def _accumulate_batch(
     delta = jg[..., 6]
 
     for k in range(n_iters):
-        a_low, b_vec = _chart_system(m, q0, mu, rot, centre, jg)
+        a_low, b_vec = _chart_system(moments, rot, centre, jg)
         if emit is not None:
             emit(k, rot, centre, delta)
         # The system, solution, exp map and step norms stay in the 6x6
@@ -421,22 +423,20 @@ def register_p2pl(
     _check_sizes(corr, source)
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    mu, u, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    moments = _moments(source.positions, corr.targets, corr.normals, corr.weights)
     # Row k holds (g - g0, 1) before round k, so row k of deltas @ rows is
-    # sqrt(zeta_i) r_i, r_i = d_i . (g - g0) + r0_i, where rows is the (13, N)
-    # buffer [u^T; s] that u is a view of (see ``_moments``).
+    # sqrt(zeta_i) r_i, r_i = d_i . (g - g0) + r0_i, where rows is the
+    # record's (13, N) buffer [u^T; s] (see ``_moments``).
     deltas = np.ones((n_iters + 1, 13))
 
     def record(k, rot, centre, delta):
         deltas[k, :12] = delta[0]
 
-    rot, trans, converged, condition = _accumulate_batch(
-        m[None], q0[None], mu[None], n_iters, damping, record
-    )
+    rot, trans, converged, condition = _accumulate_batch(moments, n_iters, damping, record)
     # The trace is summed over column blocks of the pairs through one
     # reused buffer of at most _TRACE_ELEMS doubles, so no (n_iters + 1, N)
     # block is formed.
-    rows = u.base
+    rows = moments.rows
     n = rows.shape[1]
     width = max(1, _TRACE_ELEMS // len(deltas))
     buf = np.empty((len(deltas), min(width, n)))

@@ -134,6 +134,17 @@ class TestRegister:
         assert math.isfinite(summary["rmse_r"])
         assert (out / "pair_0000_transform.txt").exists()
 
+    def test_one_pair_writes_no_summary(self, dataset, tmp_path):
+        # summary.json needs two pairs that have a ground truth and register;
+        # one such pair still gets its metrics row and transform.
+        one = tmp_path / "one"
+        shutil.copytree(dataset / "pair_0000", one / "pair_0000")
+        out = tmp_path / "reg"
+        assert main(["register", "--in", str(one), "--out", str(out)]) == 0
+        assert len((out / "metrics.csv").read_text().strip().splitlines()) == 2
+        assert (out / "pair_0000_transform.txt").exists()
+        assert not (out / "summary.json").exists()
+
     def test_small_motion_registers_accurately(self, dataset, tmp_path):
         out = tmp_path / "reg2"
         assert main(["register", "--in", str(dataset), "--method", "p2pl",

@@ -61,14 +61,14 @@ class TestFdJacobian:
         h = 1e-5
         pairs = np.repeat([0, 17, 39], 10)
         cols = np.tile(np.arange(10), 3)
-        m, q0 = _perturbed_moments(moments, table, pairs, cols, h)
+        _, m, q0, _ = _perturbed_moments(moments, table, pairs, cols, h)
         for row, (pair, col) in enumerate(zip(pairs, cols)):
             for copy, sign in ((2 * row, h), (2 * row + 1, -h)):
                 pert = table.copy()
                 pert[pair, col] += sign
                 x, y, n, zeta = pert[:, :3], pert[:, 3:6], pert[:, 6:9], pert[:, 9]
                 root = np.sqrt(zeta)
-                u = root[:, None] * residual_coeffs(x - moments[0], n)
+                u = root[:, None] * residual_coeffs(x - moments.mu, n)
                 s = root * np.einsum("ni,ni->n", x - y, n)
                 msg = f"pair {pair}, column {col}"
                 np.testing.assert_allclose(m[copy], u.T @ u, rtol=1e-12, err_msg=msg)
@@ -89,8 +89,7 @@ class TestFdJacobian:
                 pert[kind][pair, comp] += sign
             else:
                 pert[kind][pair] += sign
-            mu, _, _, m, q0 = _moments(*pert)
-            rot, trans, _, _ = _accumulate_batch(m[None], q0[None], mu[None], 10)
+            rot, trans, _, _ = _accumulate_batch(_moments(*pert), 10)
             return np.concatenate([rot[0].ravel(), trans[0]])
 
         bounds = {"x": 1e-8, "y": 1e-8, "n": 1e-6, "zeta": 1e-5}

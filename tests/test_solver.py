@@ -30,6 +30,7 @@ from p2plreg.solver import (
     _batch,
     _entries,
     _factor_entries,
+    _Moments,
     _moments,
     _solve_lower,
     _world,
@@ -47,16 +48,19 @@ def _identity():
     return RigidTransform.identity()
 
 
-def _whole_system(m, q0, mu, rot, centre):
+def _whole_system(moments, rot, centre):
     """The (B, 6, 6) A, (B, 6) b and (B, 12) g - g0 of the linearized step
-    at (rot, centre), as whole arrays: a fresh ``step_jacobian(rot, 0)``,
-    the (B, 6, 7) product J^T [m J | m (g - g0) + q0] and a whole-array
-    symmetrize. The kernel's entry-form system holds these bits."""
+    of the record ``moments`` at (rot, centre), as whole arrays: a fresh
+    ``step_jacobian(rot, 0)``, the (B, 6, 7) product
+    J^T [m J | m (g - g0) + q0] and a whole-array symmetrize. The kernel's
+    entry-form system holds these bits."""
     jg = np.empty((rot.shape[0], 12, 7))
-    jg[..., 6] = np.concatenate([(rot - np.eye(3)).reshape(-1, 9), centre - mu], axis=1)
+    jg[..., 6] = np.concatenate(
+        [(rot - np.eye(3)).reshape(-1, 9), centre - moments.mu], axis=1
+    )
     jg[..., :6] = step_jacobian(rot, 0.0)
-    mjg = m @ jg
-    mjg[..., 6] += q0
+    mjg = moments.m @ jg
+    mjg[..., 6] += moments.q0
     ab = jg[..., :6].swapaxes(1, 2) @ mjg
     a = ab[..., :6]
     return 0.5 * (a + a.swapaxes(1, 2)), -ab[..., 6], jg[..., 6]
@@ -68,11 +72,16 @@ def _solve(a, b, damping, iteration):
     return _solve_lower(_entries(a), _entries(b), damping, iteration)
 
 
+def _stack(parts):
+    """One record of the problems of the one-problem records ``parts``."""
+    return _Moments(*(np.concatenate(a) for a in list(zip(*parts))[:3]), None)
+
+
 def _system_at_identity(corr, source):
     """The kernel's 6x6 system (A, b) before its first round: R = I and the
     moved centroid t_c at the weighted source centroid mu."""
-    mu, _, _, m, q0 = _moments(source.positions, corr.targets, corr.normals, corr.weights)
-    a, b, _ = _whole_system(m[None], q0[None], mu[None], np.eye(3)[None], mu[None])
+    moments = _moments(source.positions, corr.targets, corr.normals, corr.weights)
+    a, b, _ = _whole_system(moments, np.eye(3)[None], moments.mu)
     return a[0], b[0]
 
 
@@ -195,7 +204,8 @@ class TestMoments:
     def test_rows_and_gram_match_oracle_bitwise(self, n_pairs, seed):
         corr, cloud, _ = make_instance(seed, n_pairs)
         arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
-        mu, u, s, m, q0 = _moments(*arrays)
+        mu, (m,), (q0,), rows = _moments(*arrays)
+        u, s = rows[:12].T, rows[12]
         want_u, want_s = self._oracle_rows(*arrays, mu)
         np.testing.assert_array_equal(u, want_u)
         np.testing.assert_array_equal(s, want_s)
@@ -206,9 +216,10 @@ class TestMoments:
 
     def test_rows_share_one_pair_minor_buffer(self):
         corr, cloud, _ = make_instance(0, 64)
-        _, u, s, _, _ = _moments(cloud.positions, corr.targets, corr.normals, corr.weights)
+        rows = _moments(cloud.positions, corr.targets, corr.normals, corr.weights).rows
+        u, s = rows[:12].T, rows[12]
         assert u.T.flags.c_contiguous and s.flags.c_contiguous
-        assert u.base is s.base and u.base.shape == (13, 64)
+        assert u.base is s.base is rows and rows.shape == (13, 64)
 
     def test_peak_memory_is_at_most_21_n_doubles(self):
         # The (13, N) buffer, the (N,) root of the weights, and one (N, 3)
@@ -481,33 +492,31 @@ class TestReportedCounts:
 
     @staticmethod
     def _stacked_moments(seeds, n_pairs=96):
-        parts = []
-        for seed in seeds:
-            corr, cloud, _ = make_instance(seed, n_pairs, noise=1e-3)
-            parts.append(_moments(cloud.positions, corr.targets, corr.normals, corr.weights))
-        mu, _, _, m, q0 = (np.stack(a) for a in zip(*parts))
-        return m, q0, mu
+        return _stack(
+            [_moments(cloud.positions, corr.targets, corr.normals, corr.weights)
+             for corr, cloud, _ in (make_instance(seed, n_pairs, noise=1e-3) for seed in seeds)]
+        )
 
     @staticmethod
-    def _recorded(m, q0, mu, n_iters):
+    def _recorded(moments, n_iters):
         """Kernel results and copies of every (k, rot, centre, delta) emitted."""
         seen = []
 
         def record(k, rot, centre, delta):
             seen.append((k, rot.copy(), centre.copy(), delta.copy()))
 
-        return _accumulate_batch(m, q0, mu, n_iters, 1e-6, record), seen
+        return _accumulate_batch(moments, n_iters, 1e-6, record), seen
 
     @pytest.mark.parametrize("seeds", [(0,), (1, 2, 3, 4, 5, 6)], ids=["B=1", "B=6"])
     def test_emit_reports_every_round(self, seeds):
-        m, q0, mu = self._stacked_moments(seeds)
-        swept, seen = self._recorded(m, q0, mu, 7)
+        moments = self._stacked_moments(seeds)
+        swept, seen = self._recorded(moments, 7)
         assert [k for k, *_ in seen] == list(range(8))
-        plain = _accumulate_batch(m, q0, mu, 7, 1e-6)
+        plain = _accumulate_batch(moments, 7, 1e-6)
         for got, want in zip(swept, plain):
             np.testing.assert_array_equal(got, want)
         for k, *state in seen:
-            _, alone = self._recorded(m, q0, mu, k)
+            _, alone = self._recorded(moments, k)
             assert alone[-1][0] == k
             for got, want in zip(state, alone[-1][1:]):
                 np.testing.assert_array_equal(got, want)
@@ -516,12 +525,12 @@ class TestReportedCounts:
     def test_reports_match_separate_runs(self, seeds):
         # The oracle's read: the world transform of the state after k rounds
         # is the transform a run of k rounds returns.
-        m, q0, mu = self._stacked_moments(seeds)
-        _, seen = self._recorded(m, q0, mu, 7)
+        moments = self._stacked_moments(seeds)
+        _, seen = self._recorded(moments, 7)
         for k, rot, centre, _ in seen:
-            alone = _accumulate_batch(m, q0, mu, k, 1e-6)
+            alone = _accumulate_batch(moments, k, 1e-6)
             np.testing.assert_array_equal(rot, alone[0])
-            np.testing.assert_array_equal(_world(rot, centre, mu), alone[1])
+            np.testing.assert_array_equal(_world(rot, centre, moments.mu), alone[1])
 
     def test_register_p2pl_and_icp_unchanged_by_reports(self, monkeypatch):
         # register_p2pl, and icp through it, run the shared kernel; a hook
@@ -539,12 +548,12 @@ class TestReportedCounts:
             if sweep:
                 kernel = solver._accumulate_batch
 
-                def every_round(m, q0, mu, n_iters, damping=0.0, emit=None):
+                def every_round(moments, n_iters, damping=0.0, emit=None):
                     def also_read(k, rot, centre, delta):
-                        _world(rot, centre, mu)
+                        _world(rot, centre, moments.mu)
                         emit(k, rot, centre, delta)
 
-                    return kernel(m, q0, mu, n_iters, damping, also_read)
+                    return kernel(moments, n_iters, damping, also_read)
 
                 monkeypatch.setattr(solver, "_accumulate_batch", every_round)
             reg = register_p2pl(corr, cloud, n_iters=10)
@@ -607,8 +616,7 @@ class TestCholeskySolve:
 
     def test_register_p2pl_is_its_batch_item(self):
         seeds = range(6)
-        m, q0, mu = TestReportedCounts._stacked_moments(seeds)
-        rot, trans, _, _ = _accumulate_batch(m, q0, mu, 10)
+        rot, trans, _, _ = _accumulate_batch(TestReportedCounts._stacked_moments(seeds), 10)
         for k, seed in enumerate(seeds):
             corr, cloud, _ = make_instance(seed, 96, noise=1e-3)
             got = register_p2pl(corr, cloud, n_iters=10).transform
@@ -624,13 +632,10 @@ class TestCholeskySolve:
         for seed, noise in enumerate(noises):
             corr, cloud, _ = make_instance(seed, 96, noise=noise)
             parts.append(_moments(cloud.positions, corr.targets, corr.normals, corr.weights))
-        mu, _, _, m, q0 = (np.stack(a) for a in zip(*parts))
-        whole, seen = TestReportedCounts._recorded(m, q0, mu, 10)
+        whole, seen = TestReportedCounts._recorded(_stack(parts), 10)
         assert list(whole[2]) == [True] * 3 + [False] * 4
         for i in range(len(noises)):
-            alone, seen_i = TestReportedCounts._recorded(
-                m[i : i + 1], q0[i : i + 1], mu[i : i + 1], 10
-            )
+            alone, seen_i = TestReportedCounts._recorded(parts[i], 10)
             for got, want in zip(alone[:3], whole[:3]):
                 np.testing.assert_array_equal(got[0], want[i])
             assert alone[3] == whole[3]
@@ -698,22 +703,23 @@ def _oracle_moments(b_dim):
     arrays = (cloud.positions, corr.targets, corr.normals, corr.weights)
     moments = _moments(*arrays)
     pairs, cols = np.repeat(np.arange(64), 10), np.tile(np.arange(10), 64)
-    m, q0 = _perturbed_moments(moments, np.column_stack(arrays), pairs, cols, 1e-3, True)
-    return m[-b_dim:], q0[-b_dim:], np.broadcast_to(moments[0], (b_dim, 3))
+    job = _perturbed_moments(moments, np.column_stack(arrays), pairs, cols, 1e-3, True)
+    return _Moments(*(a[-b_dim:] for a in job[:3]), None)
 
 
-def _reference_rounds(m, q0, mu, n_iters, damping):
+def _reference_rounds(moments, n_iters, damping):
     """The accumulation one whole system at a time: ``_whole_system``,
     damping I added to the whole matrix, ``_solve``, then the exp-map
     update. Returns the final (rot, world translation) and the
     (rot, centre, g - g0) before each round."""
-    b_dim = m.shape[0]
+    mu = moments.mu
+    b_dim = mu.shape[0]
     rot = np.empty((b_dim, 3, 3))
     rot[:] = np.eye(3)
     centre = mu
     seen = []
     for k in range(n_iters):
-        a, b, delta = _whole_system(m, q0, mu, rot, centre)
+        a, b, delta = _whole_system(moments, rot, centre)
         seen.append((rot, centre, delta.copy()))
         if damping:
             a = a + damping * np.eye(6)
@@ -759,14 +765,14 @@ class TestStepRound:
     @pytest.mark.parametrize("b_dim", [1, 7, 1281])
     @pytest.mark.parametrize("damping", [0.0, 1e-6])
     def test_kernel_is_the_reference_rounds(self, b_dim, damping):
-        m, q0, mu = _oracle_moments(b_dim)
+        moments = _oracle_moments(b_dim)
         seen = []
 
         def record(k, rot, centre, delta):
             seen.append((rot.copy(), np.array(centre), delta.copy()))
 
-        rot, trans, _, _ = _accumulate_batch(m, q0, mu, 10, damping, record)
-        want_rot, want_trans, want_seen = _reference_rounds(m, q0, mu, 10, damping)
+        rot, trans, _, _ = _accumulate_batch(moments, 10, damping, record)
+        want_rot, want_trans, want_seen = _reference_rounds(moments, 10, damping)
         _assert_same_bits(rot, want_rot)
         _assert_same_bits(trans, want_trans)
         assert len(seen) == 11
@@ -794,10 +800,10 @@ class TestStepRound:
         # fresh buffer every round peaked at 2.1818 MB. Scattering R's
         # entries into the kept buffer (geometry._fill_rotation) leaves no
         # array behind; the bound keeps 2 KB of slack over that figure.
-        m, q0, mu = _oracle_moments(1280)
+        moments = _oracle_moments(1280)
         tracemalloc.start()
         try:
-            _accumulate_batch(m, q0, mu, 10)
+            _accumulate_batch(moments, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
